@@ -12,13 +12,12 @@ import numpy as np
 
 from oacpool import (
     FeatureSequence,
-    FilterBank,
     FilterBankSet,
     PyramidConfig,
     average_pool,
-    conv_dim_forward,
     max_pool,
     oacp_forward,
+    oacp_forward_details,
 )
 
 #%%
@@ -46,15 +45,14 @@ print("average invariant under shuffle:",
 # A single two-tap filter w = [-1, 1] responds to local increases.  After
 # ReLU it fires along the rising ramp and stays silent on the falling one.
 
-detector = FilterBank([[-1.0, 1.0]], [0.0])
-print("responses on rising :", conv_dim_forward(rising.frames[:, 0], detector).responses.ravel())
-print("responses on falling:", conv_dim_forward(falling.frames[:, 0], detector).responses.ravel())
+banks = FilterBankSet([[[-1.0, 1.0]]], [[0.0]])  # one dimension, one filter
+cfg = PyramidConfig((1,))
+print("responses on rising :", oacp_forward_details(rising, banks, cfg).responses[:, 0, 0])
+print("responses on falling:", oacp_forward_details(falling, banks, cfg).responses[:, 0, 0])
 
 #%%
 # Pool those responses and the two signals get different fixed-length
 # representations -- order is now part of the feature.
 
-banks = FilterBankSet.from_banks([detector])
-cfg = PyramidConfig((1,))
 print("pooled conv features, rising :", oacp_forward(rising, banks, cfg))
 print("pooled conv features, falling:", oacp_forward(falling, banks, cfg))

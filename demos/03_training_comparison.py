@@ -35,7 +35,7 @@ methods = [
 ]
 cfg = TrainConfig(learning_rate=0.1, epochs=20, seed=12345)
 table = run_comparison(train, test, methods, cfg)
-print(table.to_csv(include_timing=True))
+print(table.to_csv())
 
 #%%
 # Note the parameter accounting: the conv pooling adds interval*K*n + K*n

@@ -12,10 +12,7 @@ order-only datasets, file formats, and a comparison runner.
 
 from . import errors
 from .convpool import (
-    FilterBank,
     FilterBankSet,
-    ResponseSequence,
-    conv_dim_forward,
     conv_responses,
     oacp_forward,
     oacp_forward_details,
@@ -33,7 +30,6 @@ from .dimreduce import (
 )
 from .harness import (
     DatasetManifest,
-    PoolingSpec,
     ResultTable,
     SyntheticSpec,
     gen_synthetic,
@@ -51,6 +47,7 @@ from .model import (
     EpochStats,
     ForwardCache,
     Gradients,
+    PoolingSpec,
     TrainConfig,
     backward,
     evaluate,
@@ -87,7 +84,6 @@ __all__ = [
     "DatasetManifest",
     "EpochStats",
     "FeatureSequence",
-    "FilterBank",
     "FilterBankSet",
     "ForwardCache",
     "Gradients",
@@ -95,7 +91,6 @@ __all__ = [
     "PoolingSpec",
     "PyramidConfig",
     "ReductionPartition",
-    "ResponseSequence",
     "ResultTable",
     "SignatureMatrix",
     "SyntheticSpec",
@@ -104,7 +99,6 @@ __all__ = [
     "backward",
     "class_signatures",
     "concat_frame_features",
-    "conv_dim_forward",
     "conv_responses",
     "errors",
     "evaluate",

@@ -39,7 +39,6 @@ from .harness import (
     load_dataset,
     load_manifest,
     prepare_dataset,
-    prepare_for_model,
     run_comparison,
     save_features,
     save_manifest,
@@ -259,7 +258,7 @@ def _cmd_eval(args) -> int:
         raise ShapeMismatchError(
             f"manifest declares {manifest.num_classes} classes, model has {model.num_classes}"
         )
-    data = prepare_for_model(load_dataset(manifest), model)
+    data = prepare_dataset(load_dataset(manifest), model.spec)
     accuracy, confusion = evaluate(model, data)
     print(f"accuracy={accuracy:.6f}")
     if args.confusion:
@@ -279,14 +278,6 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    t_out = args.t - args.interval + 1
-    if t_out < 2:
-        print(
-            f"oacpool gradcheck: error: --t {args.t} is too short for --interval "
-            f"{args.interval} with a 2-level pyramid (need t >= interval + 1)",
-            file=sys.stderr,
-        )
-        return 1
     model_seed, data_seed, noise_seed = np.random.SeedSequence(args.seed).spawn(3)
     model = ClassifierModel.build(
         "oacp",
@@ -298,6 +289,13 @@ def _cmd_gradcheck(args) -> int:
         pyramid=(1, 2),
         seed=model_seed,
     )
+    if args.t < model.spec.minimum_frames:
+        print(
+            f"oacpool gradcheck: error: --t {args.t} is too short for --interval "
+            f"{args.interval} with a 2-level pyramid (need t >= interval + 1)",
+            file=sys.stderr,
+        )
+        return 1
     rng = np.random.default_rng(data_seed)
     example = LabeledSequence(
         FeatureSequence(rng.standard_normal((args.t, args.k))),

@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError, TooShortSequenceError
-from .pooling import PyramidConfig, segment_ranges
+from .pooling import PyramidConfig, segment_maxima, segment_ranges
 from .sequences import FeatureSequence
 
 
@@ -29,31 +29,6 @@ def _as_param_array(values, ndim: int, name: str) -> np.ndarray:
     if not np.isfinite(arr).all():
         raise ValueError(f"{name} contains NaN or infinite values")
     return arr
-
-
-@dataclass(eq=False)
-class FilterBank:
-    """One dimension's filters: weights (n_filters, interval) and biases (n_filters,)."""
-
-    weights: np.ndarray
-    biases: np.ndarray
-
-    def __post_init__(self):
-        self.weights = _as_param_array(self.weights, 2, "weights")
-        self.biases = _as_param_array(self.biases, 1, "biases")
-        if self.biases.shape[0] != self.weights.shape[0]:
-            raise ShapeMismatchError(
-                f"{self.weights.shape[0]} filters but {self.biases.shape[0]} biases"
-            )
-
-    @property
-    def n_filters(self) -> int:
-        return self.weights.shape[0]
-
-    @property
-    def interval(self) -> int:
-        """Filter length l, in (sampled) frames."""
-        return self.weights.shape[1]
 
 
 @dataclass(eq=False)
@@ -81,23 +56,6 @@ class FilterBankSet:
         if self.stride < 1:
             raise ValueError(f"stride must be >= 1, got {self.stride}")
 
-    @classmethod
-    def from_banks(cls, banks, stride: int = 1) -> "FilterBankSet":
-        banks = list(banks)
-        if not banks:
-            raise ValueError("need at least one filter bank")
-        shape = banks[0].weights.shape
-        for i, bank in enumerate(banks):
-            if bank.weights.shape != shape:
-                raise ShapeMismatchError(
-                    f"bank 0 has shape {shape} but bank {i} has {bank.weights.shape}"
-                )
-        return cls(
-            weights=np.stack([b.weights for b in banks]),
-            biases=np.stack([b.biases for b in banks]),
-            stride=stride,
-        )
-
     @property
     def num_dims(self) -> int:
         return self.weights.shape[0]
@@ -111,78 +69,19 @@ class FilterBankSet:
         return self.weights.shape[2]
 
     @property
-    def banks(self) -> list[FilterBank]:
-        """Per-dimension banks as independent copies."""
-        return [FilterBank(self.weights[k], self.biases[k]) for k in range(self.num_dims)]
-
-    @property
     def parameter_count(self) -> int:
         """l*K*n + K*n: every weight plus every per-dimension bias."""
-        assert self.weights.size + self.biases.size == param_count_perdim(
-            self.num_dims, self.interval, self.n_filters
-        )
         return self.weights.size + self.biases.size
-
-
-@dataclass(eq=False)
-class ResponseSequence:
-    """Post-ReLU responses of one dimension's bank: (num_steps, n_filters), all >= 0."""
-
-    responses: np.ndarray
-
-    def __post_init__(self):
-        self.responses = np.asarray(self.responses, dtype=np.float64)
-        if self.responses.ndim != 2:
-            raise ValueError(f"responses must be 2-D, got shape {self.responses.shape}")
-        if not np.isfinite(self.responses).all():
-            raise ValueError("responses contain NaN or infinite values")
-        if (self.responses < 0).any():
-            raise ValueError("responses must be nonnegative (post-ReLU)")
-
-    @property
-    def num_steps(self) -> int:
-        return self.responses.shape[0]
-
-    @property
-    def n_filters(self) -> int:
-        return self.responses.shape[1]
-
-
-def num_output_steps(num_frames: int, interval: int, stride: int) -> int:
-    """T_out = floor((T - l) / stride) + 1."""
-    return (num_frames - interval) // stride + 1
-
-
-def conv_dim_forward(signal, bank: FilterBank, stride: int = 1) -> ResponseSequence:
-    """Slide one dimension's bank along its 1D signal and apply ReLU.
-
-    responses[t][j] = max(0, sum_i weights[j][i] * signal[t*stride + i] + biases[j]).
-    The inner sum accumulates taps in ascending i order so results are
-    reproducible bit-for-bit regardless of BLAS backend.
-    """
-    signal = np.asarray(signal, dtype=np.float64)
-    if signal.ndim != 1:
-        raise ValueError(f"signal must be 1-D, got shape {signal.shape}")
-    if stride < 1:
-        raise ValueError(f"stride must be >= 1, got {stride}")
-    interval = bank.interval
-    if signal.shape[0] < interval:
-        raise TooShortSequenceError(
-            f"signal has {signal.shape[0]} frames but the filters need {interval}"
-        )
-    windows = sliding_window_view(signal, interval)[::stride]  # (T_out, l)
-    acc = np.zeros((windows.shape[0], bank.n_filters))
-    for i in range(interval):
-        acc += windows[:, i, None] * bank.weights[None, :, i]
-    acc += bank.biases[None, :]
-    return ResponseSequence(np.maximum(acc, 0.0))
 
 
 def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
     """Pre-activation responses (T_out, K, n_filters) for all dimensions at once.
 
-    Tap accumulation order matches conv_dim_forward, so evaluating the K
-    dimensions together is bit-identical to evaluating them one by one.
+    pre[t][k][j] = sum_i weights[k][j][i] * frames[t*stride + i][k] + biases[k][j],
+    with T_out = floor((T - l) / stride) + 1.  Taps accumulate in ascending
+    i order, so results are reproducible bit-for-bit regardless of BLAS
+    backend and each dimension's responses equal those of a one-dimension
+    bank set on that dimension alone.
     """
     num_frames = frames.shape[0]
     interval = banks.interval
@@ -220,7 +119,7 @@ def oacp_forward_details(
     responses = np.maximum(pre, 0.0)
     windows = sliding_window_view(seq.frames, banks.interval, axis=0)[:: banks.stride]
     ranges = segment_ranges(responses.shape[0], cfg)
-    maxima = np.stack([responses[a:b].max(axis=0) for a, b in ranges])
+    maxima = segment_maxima(responses, cfg)
     argmax = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
     # (M, K, n) -> dimension-major: k outermost, then (level, segment), then channel
     pooled = maxima.transpose(1, 0, 2).ravel()

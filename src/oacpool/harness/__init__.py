@@ -6,7 +6,6 @@ from .experiments import (
     ResultTable,
     build_model,
     prepare_dataset,
-    prepare_for_model,
     run_comparison,
     sweep_filters,
 )
@@ -34,7 +33,6 @@ __all__ = [
     "load_features",
     "load_manifest",
     "prepare_dataset",
-    "prepare_for_model",
     "run_comparison",
     "save_features",
     "save_manifest",

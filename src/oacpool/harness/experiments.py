@@ -9,91 +9,16 @@ receptive field is reported alongside each result row.
 
 from __future__ import annotations
 
-import time
 from dataclasses import dataclass, replace
 
-from ..convpool import param_count_perdim
 from ..errors import DivergenceError
-from ..model import ClassifierModel, TrainConfig, evaluate, sgd_train
-from ..pooling import PyramidConfig
+from ..model import ClassifierModel, PoolingSpec, TrainConfig, evaluate, sgd_train
 from ..sequences import (
     LabeledSequence,
     l2_normalize_frames,
     replicate_pad,
     sample_frames,
 )
-
-METHOD_KINDS = ("average", "max", "pyramid", "oacp")
-
-
-@dataclass(frozen=True)
-class PoolingSpec:
-    """One comparison method: pooling kind plus its preparation settings."""
-
-    kind: str
-    interval: int = 8
-    stride: int = 1
-    n_filters: int = 3
-    pyramid: tuple[int, ...] = (1, 2)
-    sample_rate: int = 5
-    normalize: bool = False
-
-    def __post_init__(self):
-        if self.kind not in METHOD_KINDS:
-            raise ValueError(f"unknown pooling kind {self.kind!r}")
-        for name in ("interval", "stride", "n_filters", "sample_rate"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        object.__setattr__(self, "pyramid", tuple(int(m) for m in self.pyramid))
-        PyramidConfig(self.pyramid)  # validate eagerly
-
-    @property
-    def minimum_frames(self) -> int:
-        """Frames needed after sampling so every pyramid level is poolable."""
-        if self.kind in ("average", "max"):
-            return 1
-        if self.kind == "pyramid":
-            return max(self.pyramid)
-        return self.interval + self.stride * (max(self.pyramid) - 1)
-
-    @property
-    def receptive_field(self) -> int:
-        """Original frames covered by one filter interval (or one sample otherwise)."""
-        if self.kind == "oacp":
-            return self.interval * self.sample_rate
-        return self.sample_rate
-
-    def pooled_length(self, num_features: int) -> int:
-        if self.kind in ("average", "max"):
-            return num_features
-        segments = sum(self.pyramid)
-        if self.kind == "pyramid":
-            return num_features * segments
-        return num_features * self.n_filters * segments
-
-    def pool_parameters(self, num_features: int) -> int:
-        """Trainable parameters in the pooling stage itself (0 unless oacp)."""
-        if self.kind != "oacp":
-            return 0
-        return param_count_perdim(num_features, self.interval, self.n_filters)
-
-    def total_parameters(self, num_features: int, num_classes: int) -> int:
-        pooled = self.pooled_length(num_features)
-        return self.pool_parameters(num_features) + num_classes * pooled + num_classes
-
-    @classmethod
-    def from_model(cls, model: ClassifierModel) -> "PoolingSpec":
-        """Recover the preparation settings a trained model was built with."""
-        banks = model.filter_banks
-        return cls(
-            kind=model.pooling_kind,
-            interval=banks.interval if banks else 8,
-            stride=banks.stride if banks else 1,
-            n_filters=banks.n_filters if banks else 3,
-            pyramid=model.pyramid.segments_per_level if model.pyramid else (1, 2),
-            sample_rate=model.sample_rate,
-            normalize=model.normalize,
-        )
 
 
 def prepare_dataset(
@@ -127,12 +52,6 @@ def build_model(
     )
 
 
-def prepare_for_model(
-    data: list[LabeledSequence], model: ClassifierModel
-) -> list[LabeledSequence]:
-    return prepare_dataset(data, PoolingSpec.from_model(model))
-
-
 @dataclass
 class ComparisonRow:
     method: str
@@ -140,7 +59,6 @@ class ComparisonRow:
     pool_params: int
     total_params: int
     receptive_field: int
-    seconds: float
     status: str  # "ok" or "diverged"
 
 
@@ -148,25 +66,19 @@ class ComparisonRow:
 class ResultTable:
     """Rows in the order the methods were requested.
 
-    ``to_csv`` omits wall time by default so identical runs produce
-    byte-identical output; pass include_timing=True for profiling.
+    ``to_csv`` holds no wall time, so identical runs produce byte-identical
+    output.
     """
 
     rows: list[ComparisonRow]
 
-    def to_csv(self, include_timing: bool = False) -> str:
-        header = "method,accuracy,pool_params,total_params,receptive_field,status"
-        if include_timing:
-            header += ",seconds"
-        lines = [header]
+    def to_csv(self) -> str:
+        lines = ["method,accuracy,pool_params,total_params,receptive_field,status"]
         for row in self.rows:
-            line = (
+            lines.append(
                 f"{row.method},{row.accuracy:.6f},{row.pool_params},"
                 f"{row.total_params},{row.receptive_field},{row.status}"
             )
-            if include_timing:
-                line += f",{row.seconds:.3f}"
-            lines.append(line)
         return "\n".join(lines) + "\n"
 
 
@@ -183,7 +95,6 @@ def _run_method(
     num_classes: int,
 ) -> ComparisonRow:
     num_features = train[0].sequence.num_features
-    started = time.perf_counter()
     try:
         prepared_train = prepare_dataset(train, spec)
         prepared_test = prepare_dataset(test, spec)
@@ -200,7 +111,6 @@ def _run_method(
         pool_params=spec.pool_parameters(num_features),
         total_params=spec.total_parameters(num_features, num_classes),
         receptive_field=spec.receptive_field,
-        seconds=time.perf_counter() - started,
         status=status,
     )
 

@@ -38,6 +38,9 @@ class DatasetManifest:
         if not self.class_names:
             raise ValueError("a manifest needs at least one class name")
         self.class_names = tuple(self.class_names)
+        for i, name in enumerate(self.class_names):
+            if name in self.class_names[:i]:
+                raise ValueError(f"duplicate class name {name!r}")
         for path, label in self.entries:
             if not 0 <= label < len(self.class_names):
                 raise ValueError(

@@ -11,13 +11,14 @@ at nonpositive pre-activations) into the filter banks.
 from __future__ import annotations
 
 import copy
+import functools
 import json
 import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convpool import FilterBankSet, oacp_forward_details
+from .convpool import FilterBankSet, oacp_forward_details, param_count_perdim
 from .errors import DivergenceError, ParseError, ShapeMismatchError, StaleCacheError
 from .pooling import PyramidConfig, average_pool, max_pool, temporal_pyramid_pool
 from .sequences import FeatureSequence, LabeledSequence
@@ -30,6 +31,70 @@ LOG_EPS = 1e-15
 
 CHECKPOINT_FORMAT = "oacpool-model"
 CHECKPOINT_VERSION = 1
+
+
+@dataclass(frozen=True)
+class PoolingSpec:
+    """A model's geometry: pooling kind plus the settings that shape it.
+
+    interval, stride and n_filters describe the filter banks, pyramid the
+    segment count per level; kinds without banks or without a pyramid
+    ignore those fields.  sample_rate and normalize say how raw sequences
+    are prepared.  Every length, frame count and parameter count of a
+    model derives from here.
+    """
+
+    kind: str
+    interval: int = 8
+    stride: int = 1
+    n_filters: int = 3
+    pyramid: tuple[int, ...] = (1, 2)
+    sample_rate: int = 5
+    normalize: bool = False
+
+    def __post_init__(self):
+        if self.kind not in POOLING_KINDS:
+            raise ValueError(f"unknown pooling kind {self.kind!r}")
+        for name in ("interval", "stride", "n_filters", "sample_rate"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        object.__setattr__(self, "pyramid", tuple(int(m) for m in self.pyramid))
+        PyramidConfig(self.pyramid)  # validate eagerly
+
+    @property
+    def minimum_frames(self) -> int:
+        """Frames needed after sampling so every pyramid level is poolable."""
+        if self.kind in ("average", "max"):
+            return 1
+        if self.kind == "pyramid":
+            return max(self.pyramid)
+        return self.interval + self.stride * (max(self.pyramid) - 1)
+
+    @property
+    def receptive_field(self) -> int:
+        """Original frames covered by one filter interval (or one sample otherwise)."""
+        if self.kind == "oacp":
+            return self.interval * self.sample_rate
+        return self.sample_rate
+
+    def pooled_length(self, num_features: int) -> int:
+        """P: length of the pooled representation of num_features dimensions."""
+        if self.kind in ("average", "max"):
+            return num_features
+        segments = sum(self.pyramid)
+        if self.kind == "pyramid":
+            return num_features * segments
+        return num_features * self.n_filters * segments
+
+    def pool_parameters(self, num_features: int) -> int:
+        """Trainable parameters in the pooling stage itself (0 unless oacp)."""
+        if self.kind != "oacp":
+            return 0
+        return param_count_perdim(num_features, self.interval, self.n_filters)
+
+    def total_parameters(self, num_features: int, num_classes: int) -> int:
+        pooled = self.pooled_length(num_features)
+        return self.pool_parameters(num_features) + num_classes * pooled + num_classes
 
 
 @dataclass
@@ -93,6 +158,8 @@ class ClassifierModel:
             raise ValueError("num_features and num_classes must be >= 1")
         if self.pooling_kind in ("pyramid", "oacp") and self.pyramid is None:
             raise ValueError(f"{self.pooling_kind} pooling needs a PyramidConfig")
+        if self.pooling_kind in ("average", "max") and self.pyramid is not None:
+            raise ValueError(f"{self.pooling_kind} pooling takes no pyramid")
         if self.pooling_kind == "oacp":
             if self.filter_banks is None:
                 raise ValueError("oacp pooling needs a FilterBankSet")
@@ -114,21 +181,30 @@ class ClassifierModel:
             )
         if not (np.isfinite(self.w_head).all() and np.isfinite(self.b_head).all()):
             raise ValueError("head parameters contain NaN or infinite values")
-        if self.sample_rate < 1:
-            raise ValueError(f"sample_rate must be >= 1, got {self.sample_rate}")
+
+    @functools.cached_property
+    def spec(self) -> PoolingSpec:
+        """The model's geometry, read once from its banks, pyramid and settings."""
+        geometry = {}
+        if self.filter_banks is not None:
+            geometry.update(
+                interval=self.filter_banks.interval,
+                stride=self.filter_banks.stride,
+                n_filters=self.filter_banks.n_filters,
+            )
+        if self.pyramid is not None:
+            geometry["pyramid"] = self.pyramid.segments_per_level
+        return PoolingSpec(
+            self.pooling_kind,
+            sample_rate=self.sample_rate,
+            normalize=self.normalize,
+            **geometry,
+        )
 
     @property
     def pooled_length(self) -> int:
         """P: length of the pooled representation implied by kind and shapes."""
-        if self.pooling_kind in ("average", "max"):
-            return self.num_features
-        if self.pooling_kind == "pyramid":
-            return self.num_features * self.pyramid.total_segments
-        return (
-            self.num_features
-            * self.filter_banks.n_filters
-            * self.pyramid.total_segments
-        )
+        return self.spec.pooled_length(self.num_features)
 
     @classmethod
     def build(
@@ -150,13 +226,20 @@ class ClassifierModel:
         Filter banks are drawn before the head, so a given seed fixes every
         parameter of the model.
         """
-        if pooling_kind not in POOLING_KINDS:
-            raise ValueError(f"unknown pooling kind {pooling_kind!r}")
+        spec = PoolingSpec(
+            pooling_kind,
+            interval=interval,
+            stride=stride,
+            n_filters=n_filters,
+            pyramid=pyramid,
+            sample_rate=sample_rate,
+            normalize=normalize,
+        )
         rng = np.random.default_rng(seed)
         banks = None
         pyr = None
         if pooling_kind in ("pyramid", "oacp"):
-            pyr = PyramidConfig(tuple(pyramid))
+            pyr = PyramidConfig(spec.pyramid)
         if pooling_kind == "oacp":
             bound = math.sqrt(6.0 / (interval + n_filters))
             banks = FilterBankSet(
@@ -164,12 +247,7 @@ class ClassifierModel:
                 biases=np.zeros((num_features, n_filters)),
                 stride=stride,
             )
-        if pooling_kind in ("average", "max"):
-            pooled_len = num_features
-        elif pooling_kind == "pyramid":
-            pooled_len = num_features * pyr.total_segments
-        else:
-            pooled_len = num_features * n_filters * pyr.total_segments
+        pooled_len = spec.pooled_length(num_features)
         bound = math.sqrt(6.0 / (pooled_len + num_classes))
         return cls(
             pooling_kind=pooling_kind,
@@ -231,27 +309,20 @@ def softmax(z) -> np.ndarray:
     return shifted / shifted.sum()
 
 
-def pooled_representation(model: ClassifierModel, seq: FeatureSequence) -> np.ndarray:
-    if seq.num_features != model.num_features:
-        raise ShapeMismatchError(
-            f"sequence has {seq.num_features} features, model expects {model.num_features}"
-        )
-    if model.pooling_kind == "average":
-        return average_pool(seq)
-    if model.pooling_kind == "max":
-        return max_pool(seq)
-    if model.pooling_kind == "pyramid":
-        return temporal_pyramid_pool(seq, model.pyramid)
-    return oacp_forward_details(seq, model.filter_banks, model.pyramid).pooled
-
-
 def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, ForwardCache]:
     """Class probabilities for one sequence plus the state backward() needs."""
     if seq.num_features != model.num_features:
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} features, model expects {model.num_features}"
         )
-    if model.pooling_kind == "oacp":
+    extras = {}
+    if model.pooling_kind == "average":
+        pooled = average_pool(seq)
+    elif model.pooling_kind == "max":
+        pooled = max_pool(seq)
+    elif model.pooling_kind == "pyramid":
+        pooled = temporal_pyramid_pool(seq, model.pyramid)
+    else:
         details = oacp_forward_details(seq, model.filter_banks, model.pyramid)
         pooled = details.pooled
         extras = dict(
@@ -259,9 +330,6 @@ def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, F
             windows=details.windows,
             segment_argmax=details.segment_argmax,
         )
-    else:
-        pooled = pooled_representation(model, seq)
-        extras = {}
     probs = softmax(model.w_head @ pooled + model.b_head)
     return probs, ForwardCache(model.version, pooled, probs, **extras)
 
@@ -453,10 +521,20 @@ def grad_check(
     return worst
 
 
-def _effective_receptive_field(model: ClassifierModel) -> int | None:
-    if model.filter_banks is None:
-        return None
-    return model.filter_banks.interval * model.sample_rate
+def _geometry_fields(model: ClassifierModel) -> dict:
+    """Checkpoint fields describing the model's shape; null where a kind has none."""
+    spec = model.spec
+    banks = model.filter_banks is not None
+    return {
+        "pooled_length": model.pooled_length,
+        "pyramid": list(spec.pyramid) if model.pyramid else None,
+        "interval": spec.interval if banks else None,
+        "stride": spec.stride if banks else None,
+        "n_filters": spec.n_filters if banks else None,
+        "sample_rate": spec.sample_rate,
+        "normalize": spec.normalize,
+        "effective_receptive_field": spec.receptive_field if banks else None,
+    }
 
 
 def save_model(model: ClassifierModel, path) -> None:
@@ -467,14 +545,7 @@ def save_model(model: ClassifierModel, path) -> None:
         "pooling_kind": model.pooling_kind,
         "num_features": model.num_features,
         "num_classes": model.num_classes,
-        "pooled_length": model.pooled_length,
-        "pyramid": list(model.pyramid.segments_per_level) if model.pyramid else None,
-        "interval": model.filter_banks.interval if model.filter_banks else None,
-        "stride": model.filter_banks.stride if model.filter_banks else None,
-        "n_filters": model.filter_banks.n_filters if model.filter_banks else None,
-        "sample_rate": model.sample_rate,
-        "normalize": model.normalize,
-        "effective_receptive_field": _effective_receptive_field(model),
+        **_geometry_fields(model),
         "w_head": model.w_head.tolist(),
         "b_head": model.b_head.tolist(),
         "bank_weights": model.filter_banks.weights.tolist() if model.filter_banks else None,
@@ -486,7 +557,11 @@ def save_model(model: ClassifierModel, path) -> None:
 
 
 def load_model(path) -> ClassifierModel:
-    """Read a checkpoint written by save_model."""
+    """Read a checkpoint written by save_model.
+
+    Every geometry field must agree with what the parameter shapes and
+    settings imply; a mismatch is a ParseError.
+    """
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
@@ -520,10 +595,11 @@ def load_model(path) -> ClassifierModel:
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from None
-    if model.pooled_length != doc["pooled_length"]:
-        raise ParseError(
-            f"{path}: pooled_length {doc['pooled_length']} does not match shapes"
-        )
+    for key, value in _geometry_fields(model).items():
+        if doc.get(key) != value:
+            raise ParseError(
+                f"{path}: {key} {doc.get(key)!r} does not match the model's {value!r}"
+            )
     return model
 
 

@@ -87,7 +87,7 @@ def segment_ranges(num_frames: int, cfg: PyramidConfig) -> list[tuple[int, int]]
 
 
 def segment_maxima(values: np.ndarray, cfg: PyramidConfig) -> np.ndarray:
-    """Per-segment column maxima of a (T, C) array, rows in (level, segment) order."""
+    """Per-segment maxima over axis 0 of a (T, ...) array, rows in (level, segment) order."""
     rows = [values[a:b].max(axis=0) for a, b in segment_ranges(values.shape[0], cfg)]
     return np.stack(rows)
 

@@ -21,10 +21,9 @@ from helpers import (
 
 from oacpool.cli import main as cli_main
 from oacpool.convpool import (
-    FilterBank,
     FilterBankSet,
-    conv_dim_forward,
     oacp_forward,
+    oacp_forward_details,
     param_count_joint,
     param_count_perdim,
 )
@@ -43,7 +42,7 @@ from oacpool.sequences import FeatureSequence, LabeledSequence
 EXPERIMENT_SEED = 12345
 EXPERIMENT_CFG = TrainConfig(learning_rate=0.1, epochs=30, seed=EXPERIMENT_SEED)
 
-RISING_DETECTOR = FilterBank([[-1.0, 1.0]], [0.0])
+RISING_DETECTOR = FilterBankSet([[[-1.0, 1.0]]], [[0.0]])
 
 
 def _report(name):
@@ -127,7 +126,7 @@ def test_permutation_invariance_and_order_sensitivity():
         values = np.cumsum(rng.uniform(0.1, 1.0, max(t, 3)))
         monotone = FeatureSequence(values[:, None])
         reverse = FeatureSequence(values[::-1][:, None])
-        banks = FilterBankSet.from_banks([RISING_DETECTOR])
+        banks = RISING_DETECTOR
         cfg = PyramidConfig((1,))
         assert not np.array_equal(
             oacp_forward(monotone, banks, cfg), oacp_forward(reverse, banks, cfg)
@@ -181,9 +180,12 @@ def test_brute_force_conv_equivalence():
                     signal = rng.standard_normal(t)
                     weights = rng.standard_normal((n_filters, length))
                     biases = rng.standard_normal(n_filters)
-                    got = conv_dim_forward(signal, FilterBank(weights, biases), stride)
+                    seq = FeatureSequence(signal[:, None])
+                    banks = FilterBankSet(weights[None], biases[None], stride)
+                    details = oacp_forward_details(seq, banks, PyramidConfig((1,)))
+                    got = details.responses[:, 0, :]
                     want = conv_oracle(signal, weights, biases, stride)
-                    assert got.responses.tobytes() == want.tobytes(), (
+                    assert got.tobytes() == want.tobytes(), (
                         f"mismatch at T={t} l={length} stride={stride} n={n_filters}"
                     )
                     cases += 1

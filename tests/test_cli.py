@@ -149,6 +149,27 @@ class TestTrainEval:
         assert code == 0
         capsys.readouterr()
 
+    def test_eval_rejects_checkpoint_with_tampered_geometry(self, synth_dir, tmp_path, capsys):
+        import json
+
+        model_path = tmp_path / "model.json"
+        code = run_cli(
+            "train", "--manifest", str(synth_dir / "train.manifest"),
+            "--pooling", "oacp", "--interval", "4", "--sample-rate", "1",
+            "--epochs", "1", "--model-out", str(model_path),
+        )
+        assert code == 0
+        doc = json.loads(model_path.read_text())
+        doc["interval"] = 5
+        model_path.write_text(json.dumps(doc))
+        capsys.readouterr()
+        code = run_cli(
+            "eval", "--manifest", str(synth_dir / "test.manifest"),
+            "--model", str(model_path),
+        )
+        assert code == 2
+        assert "interval 5 does not match" in capsys.readouterr().err
+
 
 class TestCompare:
     def test_csv_output_is_byte_identical_across_runs(self, synth_dir, capsys):

@@ -4,13 +4,10 @@ import pytest
 from helpers import conv_oracle
 
 from oacpool.convpool import (
-    FilterBank,
     FilterBankSet,
-    ResponseSequence,
-    conv_dim_forward,
     conv_responses,
-    num_output_steps,
     oacp_forward,
+    oacp_forward_details,
     param_count_joint,
     param_count_perdim,
 )
@@ -18,33 +15,28 @@ from oacpool.errors import ShapeMismatchError, TooShortSequenceError
 from oacpool.pooling import PyramidConfig, average_pool, max_pool
 from oacpool.sequences import FeatureSequence
 
-RISING_DETECTOR = FilterBank([[-1.0, 1.0]], [0.0])
+RISING_DETECTOR = FilterBankSet([[[-1.0, 1.0]]], [[0.0]])
+
+
+def one_dim_bank(weights, biases, stride=1):
+    """A one-dimension bank set from (n_filters, interval) weights and (n_filters,) biases."""
+    return FilterBankSet(np.asarray(weights)[None], np.asarray(biases)[None], stride)
+
+
+def one_dim_responses(signal, banks):
+    """Post-ReLU responses (T_out, n_filters) of a one-dimension bank set on a 1D signal."""
+    seq = FeatureSequence(np.asarray(signal, dtype=np.float64)[:, None])
+    return oacp_forward_details(seq, banks, PyramidConfig((1,))).responses[:, 0, :]
 
 
 class TestFilterBankTypes:
     def test_bank_shape_accessors(self):
-        bank = FilterBank(np.zeros((3, 8)), np.zeros(3))
-        assert bank.n_filters == 3 and bank.interval == 8
+        fbs = FilterBankSet(np.zeros((2, 3, 8)), np.zeros((2, 3)))
+        assert fbs.num_dims == 2 and fbs.n_filters == 3 and fbs.interval == 8
 
     def test_bank_rejects_bias_count_mismatch(self):
         with pytest.raises(ShapeMismatchError):
-            FilterBank(np.zeros((3, 8)), np.zeros(2))
-
-    def test_set_from_banks_roundtrip(self):
-        rng = np.random.default_rng(20)
-        banks = [FilterBank(rng.standard_normal((2, 4)), rng.standard_normal(2)) for _ in range(3)]
-        fbs = FilterBankSet.from_banks(banks, stride=2)
-        assert fbs.num_dims == 3 and fbs.n_filters == 2 and fbs.interval == 4
-        assert fbs.stride == 2
-        for orig, back in zip(banks, fbs.banks):
-            assert np.array_equal(orig.weights, back.weights)
-            assert np.array_equal(orig.biases, back.biases)
-
-    def test_set_rejects_heterogeneous_banks(self):
-        with pytest.raises(ShapeMismatchError):
-            FilterBankSet.from_banks(
-                [FilterBank(np.zeros((2, 4)), np.zeros(2)), FilterBank(np.zeros((2, 3)), np.zeros(2))]
-            )
+            FilterBankSet(np.zeros((1, 3, 8)), np.zeros((1, 2)))
 
     def test_parameter_count_matches_formula(self):
         rng = np.random.default_rng(21)
@@ -55,60 +47,57 @@ class TestFilterBankTypes:
             fbs = FilterBankSet(np.zeros((k, n, length)), np.zeros((k, n)))
             assert fbs.parameter_count == param_count_perdim(k, length, n)
 
-    def test_response_sequence_rejects_negative_entries(self):
-        with pytest.raises(ValueError):
-            ResponseSequence(np.array([[0.5, -0.1]]))
-
 
 class TestConvDimForward:
+    """The conv on one dimension's signal, through a one-dimension bank set."""
+
     def test_rising_ramp_detected(self):
-        out = conv_dim_forward([0.0, 1.0, 2.0, 3.0], RISING_DETECTOR)
-        assert out.responses.ravel().tolist() == [1.0, 1.0, 1.0]
+        out = one_dim_responses([0.0, 1.0, 2.0, 3.0], RISING_DETECTOR)
+        assert out.ravel().tolist() == [1.0, 1.0, 1.0]
 
     def test_falling_ramp_suppressed_by_relu(self):
-        out = conv_dim_forward([3.0, 2.0, 1.0, 0.0], RISING_DETECTOR)
-        assert out.responses.ravel().tolist() == [0.0, 0.0, 0.0]
+        out = one_dim_responses([3.0, 2.0, 1.0, 0.0], RISING_DETECTOR)
+        assert out.ravel().tolist() == [0.0, 0.0, 0.0]
 
     def test_signal_of_filter_length_gives_one_row(self):
-        bank = FilterBank(np.ones((2, 5)), np.zeros(2))
-        out = conv_dim_forward(np.arange(5.0), bank, stride=1)
-        assert out.responses.shape == (1, 2)
+        out = one_dim_responses(np.arange(5.0), one_dim_bank(np.ones((2, 5)), np.zeros(2)))
+        assert out.shape == (1, 2)
 
     def test_too_short_signal(self):
         with pytest.raises(TooShortSequenceError):
-            conv_dim_forward([1.0], RISING_DETECTOR)
+            one_dim_responses([1.0], RISING_DETECTOR)
 
     def test_step_count_follows_stride_formula(self):
         rng = np.random.default_rng(35)
         for t in range(2, 12):
             for length in range(1, t + 1):
                 for stride in (1, 2, 3):
-                    bank = FilterBank(rng.standard_normal((1, length)), np.zeros(1))
-                    out = conv_dim_forward(rng.standard_normal(t), bank, stride)
-                    assert out.num_steps == num_output_steps(t, length, stride)
+                    bank = one_dim_bank(rng.standard_normal((1, length)), np.zeros(1), stride)
+                    out = one_dim_responses(rng.standard_normal(t), bank)
+                    assert out.shape[0] == len(range(0, t - length + 1, stride))
 
     def test_responses_nonnegative(self):
         rng = np.random.default_rng(22)
         for _ in range(20):
-            bank = FilterBank(rng.standard_normal((3, 4)), rng.standard_normal(3))
-            out = conv_dim_forward(rng.standard_normal(12), bank)
-            assert (out.responses >= 0).all()
+            bank = one_dim_bank(rng.standard_normal((3, 4)), rng.standard_normal(3))
+            out = one_dim_responses(rng.standard_normal(12), bank)
+            assert (out >= 0).all()
 
     def test_linear_before_activation_power_of_two_scaling(self):
         # scaling by a power of two is exact in floating point
         rng = np.random.default_rng(23)
-        bank = FilterBank(rng.standard_normal((3, 4)), np.zeros(3))
+        bank = one_dim_bank(rng.standard_normal((3, 4)), np.zeros(3))
         signal = rng.standard_normal(10)
-        base = conv_dim_forward(signal, bank).responses
-        doubled = conv_dim_forward(2.0 * signal, bank).responses
+        base = one_dim_responses(signal, bank)
+        doubled = one_dim_responses(2.0 * signal, bank)
         assert np.array_equal(doubled, 2.0 * base)
 
     def test_linear_before_activation_general_scaling(self):
         rng = np.random.default_rng(24)
-        bank = FilterBank(rng.standard_normal((3, 4)), np.zeros(3))
+        bank = one_dim_bank(rng.standard_normal((3, 4)), np.zeros(3))
         signal = rng.standard_normal(10)
-        base = conv_dim_forward(signal, bank).responses
-        scaled = conv_dim_forward(1.7 * signal, bank).responses
+        base = one_dim_responses(signal, bank)
+        scaled = one_dim_responses(1.7 * signal, bank)
         np.testing.assert_allclose(scaled, 1.7 * base, rtol=1e-12, atol=1e-15)
 
     def test_matches_naive_oracle_bit_exactly(self):
@@ -121,9 +110,9 @@ class TestConvDimForward:
                     signal = rng.standard_normal(t)
                     weights = rng.standard_normal((2, length))
                     biases = rng.standard_normal(2)
-                    got = conv_dim_forward(signal, FilterBank(weights, biases), stride)
+                    got = one_dim_responses(signal, one_dim_bank(weights, biases, stride))
                     want = conv_oracle(signal, weights, biases, stride)
-                    assert got.responses.tobytes() == want.tobytes()
+                    assert got.tobytes() == want.tobytes()
 
 
 class TestConvResponsesAllDims:
@@ -131,10 +120,11 @@ class TestConvResponsesAllDims:
         rng = np.random.default_rng(26)
         frames = rng.standard_normal((9, 4))
         fbs = FilterBankSet(rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3)), stride=2)
-        stacked = np.maximum(conv_responses(frames, fbs), 0.0)
-        for k, bank in enumerate(fbs.banks):
-            single = conv_dim_forward(frames[:, k], bank, fbs.stride)
-            assert stacked[:, k, :].tobytes() == single.responses.tobytes()
+        stacked = conv_responses(frames, fbs)
+        for k in range(fbs.num_dims):
+            single = FilterBankSet(fbs.weights[k : k + 1], fbs.biases[k : k + 1], fbs.stride)
+            alone = conv_responses(frames[:, k : k + 1], single)
+            assert stacked[:, k : k + 1, :].tobytes() == alone.tobytes()
 
 
 class TestOacpForward:
@@ -152,7 +142,7 @@ class TestOacpForward:
         assert oacp_forward(seq, fbs, PyramidConfig((1, 2))).shape == (90000,)
 
     def test_opposite_ramps_become_separable(self):
-        fbs = FilterBankSet.from_banks([RISING_DETECTOR])
+        fbs = RISING_DETECTOR
         cfg = PyramidConfig((1,))
         rising = FeatureSequence(np.array([0.0, 1.0, 2.0, 3.0])[:, None])
         falling = FeatureSequence(rising.frames[::-1])
@@ -179,7 +169,7 @@ class TestOacpForward:
         values = np.sort(rng.uniform(0.0, 1.0, 12))  # strictly increasing w.p. 1
         seq = FeatureSequence(values[:, None])
         rev = FeatureSequence(values[::-1][:, None])
-        fbs = FilterBankSet.from_banks([RISING_DETECTOR])
+        fbs = RISING_DETECTOR
         cfg = PyramidConfig((1, 2))
         assert not np.array_equal(oacp_forward(seq, fbs, cfg), oacp_forward(rev, fbs, cfg))
         assert average_pool(seq).tobytes() == average_pool(rev).tobytes()

@@ -6,9 +6,17 @@ import pytest
 from helpers import mean_separable_dataset
 
 from oacpool.convpool import FilterBankSet
-from oacpool.errors import DivergenceError, ShapeMismatchError, StaleCacheError
+from oacpool.errors import (
+    DivergenceError,
+    ShapeMismatchError,
+    StaleCacheError,
+    TooShortSequenceError,
+)
+from oacpool.harness import prepare_dataset
 from oacpool.model import (
+    POOLING_KINDS,
     ClassifierModel,
+    PoolingSpec,
     TrainConfig,
     backward,
     evaluate,
@@ -384,6 +392,70 @@ class TestEvaluate:
         assert before == after
 
 
+class TestSpecGeometry:
+    FIXED = [
+        ("average", 8, 1, 3, (1, 2)),
+        ("max", 8, 1, 3, (1, 2)),
+        ("pyramid", 8, 1, 3, (1, 2, 4)),
+        ("oacp", 8, 1, 3, (1, 2)),
+        ("oacp", 8, 2, 3, (1, 2, 4)),
+        ("oacp", 3, 3, 2, (1, 4)),
+    ]
+
+    def _geometries(self, rng):
+        yield from self.FIXED
+        for _ in range(200):
+            kind = POOLING_KINDS[int(rng.integers(len(POOLING_KINDS)))]
+            levels = [1] + [int(rng.integers(1, 5)) for _ in range(int(rng.integers(0, 3)))]
+            yield (
+                kind,
+                int(rng.integers(1, 6)),
+                int(rng.integers(1, 4)),
+                int(rng.integers(1, 4)),
+                tuple(levels),
+            )
+
+    def test_spec_matches_every_kind_stride_and_pyramid(self):
+        rng = np.random.default_rng(67)
+        for kind, interval, stride, n_filters, pyramid in self._geometries(rng):
+            k = int(rng.integers(1, 5))
+            c = int(rng.integers(1, 4))
+            sample_rate = int(rng.integers(1, 4))
+            model = ClassifierModel.build(
+                kind, k, c, interval=interval, stride=stride, n_filters=n_filters,
+                pyramid=pyramid, sample_rate=sample_rate, seed=int(rng.integers(1000)),
+            )
+            spec = model.spec
+            where = f"{kind} l={interval} s={stride} n={n_filters} pyramid={pyramid}"
+            minimum = spec.minimum_frames
+
+            shortest = FeatureSequence(rng.standard_normal((minimum, k)))
+            _, cache = forward(model, shortest)
+            assert len(cache.pooled) == spec.pooled_length(k) == model.pooled_length, where
+            assert model.parameter_total() == spec.total_parameters(k, c), where
+            if minimum > 1:
+                with pytest.raises(TooShortSequenceError):
+                    forward(model, FeatureSequence(rng.standard_normal((minimum - 1, k))))
+
+            # (minimum - 1) * sample_rate raw frames sample down to minimum - 1
+            raw_frames = max((minimum - 1) * sample_rate, 1)
+            raw = LabeledSequence(FeatureSequence(rng.standard_normal((raw_frames, k))), 0)
+            prepared = prepare_dataset([raw], spec)[0].sequence
+            assert prepared.num_frames == minimum, where
+            forward(model, prepared)
+
+    def test_spec_reads_model_settings(self):
+        model = ClassifierModel.build(
+            "oacp", 4, 2, interval=3, stride=2, n_filters=5, pyramid=(1, 2, 4),
+            sample_rate=7, normalize=True,
+        )
+        assert model.spec == PoolingSpec(
+            "oacp", interval=3, stride=2, n_filters=5, pyramid=(1, 2, 4),
+            sample_rate=7, normalize=True,
+        )
+        assert model.spec is model.spec
+
+
 class TestCheckpoint:
     @pytest.mark.parametrize("kind", ["average", "max", "pyramid", "oacp"])
     def test_roundtrip_is_bit_exact(self, kind, tmp_path):
@@ -430,6 +502,33 @@ class TestCheckpoint:
         doc["pooled_length"] += 1
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [
+            ("oacp", "interval", 3),
+            ("oacp", "n_filters", 5),
+            ("oacp", "effective_receptive_field", 99),
+            ("average", "interval", 8),
+            ("max", "stride", 1),
+            ("pyramid", "n_filters", 3),
+            ("average", "effective_receptive_field", 1),
+            ("max", "pyramid", [1, 2]),
+        ],
+    )
+    def test_rejects_tampered_geometry(self, kind, key, value, tmp_path):
+        import json
+
+        from oacpool.errors import ParseError
+
+        model = ClassifierModel.build(kind, 3, 2, interval=2, n_filters=2, seed=65)
+        path = tmp_path / "model.json"
+        save_model(model, path)
+        doc = json.loads(path.read_text())
+        doc[key] = value
+        path.write_text(json.dumps(doc))
+        with pytest.raises(ParseError, match=key):
             load_model(path)
 
     def test_text_export_lists_every_parameter_in_order(self, tmp_path):
