@@ -269,10 +269,20 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    train_data = load_dataset(load_manifest(args.train_manifest))
-    test_data = load_dataset(load_manifest(args.test_manifest))
+    train_manifest = load_manifest(args.train_manifest)
+    test_manifest = load_manifest(args.test_manifest)
+    if test_manifest.num_classes != train_manifest.num_classes:
+        raise ShapeMismatchError(
+            f"train manifest declares {train_manifest.num_classes} classes, "
+            f"test manifest declares {test_manifest.num_classes}"
+        )
+    train_data = load_dataset(train_manifest)
+    test_data = load_dataset(test_manifest)
     methods = [_spec_from_flags(args, kind) for kind in args.methods]
-    table = run_comparison(train_data, test_data, methods, _train_cfg(args))
+    table = run_comparison(
+        train_data, test_data, methods, _train_cfg(args),
+        num_classes=train_manifest.num_classes,
+    )
     sys.stdout.write(table.to_csv())
     return 0
 

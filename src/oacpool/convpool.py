@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError, TooShortSequenceError
-from .pooling import PyramidConfig, segment_maxima, segment_ranges
+from .pooling import PyramidConfig, segment_argmax, segment_ranges
 from .sequences import FeatureSequence
 
 
@@ -74,14 +74,23 @@ class FilterBankSet:
         return self.weights.size + self.biases.size
 
 
+# Output rows per conv block: 2**16 doubles keep the block and its product
+# buffer (512 KiB each) in a core's L2 cache at the paper shape, where one
+# (T_out, n, K) buffer alone is 2.2 MiB.  Desk shapes fit in one block.
+_BLOCK_ELEMENTS = 1 << 16
+
+
 def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
     """Pre-activation responses (T_out, K, n_filters) for all dimensions at once.
 
     pre[t][k][j] = sum_i weights[k][j][i] * frames[t*stride + i][k] + biases[k][j],
     with T_out = floor((T - l) / stride) + 1.  Taps accumulate in ascending
-    i order, so results are reproducible bit-for-bit regardless of BLAS
-    backend and each dimension's responses equal those of a one-dimension
-    bank set on that dimension alone.
+    i order and the bias is added last, so results are reproducible
+    bit-for-bit regardless of BLAS backend and each dimension's responses
+    equal those of a one-dimension bank set on that dimension alone.  The
+    sums accumulate in a (T_out, n_filters, K) buffer, a block of output rows
+    at a time, so the innermost loop runs over the K dimensions; the result
+    is a transposed view of that buffer.
     """
     num_frames = frames.shape[0]
     interval = banks.interval
@@ -90,11 +99,19 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
             f"sequence has {num_frames} frames but the filters need {interval}"
         )
     windows = sliding_window_view(frames, interval, axis=0)[:: banks.stride]
-    acc = np.zeros((windows.shape[0], banks.num_dims, banks.n_filters))
-    for i in range(interval):
-        acc += windows[:, :, i, None] * banks.weights[None, :, :, i]
-    acc += banks.biases[None, :, :]
-    return acc
+    taps = np.ascontiguousarray(banks.weights.transpose(2, 1, 0))  # (l, n, K)
+    acc = np.zeros((windows.shape[0], banks.n_filters, banks.num_dims))
+    rows = max(1, _BLOCK_ELEMENTS // (banks.n_filters * banks.num_dims))
+    term = np.empty_like(acc[:rows])
+    for start in range(0, acc.shape[0], rows):
+        block = acc[start : start + rows]
+        block_windows = windows[start : start + rows, None]
+        block_term = term[: block.shape[0]]
+        for i in range(interval):
+            np.multiply(block_windows[..., i], taps[i], out=block_term)
+            block += block_term
+    acc += banks.biases.T
+    return acc.transpose(0, 2, 1)
 
 
 class OacpForward(NamedTuple):
@@ -119,8 +136,8 @@ def oacp_forward_details(
     responses = np.maximum(pre, 0.0)
     windows = sliding_window_view(seq.frames, banks.interval, axis=0)[:: banks.stride]
     ranges = segment_ranges(responses.shape[0], cfg)
-    maxima = segment_maxima(responses, cfg)
-    argmax = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
+    argmax = segment_argmax(responses, cfg)
+    maxima = np.take_along_axis(responses, argmax, axis=0)
     # (M, K, n) -> dimension-major: k outermost, then (level, segment), then channel
     pooled = maxima.transpose(1, 0, 2).ravel()
     return OacpForward(pooled, pre, responses, windows, argmax, ranges)

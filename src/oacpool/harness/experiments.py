@@ -82,7 +82,9 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def _num_classes(train, test) -> int:
+def _num_classes(train, test, declared: int | None) -> int:
+    if declared is not None:
+        return declared
     return 1 + max(item.label for item in list(train) + list(test))
 
 
@@ -120,17 +122,22 @@ def run_comparison(
     test: list[LabeledSequence],
     methods: list[PoolingSpec],
     train_cfg: TrainConfig,
+    *,
+    num_classes: int | None = None,
 ) -> ResultTable:
     """Train and evaluate each method with the same seed and data.
 
     A method whose training diverges is tagged in its row; the remaining
-    methods still run.  Row order follows the methods argument.
+    methods still run.  Row order follows the methods argument.  Pass the
+    class count a manifest declares as num_classes; without it the count
+    is one more than the largest label in either split, which is too few
+    when no instance has the last class.
     """
     if not train or not test:
         raise ValueError("train and test data must be nonempty")
     if not methods:
         raise ValueError("need at least one method")
-    num_classes = _num_classes(train, test)
+    num_classes = _num_classes(train, test, num_classes)
     rows = [
         _run_method(spec.kind, spec, train, test, train_cfg, num_classes)
         for spec in methods
@@ -144,15 +151,20 @@ def sweep_filters(
     n_filter_values,
     train_cfg: TrainConfig,
     base: PoolingSpec | None = None,
+    *,
+    num_classes: int | None = None,
 ) -> ResultTable:
-    """Conv pooling only, one row per filter count in n_filter_values."""
+    """Conv pooling only, one row per filter count in n_filter_values.
+
+    num_classes is as in run_comparison.
+    """
     if not train or not test:
         raise ValueError("train and test data must be nonempty")
     n_filter_values = list(n_filter_values)
     if not n_filter_values:
         raise ValueError("need at least one filter count")
     base = base if base is not None else PoolingSpec(kind="oacp")
-    num_classes = _num_classes(train, test)
+    num_classes = _num_classes(train, test, num_classes)
     rows = []
     for n in n_filter_values:
         spec = replace(base, kind="oacp", n_filters=int(n))

@@ -347,7 +347,11 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
 
     Logit gradient is probs - onehot(label).  The segment max routes each
     pooled slot's gradient to its first maximal response row; ReLU passes
-    gradient only where the pre-activation is strictly positive.
+    gradient only where the pre-activation is strictly positive.  The bank
+    gradient is therefore summed over the M routed rows of each (dimension,
+    filter) only, in (level, segment) order: each routed slot adds its
+    gradient times that row's input window, and a row routed by two
+    segments adds twice.
     """
     if cache.version != model.version:
         raise StaleCacheError(
@@ -362,20 +366,19 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
     if model.pooling_kind != "oacp":
         return Gradients(g_w_head, g_b_head)
 
-    banks = model.filter_banks
-    pre = cache.pre_activation
+    # pooled holds each slot's ReLU'd maximum in d_pooled's (K, M, n) layout,
+    # so it is positive exactly where the routed row's pre-activation is
     d_pooled = model.w_head.T @ dlogits
-    d_slots = d_pooled.reshape(
-        model.num_features, cache.segment_argmax.shape[0], banks.n_filters
+    coef = (d_pooled * (cache.pooled > 0)).reshape(
+        model.num_features, cache.segment_argmax.shape[0], -1
     )
-    d_resp = np.zeros_like(pre)
-    dim_idx = np.arange(model.num_features)[:, None]
-    chan_idx = np.arange(banks.n_filters)[None, :]
-    for m in range(cache.segment_argmax.shape[0]):
-        np.add.at(d_resp, (cache.segment_argmax[m], dim_idx, chan_idx), d_slots[:, m, :])
-    d_resp *= pre > 0
-    g_bank_w = np.einsum("tkj,tki->kji", d_resp, cache.windows)
-    g_bank_b = d_resp.sum(axis=0)
+    dims = np.arange(model.num_features)[:, None]
+    routed = cache.windows[cache.segment_argmax, dims]  # (M, K, n, l)
+    g_bank_w = coef[:, 0, :, None] * routed[0]
+    g_bank_b = coef[:, 0].copy()
+    for m in range(1, coef.shape[1]):
+        g_bank_w += coef[:, m, :, None] * routed[m]
+        g_bank_b += coef[:, m]
     return Gradients(g_w_head, g_b_head, g_bank_w, g_bank_b)
 
 
@@ -441,7 +444,8 @@ def sgd_train(
                     vel += grad
                     param -= cfg.learning_rate * vel
                 else:
-                    param -= cfg.learning_rate * grad
+                    grad *= cfg.learning_rate
+                    param -= grad
             model.version += 1
             if not _finite_parameters(model):
                 raise DivergenceError(

@@ -28,6 +28,29 @@ def conv_oracle(signal, weights, biases, stride: int) -> np.ndarray:
     return out
 
 
+def dense_reference_gradients(model, cache, label: int):
+    """Gradients (w_head, b_head, bank weights, bank biases) by dense backprop.
+
+    Every pooled slot's gradient is scattered into a zeroed (T_out, K, n)
+    array at its segment's argmax row, masked by the ReLU, and contracted
+    with the input windows over all T_out rows.
+    """
+    dlogits = cache.probs.copy()
+    dlogits[label] -= 1.0
+    head = (np.outer(dlogits, cache.pooled), dlogits)
+    pre = cache.pre_activation
+    segments, num_dims, n_filters = cache.segment_argmax.shape
+    d_slots = (model.w_head.T @ dlogits).reshape(num_dims, segments, n_filters)
+    d_resp = np.zeros(pre.shape)
+    dim_idx = np.arange(num_dims)[:, None]
+    chan_idx = np.arange(n_filters)[None, :]
+    for m in range(segments):
+        np.add.at(d_resp, (cache.segment_argmax[m], dim_idx, chan_idx), d_slots[:, m, :])
+    d_resp *= pre > 0
+    bank_w = np.einsum("tkj,tki->kji", d_resp, cache.windows)
+    return (*head, bank_w, d_resp.sum(axis=0))
+
+
 def adjusted_rand_index(labels_a, labels_b) -> float:
     """Adjusted Rand index from the contingency table."""
     labels_a = np.asarray(labels_a)

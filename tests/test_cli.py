@@ -190,6 +190,38 @@ class TestCompare:
         assert lines[0] == "method,accuracy,pool_params,total_params,receptive_field,status"
         assert [line.split(",")[0] for line in lines[1:]] == ["average", "max", "oacp"]
 
+    def _two_class_data(self, tmp_path, classes):
+        # every instance is labeled 0 or 1, whatever the manifest declares
+        rng = np.random.default_rng(56)
+        lines = ["classes=" + ",".join(classes)]
+        for i in range(4):
+            name = f"seq_{i}.txt"
+            save_features(FeatureSequence(rng.standard_normal((6, 4)) + i % 2), tmp_path / name)
+            lines.append(f"{name} {i % 2}")
+        path = tmp_path / f"{len(classes)}.manifest"
+        path.write_text("\n".join(lines) + "\n")
+        return path
+
+    def test_uses_the_declared_class_count(self, tmp_path, capsys):
+        manifest = self._two_class_data(tmp_path, ["a", "b", "c"])
+        code = run_cli(
+            "compare", "--train-manifest", str(manifest), "--test-manifest", str(manifest),
+            "--methods", "average", "--epochs", "2", "--sample-rate", "1",
+        )
+        assert code == 0
+        row = capsys.readouterr().out.strip().splitlines()[1].split(",")
+        assert row[0] == "average" and int(row[3]) == 3 * 4 + 3
+
+    def test_rejects_splits_declaring_different_class_counts(self, tmp_path, capsys):
+        train = self._two_class_data(tmp_path, ["a", "b", "c"])
+        test = self._two_class_data(tmp_path, ["a", "b"])
+        code = run_cli(
+            "compare", "--train-manifest", str(train), "--test-manifest", str(test),
+            "--methods", "average", "--epochs", "1", "--sample-rate", "1",
+        )
+        assert code == 2
+        assert "test manifest declares 2" in capsys.readouterr().err
+
     def test_rejects_unknown_method(self):
         with pytest.raises(SystemExit) as err:
             run_cli(

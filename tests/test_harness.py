@@ -394,6 +394,19 @@ class TestRunComparison:
         assert [row.status for row in table.rows] == ["diverged", "diverged"]
         assert all(np.isnan(row.accuracy) for row in table.rows)
 
+    def test_declared_class_count_sets_the_model_size(self):
+        # class 2 is declared but has no instance in either split, so the
+        # largest label seen would build the model for two classes
+        train = mean_separable_dataset(5, 6, 3, seed=180)
+        test = mean_separable_dataset(3, 6, 3, seed=181)
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=180)
+        methods = [PoolingSpec("average", sample_rate=1)]
+        row = run_comparison(train, test, methods, cfg, num_classes=3).rows[0]
+        assert row.status == "ok"
+        assert row.total_params == 3 * 3 + 3
+        inferred = run_comparison(train, test, methods, cfg).rows[0]
+        assert inferred.total_params == 2 * 3 + 2
+
     def test_csv_shape_and_determinism(self):
         train = mean_separable_dataset(8, 6, 3, seed=96)
         test = mean_separable_dataset(4, 6, 3, seed=97)
@@ -418,6 +431,15 @@ class TestSweepFilters:
         assert [row.method for row in table.rows] == ["oacp(n=1)", "oacp(n=3)", "oacp(n=5)"]
         counts = [row.pool_params for row in table.rows]
         assert counts[1] == 3 * counts[0] and counts[2] == 5 * counts[0]
+
+    def test_declared_class_count_sets_the_model_size(self):
+        train = mean_separable_dataset(4, 8, 2, seed=182)
+        test = mean_separable_dataset(2, 8, 2, seed=183)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=182)
+        base = PoolingSpec("oacp", interval=3, pyramid=(1, 2), sample_rate=1)
+        row = sweep_filters(train, test, [2], cfg, base, num_classes=4).rows[0]
+        pooled = 2 * 2 * 3
+        assert row.total_params == row.pool_params + 4 * pooled + 4
 
     def test_duplicate_filter_counts_give_identical_rows(self):
         spec = SyntheticSpec("trend-pair", n_train=5, n_test=3, num_frames=10,

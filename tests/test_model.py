@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from helpers import mean_separable_dataset
+from helpers import dense_reference_gradients, mean_separable_dataset
 
 from oacpool.convpool import FilterBankSet
 from oacpool.errors import (
@@ -233,6 +233,65 @@ class TestBackward:
         grads = backward(model, cache, 1)
         assert grads.bank_weights is None and grads.bank_biases is None
         assert grads.w_head.shape == (2, 9)  # P = K * (1 + 2) segments
+
+
+def sparse_backward_case(stride, pyramid, case):
+    """An oacp model and example for one geometry; case picks the input regime.
+
+    "shortest" has exactly spec.minimum_frames frames, "longer" nine more,
+    "constant" repeats one frame so every row ties and segments share
+    argmax rows, and "dead" sets the bank biases so low that every routed
+    row has a negative pre-activation.
+    """
+    seed = 200 + 10 * stride + len(pyramid) + max(pyramid)
+    model = ClassifierModel.build(
+        "oacp", 3, 3, interval=3, stride=stride, n_filters=2, pyramid=pyramid, seed=seed
+    )
+    num_frames = model.spec.minimum_frames + (0 if case == "shortest" else 9)
+    example = random_example(seed, num_frames, 3, 3)
+    if case == "constant":
+        frames = np.repeat(example.sequence.frames[:1], num_frames, axis=0)
+        example = LabeledSequence(FeatureSequence(frames), example.label)
+    if case == "dead":
+        model.filter_banks.biases[:] = -100.0
+        model.version += 1
+    return model, example
+
+
+SPARSE_BACKWARD_CASES = pytest.mark.parametrize(
+    "stride, pyramid, case",
+    [
+        (stride, pyramid, case)
+        for stride in (1, 2, 3)
+        for pyramid in ((1,), (1, 2), (1, 2, 4), (1, 3))
+        for case in ("shortest", "longer", "constant", "dead")
+    ],
+)
+
+
+class TestSparseBankGradient:
+    """backward sums the bank gradient over routed rows only; the dense scatter is the reference."""
+
+    @SPARSE_BACKWARD_CASES
+    def test_matches_dense_reference(self, stride, pyramid, case):
+        model, example = sparse_backward_case(stride, pyramid, case)
+        _, cache = forward(model, example.sequence)
+        grads = backward(model, cache, example.label)
+        w_head, b_head, bank_w, bank_b = dense_reference_gradients(model, cache, example.label)
+        assert grads.w_head.tobytes() == w_head.tobytes()
+        assert grads.b_head.tobytes() == b_head.tobytes()
+        np.testing.assert_allclose(grads.bank_weights, bank_w, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grads.bank_biases, bank_b, rtol=1e-12, atol=0)
+        if case == "dead":
+            assert not grads.bank_weights.any() and not grads.bank_biases.any()
+        if case == "constant" and len(pyramid) > 1:
+            # level 1 and the first segment of level 2 route to the same row
+            assert (cache.segment_argmax[0] == cache.segment_argmax[1]).all()
+
+    @SPARSE_BACKWARD_CASES
+    def test_matches_finite_differences(self, stride, pyramid, case):
+        model, example = sparse_backward_case(stride, pyramid, case)
+        assert grad_check(model, example, 1e-5, seed=stride) <= 1e-6
 
 
 class TestGradCheck:
