@@ -16,7 +16,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError, TooShortSequenceError
-from .pooling import PyramidConfig, segment_argmax, segment_ranges
+from .pooling import PyramidConfig, segment_ranges
 from .sequences import FeatureSequence
 
 
@@ -136,7 +136,7 @@ def oacp_forward_details(
     responses = np.maximum(pre, 0.0)
     windows = sliding_window_view(seq.frames, banks.interval, axis=0)[:: banks.stride]
     ranges = segment_ranges(responses.shape[0], cfg)
-    argmax = segment_argmax(responses, cfg)
+    argmax = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
     maxima = np.take_along_axis(responses, argmax, axis=0)
     # (M, K, n) -> dimension-major: k outermost, then (level, segment), then channel
     pooled = maxima.transpose(1, 0, 2).ravel()

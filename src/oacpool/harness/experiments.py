@@ -82,9 +82,7 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def _num_classes(train, test, declared: int | None) -> int:
-    if declared is not None:
-        return declared
+def _num_classes(train, test) -> int:
     return 1 + max(item.label for item in list(train) + list(test))
 
 
@@ -137,7 +135,8 @@ def run_comparison(
         raise ValueError("train and test data must be nonempty")
     if not methods:
         raise ValueError("need at least one method")
-    num_classes = _num_classes(train, test, num_classes)
+    if num_classes is None:
+        num_classes = _num_classes(train, test)
     rows = [
         _run_method(spec.kind, spec, train, test, train_cfg, num_classes)
         for spec in methods
@@ -151,20 +150,15 @@ def sweep_filters(
     n_filter_values,
     train_cfg: TrainConfig,
     base: PoolingSpec | None = None,
-    *,
-    num_classes: int | None = None,
 ) -> ResultTable:
-    """Conv pooling only, one row per filter count in n_filter_values.
-
-    num_classes is as in run_comparison.
-    """
+    """Conv pooling only, one row per filter count in n_filter_values."""
     if not train or not test:
         raise ValueError("train and test data must be nonempty")
     n_filter_values = list(n_filter_values)
     if not n_filter_values:
         raise ValueError("need at least one filter count")
     base = base if base is not None else PoolingSpec(kind="oacp")
-    num_classes = _num_classes(train, test, num_classes)
+    num_classes = _num_classes(train, test)
     rows = []
     for n in n_filter_values:
         spec = replace(base, kind="oacp", n_filters=int(n))

@@ -92,24 +92,6 @@ def segment_maxima(values: np.ndarray, cfg: PyramidConfig) -> np.ndarray:
     return np.stack(rows)
 
 
-def segment_argmax(values: np.ndarray, cfg: PyramidConfig) -> np.ndarray:
-    """Absolute index of each segment's first maximal row over axis 0 of a (T, ...) array.
-
-    Rows are in (level, segment) order, as in segment_maxima.  Level 1
-    covers the whole timeline, which level 2's segments tile in order, so
-    its first maximum is the first maximum among level 2's segment maxima;
-    np.argmax treats NaN as maximal, so the first NaN is found the same way.
-    Only the finer levels scan the rows.
-    """
-    if cfg.num_levels == 1:
-        return values.argmax(axis=0)[None]
-    ranges = segment_ranges(values.shape[0], cfg)
-    finer = np.stack([a + values[a:b].argmax(axis=0) for a, b in ranges[1:]])
-    tiling = finer[: cfg.segments_per_level[1]]
-    first = np.argmax(np.take_along_axis(values, tiling, axis=0), axis=0)
-    return np.concatenate([np.take_along_axis(tiling, first[None], axis=0), finer])
-
-
 def temporal_pyramid_pool(seq: FeatureSequence, cfg: PyramidConfig) -> np.ndarray:
     """Max pooling within every pyramid segment, concatenated dimension-major.
 

@@ -1,8 +1,5 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
-from hypothesis.extra import numpy as hnp
 
 from helpers import conv_oracle
 
@@ -15,7 +12,7 @@ from oacpool.convpool import (
     param_count_perdim,
 )
 from oacpool.errors import ShapeMismatchError, TooShortSequenceError
-from oacpool.pooling import PyramidConfig, average_pool, max_pool, segment_maxima
+from oacpool.pooling import PyramidConfig, average_pool, max_pool
 from oacpool.sequences import FeatureSequence
 
 RISING_DETECTOR = FilterBankSet([[[-1.0, 1.0]]], [[0.0]])
@@ -139,39 +136,6 @@ class TestConvResponsesAllDims:
         for k in (0, 1, 777, 1499):
             want = conv_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], fbs.stride)
             assert responses[:, k, :].tobytes() == want.tobytes()
-
-
-@st.composite
-def conv_cases(draw):
-    """Frames, a bank set and a poolable pyramid over small random geometries."""
-    num_dims = draw(st.integers(1, 6))
-    stride = draw(st.integers(1, 3))
-    interval = draw(st.integers(1, 8))
-    n_filters = draw(st.integers(1, 4))
-    num_frames = draw(st.integers(interval, 40))
-    t_out = (num_frames - interval) // stride + 1
-    levels = draw(st.lists(st.integers(1, t_out), max_size=2))
-    values = st.floats(-4.0, 4.0)
-    frames = draw(hnp.arrays(np.float64, (num_frames, num_dims), elements=values))
-    weights = draw(hnp.arrays(np.float64, (num_dims, n_filters, interval), elements=values))
-    biases = draw(hnp.arrays(np.float64, (num_dims, n_filters), elements=values))
-    return frames, FilterBankSet(weights, biases, stride), PyramidConfig((1, *levels))
-
-
-class TestConvProperties:
-    """Several dimensions at once, where the conv accumulates with K innermost."""
-
-    @settings(derandomize=True, deadline=None)
-    @given(conv_cases())
-    def test_every_dimension_matches_the_oracle_and_maxima_are_exact(self, case):
-        frames, banks, cfg = case
-        responses = np.maximum(conv_responses(frames, banks), 0.0)
-        for k in range(banks.num_dims):
-            want = conv_oracle(frames[:, k], banks.weights[k], banks.biases[k], banks.stride)
-            assert responses[:, k, :].tobytes() == want.tobytes()
-        details = oacp_forward_details(FeatureSequence(frames), banks, cfg)
-        maxima = segment_maxima(details.responses, cfg)
-        assert details.pooled.tobytes() == maxima.transpose(1, 0, 2).ravel().tobytes()
 
 
 class TestOacpForward:

@@ -432,15 +432,6 @@ class TestSweepFilters:
         counts = [row.pool_params for row in table.rows]
         assert counts[1] == 3 * counts[0] and counts[2] == 5 * counts[0]
 
-    def test_declared_class_count_sets_the_model_size(self):
-        train = mean_separable_dataset(4, 8, 2, seed=182)
-        test = mean_separable_dataset(2, 8, 2, seed=183)
-        cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=182)
-        base = PoolingSpec("oacp", interval=3, pyramid=(1, 2), sample_rate=1)
-        row = sweep_filters(train, test, [2], cfg, base, num_classes=4).rows[0]
-        pooled = 2 * 2 * 3
-        assert row.total_params == row.pool_params + 4 * pooled + 4
-
     def test_duplicate_filter_counts_give_identical_rows(self):
         spec = SyntheticSpec("trend-pair", n_train=5, n_test=3, num_frames=10,
                              num_features=2, seed=99)

@@ -7,8 +7,6 @@ from oacpool.pooling import (
     average_pool,
     max_pool,
     partition_segments,
-    segment_argmax,
-    segment_maxima,
     segment_ranges,
     temporal_pyramid_pool,
 )
@@ -136,35 +134,3 @@ class TestTemporalPyramidPool:
         seq = FeatureSequence(np.zeros((1, 2)))
         with pytest.raises(TooShortSequenceError):
             temporal_pyramid_pool(seq, PyramidConfig((1, 2)))
-
-
-class TestSegmentArgmax:
-    """Level 1's argmax comes from level 2's segment maxima, not from a scan."""
-
-    @staticmethod
-    def direct(values, cfg):
-        ranges = segment_ranges(values.shape[0], cfg)
-        return np.stack([a + values[a:b].argmax(axis=0) for a, b in ranges])
-
-    @pytest.mark.parametrize("levels", [(1,), (1, 1), (1, 2), (1, 2, 4), (1, 3)])
-    def test_matches_direct_argmax_on_random_ties_and_nan(self, levels):
-        cfg = PyramidConfig(levels)
-        rng = np.random.default_rng(140 + len(levels))
-        random = rng.standard_normal((11, 4, 3))
-        constant = np.full((11, 4, 3), 0.5)  # every row ties: the first row wins
-        quantized = np.round(rng.uniform(0.0, 2.0, (11, 4, 3)))  # ties across segments
-        with_nan = random.copy()
-        with_nan[7, 1, 2] = np.nan
-        with_nan[9, 1, 2] = np.nan
-        with_nan[3, 0, 0] = np.nan
-        for values in (random, constant, quantized, with_nan):
-            got = segment_argmax(values, cfg)
-            assert got.tobytes() == self.direct(values, cfg).tobytes()
-            gathered = np.take_along_axis(values, got, axis=0)
-            assert gathered.tobytes() == segment_maxima(values, cfg).tobytes()
-        assert not segment_argmax(constant, cfg)[0].any()
-        assert segment_argmax(with_nan, cfg)[0, 1, 2] == 7
-
-    def test_propagates_too_short(self):
-        with pytest.raises(TooShortSequenceError):
-            segment_argmax(np.zeros((3, 2)), PyramidConfig((1, 4)))
