@@ -53,6 +53,7 @@ from .model import (
     save_model,
     sgd_train,
 )
+from .pooling import PyramidConfig
 from .sequences import FeatureSequence, LabeledSequence
 
 GRADCHECK_THRESHOLD = 1e-4
@@ -103,11 +104,10 @@ def _pyramid(text: str) -> tuple[int, ...]:
         segments = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from None
-    if not segments or any(m < 1 for m in segments) or segments[0] != 1:
-        raise argparse.ArgumentTypeError(
-            f"pyramid must start with 1 and list positive counts, got {text!r}"
-        )
-    return segments
+    try:
+        return PyramidConfig(segments).segments_per_level
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _methods(text: str) -> list[str]:
@@ -302,7 +302,7 @@ def _cmd_gradcheck(args) -> int:
     if args.t < model.spec.minimum_frames:
         print(
             f"oacpool gradcheck: error: --t {args.t} is too short for --interval "
-            f"{args.interval} with a 2-level pyramid (need t >= interval + 1)",
+            f"{args.interval} with a 2-level pyramid (need t >= {model.spec.minimum_frames})",
             file=sys.stderr,
         )
         return 1

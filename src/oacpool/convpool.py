@@ -122,7 +122,6 @@ class OacpForward(NamedTuple):
     responses: np.ndarray       # (T_out, K, n_filters), post-ReLU
     windows: np.ndarray         # (T_out, K, interval) view of the input frames
     segment_argmax: np.ndarray  # (M, K, n_filters) absolute response-row indices
-    ranges: list[tuple[int, int]]
 
 
 def oacp_forward_details(
@@ -140,7 +139,7 @@ def oacp_forward_details(
     maxima = np.take_along_axis(responses, argmax, axis=0)
     # (M, K, n) -> dimension-major: k outermost, then (level, segment), then channel
     pooled = maxima.transpose(1, 0, 2).ravel()
-    return OacpForward(pooled, pre, responses, windows, argmax, ranges)
+    return OacpForward(pooled, pre, responses, windows, argmax)
 
 
 def oacp_forward(

@@ -24,6 +24,9 @@ from .sequences import FeatureSequence
 
 AGGREGATIONS = ("sum", "mean")
 
+# Lloyd rounds before lloyd_kmeans stops even if assignments still move.
+KMEANS_MAX_ITERS = 100
+
 
 @dataclass(eq=False)
 class SignatureMatrix:
@@ -67,6 +70,8 @@ class ReductionPartition:
         assignment = np.array(self.assignment, dtype=np.int64)
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a nonempty 1-D array")
+        if not 1 <= self.k <= assignment.size:
+            raise ValueError(f"k must be in [1, {assignment.size}], got {self.k}")
         if assignment.min() < 0 or assignment.max() >= self.k:
             raise ValueError(f"group indices must lie in [0, {self.k})")
         counts = np.bincount(assignment, minlength=self.k)
@@ -140,10 +145,8 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
     return centroids
 
 
-def lloyd_kmeans(
-    points, k: int, seed=0, max_iters: int = 100
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Lloyd's algorithm with k-means++ seeding.
+def lloyd_kmeans(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Lloyd's algorithm with k-means++ seeding, at most KMEANS_MAX_ITERS rounds.
 
     Ties in the nearest-centroid assignment go to the lowest centroid index.
     A cluster that comes up empty is reseeded to the point currently
@@ -158,14 +161,12 @@ def lloyd_kmeans(
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InvalidTargetError(f"k must be in [1, {n}], got {k}")
-    if max_iters < 1:
-        raise ValueError(f"max_iters must be >= 1, got {max_iters}")
     rng = np.random.default_rng(seed)
     centroids = _kmeans_pp_init(points, k, rng)
     previous = None
     objectives = []
     point_idx = np.arange(n)
-    for _ in range(max_iters):
+    for _ in range(KMEANS_MAX_ITERS):
         dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
         assignment = dist2.argmin(axis=1)
         for g in range(k):
@@ -184,25 +185,15 @@ def lloyd_kmeans(
     return assignment, centroids, np.asarray(objectives)
 
 
-def kmeans_partition(
-    sig: SignatureMatrix,
-    k: int,
-    seed=0,
-    max_iters: int = 100,
-    aggregation: str = "sum",
-    normalize_signatures: bool = False,
-) -> ReductionPartition:
-    """Cluster the D signatures into k groups; deterministic given seed."""
+def kmeans_partition(sig: SignatureMatrix, k: int, seed=0) -> ReductionPartition:
+    """Cluster the D signatures into k summed groups; deterministic given seed."""
     if not 1 <= k <= sig.num_dims:
         raise InvalidTargetError(
             f"target dimensionality must be in [1, {sig.num_dims}], got {k}"
         )
-    points = sig.signatures.copy()
-    if normalize_signatures:
-        norms = np.sqrt((points**2).sum(axis=1, keepdims=True))
-        points = np.where(norms > 1e-12, points / np.maximum(norms, 1e-12), points)
-    assignment, _, _ = lloyd_kmeans(points, k, seed=seed, max_iters=max_iters)
-    return ReductionPartition(assignment, k, aggregation)
+    # a C-ordered copy: the distance sums round differently on the transposed view
+    assignment, _, _ = lloyd_kmeans(sig.signatures.copy(), k, seed=seed)
+    return ReductionPartition(assignment, k)
 
 
 def reduce(x, partition: ReductionPartition) -> np.ndarray:
@@ -240,8 +231,11 @@ def save_partition(partition: ReductionPartition, path) -> None:
 
 def load_partition(path) -> ReductionPartition:
     """Read a partition written by save_partition."""
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not utf-8 text: {exc}") from None
     if not lines:
         raise ParseError(f"{path}: empty partition file")
     fields = dict(
@@ -264,8 +258,8 @@ def load_partition(path) -> ReductionPartition:
     for i, line in enumerate(body):
         try:
             assignment[i] = int(line.strip())
-        except ValueError:
-            raise ParseError(f"{path}: line {i + 2}: not an integer: {line!r}") from None
+        except (ValueError, OverflowError):
+            raise ParseError(f"{path}: line {i + 2}: not a group index: {line!r}") from None
     try:
         return ReductionPartition(assignment, k, fields["aggregation"])
     except ValueError as exc:

@@ -55,8 +55,11 @@ class DatasetManifest:
 def load_manifest(path) -> DatasetManifest:
     """Parse a manifest; every referenced feature file must exist."""
     path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        lines = fh.read().splitlines()
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            lines = fh.read().splitlines()
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not utf-8 text: {exc}") from None
     class_names: tuple[str, ...] | None = None
     split_tag = ""
     entries: list[tuple[Path, int]] = []
@@ -79,6 +82,8 @@ def load_manifest(path) -> DatasetManifest:
                 f"{path}: line {lineno}: expected '<path> <label>', got {stripped!r}"
             )
         entry_path, label_text = pieces
+        if "\0" in entry_path:
+            raise ParseError(f"{path}: line {lineno}: NUL byte in path {entry_path!r}")
         try:
             label = int(label_text)
         except ValueError:

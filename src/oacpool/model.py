@@ -29,6 +29,9 @@ POOLING_KINDS = ("average", "max", "pyramid", "oacp")
 # positive so this never changes results measurably.
 LOG_EPS = 1e-15
 
+# Magnitude of the seeded noise grad_check adds to the parameters first.
+GRAD_CHECK_NUDGE = 1e-2
+
 CHECKPOINT_FORMAT = "oacpool-model"
 CHECKPOINT_VERSION = 1
 
@@ -99,28 +102,21 @@ class PoolingSpec:
 
 @dataclass
 class TrainConfig:
-    """Hyperparameters of the per-instance SGD loop.
+    """Hyperparameters of the per-instance SGD loop: theta <- theta - lr * grad.
 
     learning_rate 0 is allowed and performs null updates (useful as a
-    determinism check).  momentum and weight_decay default to plain SGD.
+    determinism check).  seed fixes the instance order of every epoch.
     """
 
     learning_rate: float
     epochs: int
-    momentum: float = 0.0
-    weight_decay: float = 0.0
     seed: int = 0
-    shuffle_each_epoch: bool = True
 
     def __post_init__(self):
         if self.learning_rate < 0:
             raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
         if self.epochs < 1:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
-        if not 0.0 <= self.momentum < 1.0:
-            raise ValueError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ValueError(f"weight_decay must be >= 0, got {self.weight_decay}")
 
 
 @dataclass
@@ -152,8 +148,6 @@ class ClassifierModel:
     version: int = field(default=0, repr=False)
 
     def __post_init__(self):
-        if self.pooling_kind not in POOLING_KINDS:
-            raise ValueError(f"unknown pooling kind {self.pooling_kind!r}")
         if self.num_features < 1 or self.num_classes < 1:
             raise ValueError("num_features and num_classes must be >= 1")
         if self.pooling_kind in ("pyramid", "oacp") and self.pyramid is None:
@@ -389,12 +383,12 @@ def _finite_parameters(model: ClassifierModel) -> bool:
 def sgd_train(
     model: ClassifierModel, data: list[LabeledSequence], cfg: TrainConfig
 ) -> tuple[ClassifierModel, list[EpochStats]]:
-    """Per-instance SGD: theta <- theta - lr * (grad + weight_decay * theta).
+    """Plain per-instance SGD: theta <- theta - lr * grad after every instance.
 
-    With momentum mu > 0 the update uses a velocity v <- mu*v + g.  Instance
-    order is reshuffled each epoch by a generator seeded from cfg.seed, so a
-    given (seed, data order, cfg) is bit-deterministic.  History records each
-    epoch's mean loss and online accuracy (prediction taken before the update).
+    Instance order is reshuffled each epoch by a generator seeded from
+    cfg.seed, so a given (seed, data order, cfg) is bit-deterministic.
+    History records each epoch's mean loss and online accuracy (prediction
+    taken before the update).
     """
     if not data:
         raise ValueError("training data is empty")
@@ -409,12 +403,10 @@ def sgd_train(
                 f"model expects {model.num_features}"
             )
     rng = np.random.default_rng(cfg.seed)
-    velocities = [np.zeros_like(p) for p in model.parameters()]
     order = np.arange(len(data))
     history: list[EpochStats] = []
     for epoch in range(cfg.epochs):
-        if cfg.shuffle_each_epoch:
-            rng.shuffle(order)
+        rng.shuffle(order)
         total_loss = 0.0
         correct = 0
         for idx in order:
@@ -436,16 +428,9 @@ def sgd_train(
             if int(np.argmax(probs)) == item.label:
                 correct += 1
             grads = backward(model, cache, item.label)
-            for param, grad, vel in zip(model.parameters(), grads.arrays(), velocities):
-                if cfg.weight_decay > 0:
-                    grad = grad + cfg.weight_decay * param
-                if cfg.momentum > 0:
-                    vel *= cfg.momentum
-                    vel += grad
-                    param -= cfg.learning_rate * vel
-                else:
-                    grad *= cfg.learning_rate
-                    param -= grad
+            for param, grad in zip(model.parameters(), grads.arrays()):
+                grad *= cfg.learning_rate
+                param -= grad
             model.version += 1
             if not _finite_parameters(model):
                 raise DivergenceError(
@@ -488,12 +473,11 @@ def grad_check(
     eps: float = 1e-5,
     *,
     seed=0,
-    perturbation: float = 1e-2,
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The model's parameters are first nudged by seeded uniform noise of the
-    given magnitude; finite differences are meaningless exactly at ReLU and
+    The model's parameters are first nudged by seeded uniform noise in
+    +-GRAD_CHECK_NUDGE; finite differences are meaningless exactly at ReLU and
     max-pool ties, and the nudge moves the model off them.  The original
     model is not modified.
     """
@@ -502,7 +486,7 @@ def grad_check(
     work = copy.deepcopy(model)
     rng = np.random.default_rng(seed)
     for p in work.parameters():
-        p += rng.uniform(-perturbation, perturbation, p.shape)
+        p += rng.uniform(-GRAD_CHECK_NUDGE, GRAD_CHECK_NUDGE, p.shape)
     work.version += 1
 
     probs, cache = forward(work, example.sequence)
@@ -569,7 +553,7 @@ def load_model(path) -> ClassifierModel:
     with open(path, "r", encoding="utf-8") as fh:
         try:
             doc = json.load(fh)
-        except json.JSONDecodeError as exc:
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ParseError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")

@@ -1,9 +1,12 @@
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import oacpool
 from oacpool.cli import main
 from oacpool.dimreduce import load_partition
 from oacpool.harness import load_features, load_manifest, save_features
@@ -71,6 +74,29 @@ class TestExitCodes:
         )
         assert code == 2
         assert "line 3" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "content",
+        [b"classes=a,b\n\xff.txt 0\n", b"classes=a,b\nseq\x00.txt 0\n"],
+        ids=["non-utf8", "nul-in-path"],
+    )
+    def test_data_error_on_undecodable_manifest(self, tmp_path, capsys, content):
+        manifest = tmp_path / "data.manifest"
+        manifest.write_bytes(content)
+        code = run_cli(
+            "train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.json")
+        )
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
+    def test_data_error_on_non_utf8_checkpoint(self, synth_dir, tmp_path, capsys):
+        bad = tmp_path / "m.json"
+        bad.write_bytes(b'{"format": "\xff"}\n')
+        code = run_cli(
+            "eval", "--manifest", str(synth_dir / "test.manifest"), "--model", str(bad)
+        )
+        assert code == 2
+        assert "error" in capsys.readouterr().err
 
     def test_numerical_failure_on_training_divergence(self, synth_dir, tmp_path, capsys):
         with np.errstate(over="ignore", invalid="ignore"):
@@ -295,6 +321,26 @@ class TestReduceCommand:
         )
         assert run_cli("reduce", "--manifest", str(manifest), "--target-dim", "2") == 1
 
+    @pytest.mark.parametrize(
+        "content",
+        [
+            b"k=99999999999999999999999 D=6 aggregation=sum\n0\n1\n2\n0\n1\n2\n",
+            b"k=3 D=6 aggregation=sum\n0\n1\n2\n0\n1\n99999999999999999999999\n",
+            b"k=3 D=6 aggregation=sum\n0\n1\n2\n0\n1\n\xff\n",
+        ],
+        ids=["huge-k", "huge-group", "non-utf8"],
+    )
+    def test_malformed_partition_is_data_error(self, tmp_path, capsys, content):
+        manifest = self._manifest_with_dims(tmp_path)
+        partition_path = tmp_path / "partition.txt"
+        partition_path.write_bytes(content)
+        code = run_cli(
+            "reduce", "--manifest", str(manifest),
+            "--apply", str(partition_path), "--out-dir", str(tmp_path / "reduced"),
+        )
+        assert code == 2
+        assert "error" in capsys.readouterr().err
+
     def test_target_above_dims_is_data_error(self, tmp_path, capsys):
         manifest = self._manifest_with_dims(tmp_path, dims=3)
         code = run_cli(
@@ -305,10 +351,15 @@ class TestReduceCommand:
 
 
 def test_module_entry_point_runs():
+    # the child interpreter does not see pytest's sys.path, so hand it the
+    # directory this oacpool was imported from
+    src = str(Path(oacpool.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "oacpool", "gradcheck", "--t", "6", "--interval", "2"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("max_relative_error=")

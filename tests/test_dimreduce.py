@@ -154,6 +154,10 @@ class TestReductionPartition:
         with pytest.raises(ValueError):
             ReductionPartition(np.array([0, 3]), 2)
 
+    def test_rejects_more_groups_than_dimensions(self):
+        with pytest.raises(ValueError, match="k must be in"):
+            ReductionPartition(np.array([0, 1]), 10**23)
+
     def test_rejects_unknown_aggregation(self):
         with pytest.raises(ValueError):
             ReductionPartition(np.array([0, 1]), 2, aggregation="median")
@@ -238,10 +242,19 @@ class TestPartitionFile:
             "k=2 D=3 aggregation=sum\n0\n1\n",
             "k=2 D=2 aggregation=sum\n0\nx\n",
             "k=2 D=2 aggregation=sum\n0\n5\n",
+            "k=99999999999999999999999 D=2 aggregation=sum\n0\n1\n",
+            "k=2 D=2 aggregation=sum\n0\n99999999999999999999999\n",
+            "k=2 D=2 aggregation=sum\n0\n-99999999999999999999999\n",
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, content):
         path = tmp_path / "bad.txt"
         path.write_text(content)
+        with pytest.raises(ParseError):
+            load_partition(path)
+
+    def test_non_utf8_file_rejected(self, tmp_path):
+        path = tmp_path / "bad.txt"
+        path.write_bytes(b"k=2 D=2 aggregation=sum\n0\n\xff\n")
         with pytest.raises(ParseError):
             load_partition(path)

@@ -216,6 +216,17 @@ class TestManifest:
         with pytest.raises(ParseError, match="no such feature file"):
             load_manifest(path)
 
+    @pytest.mark.parametrize(
+        "content",
+        [b"classes=a,b\n\xff.txt 0\n", b"classes=a,b\nseq\x00.txt 0\n"],
+        ids=["non-utf8", "nul-in-path"],
+    )
+    def test_undecodable_or_nul_bytes_rejected(self, tmp_path, content):
+        path = tmp_path / "bad.manifest"
+        path.write_bytes(content)
+        with pytest.raises(ParseError):
+            load_manifest(path)
+
     def test_label_out_of_range(self, tmp_path):
         seq_path = tmp_path / "seq.txt"
         save_features(FeatureSequence(np.ones((2, 2))), seq_path)
@@ -385,9 +396,13 @@ class TestRunComparison:
         assert row.accuracy >= 0.9
 
     def test_divergence_tagged_without_aborting_others(self):
-        train = mean_separable_dataset(5, 6, 3, seed=94)
+        # training frames of order 1e200 overflow the logits within a few steps
+        train = [
+            LabeledSequence(FeatureSequence(item.sequence.frames * 1e200), item.label)
+            for item in mean_separable_dataset(5, 6, 3, seed=94)
+        ]
         test = mean_separable_dataset(3, 6, 3, seed=95)
-        cfg = TrainConfig(learning_rate=1e200, epochs=1, weight_decay=1.0, seed=94)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=94)
         methods = [PoolingSpec("average", sample_rate=1), PoolingSpec("max", sample_rate=1)]
         with np.errstate(over="ignore", invalid="ignore"):
             table = run_comparison(train, test, methods, cfg)

@@ -92,9 +92,6 @@ class TestTrainConfig:
         [
             dict(learning_rate=-0.1, epochs=1),
             dict(learning_rate=0.1, epochs=0),
-            dict(learning_rate=0.1, epochs=1, momentum=1.0),
-            dict(learning_rate=0.1, epochs=1, momentum=-0.1),
-            dict(learning_rate=0.1, epochs=1, weight_decay=-1e-3),
         ],
     )
     def test_rejects_invalid(self, kwargs):
@@ -380,21 +377,15 @@ class TestSgdTrain:
         assert runs[0][0] == runs[1][0]
         assert runs[0][1] == runs[1][1]
 
-    def test_momentum_and_weight_decay_paths_run(self):
-        data = [random_example(s, 6, 3, 2) for s in range(6)]
-        model = tiny_oacp_model(seed=22)
-        cfg = TrainConfig(
-            learning_rate=0.05, epochs=3, momentum=0.9, weight_decay=1e-4, seed=2
-        )
-        _, history = sgd_train(model, data, cfg)
-        assert all(math.isfinite(s.mean_loss) for s in history)
-
     def test_divergence_error_names_epoch_and_instance(self):
-        data = mean_separable_dataset(4, 5, 3, seed=30)
+        # frames of order 1e200 make the first plain SGD steps of order
+        # 1e199, so the logits overflow within a few instances
+        data = [
+            LabeledSequence(FeatureSequence(item.sequence.frames * 1e200), item.label)
+            for item in mean_separable_dataset(4, 5, 3, seed=30)
+        ]
         model = ClassifierModel.build("average", 3, 2, seed=30)
-        # weight decay makes the update quadratic in the parameters, so an
-        # absurd learning rate overflows within a couple of steps
-        cfg = TrainConfig(learning_rate=1e200, epochs=1, weight_decay=1.0, seed=0)
+        cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=0)
         with np.errstate(over="ignore"):
             with pytest.raises(DivergenceError, match=r"epoch \d+, instance \d+"):
                 sgd_train(model, data, cfg)
@@ -548,6 +539,14 @@ class TestCheckpoint:
         foreign.write_text('{"format": "something-else"}')
         with pytest.raises(ParseError):
             load_model(foreign)
+
+    def test_rejects_non_utf8_file(self, tmp_path):
+        from oacpool.errors import ParseError
+
+        bad = tmp_path / "bad.json"
+        bad.write_bytes(b'{"format": "\xff"}\n')
+        with pytest.raises(ParseError):
+            load_model(bad)
 
     def test_rejects_tampered_pooled_length(self, tmp_path):
         import json
