@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .convpool import _BLOCK_ELEMENTS
 from .errors import (
     InvalidTargetError,
     MissingClassError,
@@ -155,7 +156,9 @@ def lloyd_kmeans(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray, np.nda
     per-iteration objective), with the objective recorded after each
     assignment step; the sequence is non-increasing.
     """
-    points = np.asarray(points, dtype=np.float64)
+    # C order makes each distance a sum over a contiguous row, so the
+    # rounding does not depend on the caller's memory layout
+    points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.size == 0:
         raise ValueError(f"points must be a nonempty 2-D array, got shape {points.shape}")
     n = points.shape[0]
@@ -166,8 +169,14 @@ def lloyd_kmeans(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray, np.nda
     previous = None
     objectives = []
     point_idx = np.arange(n)
+    # rows of points per distance block, so the (rows, k, c) temporary
+    # stays within the conv's 2**16-double block budget
+    rows = max(1, _BLOCK_ELEMENTS // (k * points.shape[1]))
+    dist2 = np.empty((n, k))
     for _ in range(KMEANS_MAX_ITERS):
-        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        for a in range(0, n, rows):
+            block = points[a : a + rows, None, :] - centroids[None, :, :]
+            dist2[a : a + rows] = (block**2).sum(axis=2)
         assignment = dist2.argmin(axis=1)
         for g in range(k):
             if not (assignment == g).any():
@@ -191,8 +200,7 @@ def kmeans_partition(sig: SignatureMatrix, k: int, seed=0) -> ReductionPartition
         raise InvalidTargetError(
             f"target dimensionality must be in [1, {sig.num_dims}], got {k}"
         )
-    # a C-ordered copy: the distance sums round differently on the transposed view
-    assignment, _, _ = lloyd_kmeans(sig.signatures.copy(), k, seed=seed)
+    assignment, _, _ = lloyd_kmeans(sig.signatures, k, seed=seed)
     return ReductionPartition(assignment, k)
 
 
@@ -214,9 +222,24 @@ def reduce(x, partition: ReductionPartition) -> np.ndarray:
 
 
 def reduce_sequence(seq: FeatureSequence, partition: ReductionPartition) -> FeatureSequence:
-    """Apply reduce() to every frame; a T x D sequence becomes T x k."""
-    rows = [reduce(frame, partition) for frame in seq.frames]
-    return FeatureSequence(np.stack(rows))
+    """Apply reduce() to every frame; a T x D sequence becomes T x k.
+
+    One bincount over all frames: frame t's values land in bins
+    [k*t, k*t + k), each summed in ascending dimension order as reduce() does.
+    """
+    num_frames, num_dims = seq.frames.shape
+    if num_dims != partition.num_dims:
+        raise ShapeMismatchError(
+            f"frames of width {num_dims}, partition covers {partition.num_dims} dimensions"
+        )
+    k = partition.k
+    bins = partition.assignment + k * np.arange(num_frames)[:, None]
+    sums = np.bincount(
+        bins.ravel(), weights=seq.frames.ravel(), minlength=num_frames * k
+    ).reshape(num_frames, k)
+    if partition.aggregation == "mean":
+        sums /= partition.group_sizes
+    return FeatureSequence(sums)
 
 
 def save_partition(partition: ReductionPartition, path) -> None:

@@ -5,6 +5,13 @@ Text format
     lines 2..T+1: K space-separated decimal values (shortest round-trip
     representation, so save -> load is bit-exact)
 
+    The reader accepts every token Python's ``float()`` accepts and gives
+    the value ``float()`` gives: signs, exponents, ``_`` digit separators
+    and non-ASCII decimal digits included.  Tokens are separated by any
+    Unicode whitespace, blank lines are skipped, ``#`` is a plain character
+    (so it is rejected as a value), and ``inf`` and ``nan`` parse but are
+    rejected as non-finite.
+
 Binary format
     magic ``OACP``, one version byte (1), little-endian uint32 T and K,
     then T*K little-endian float64 values in row-major order.
@@ -14,6 +21,7 @@ Loading sniffs the first four bytes for the magic and otherwise parses text.
 
 from __future__ import annotations
 
+import math
 import struct
 
 import numpy as np
@@ -37,8 +45,8 @@ def save_features(seq: FeatureSequence, path, binary: bool = False) -> None:
         return
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"T={seq.num_frames} K={seq.num_features}\n")
-        for row in seq.frames:
-            fh.write(" ".join(repr(float(v)) for v in row) + "\n")
+        for row in seq.frames.tolist():
+            fh.write(" ".join(map(repr, row)) + "\n")
 
 
 def _load_binary(path, raw: bytes) -> FeatureSequence:
@@ -80,6 +88,25 @@ def _parse_header(path, line: str) -> tuple[int, int]:
     return t, k
 
 
+def _parse_rows(path, body, k: int) -> np.ndarray:
+    """Parse one line at a time with float(), failing at the first bad line."""
+    rows = []
+    for lineno, line in body:
+        parts = line.split()
+        if len(parts) != k:
+            raise ParseError(
+                f"{path}: line {lineno}: expected {k} values, got {len(parts)}"
+            )
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
+        if not all(map(math.isfinite, row)):
+            raise ParseError(f"{path}: line {lineno}: non-finite value")
+        rows.append(row)
+    return np.array(rows, dtype=np.float64)
+
+
 def _load_text(path, raw: bytes) -> FeatureSequence:
     try:
         text = raw.decode("utf-8")
@@ -98,19 +125,23 @@ def _load_text(path, raw: bytes) -> FeatureSequence:
         raise ParseError(
             f"{path}: header declares T={t} but found {len(body)} data rows"
         )
-    frames = np.empty((t, k))
-    for r, (lineno, line) in enumerate(body):
-        parts = line.split()
-        if len(parts) != k:
-            raise ParseError(
-                f"{path}: line {lineno}: expected {k} values, got {len(parts)}"
-            )
-        try:
-            frames[r] = [float(p) for p in parts]
-        except ValueError:
-            raise ParseError(f"{path}: line {lineno}: non-numeric value") from None
-        if not np.isfinite(frames[r]).all():
-            raise ParseError(f"{path}: line {lineno}: non-finite value")
+    # One C-level parse of the whole body.  Its float conversion gives the
+    # same bits as float(); anything it refuses or shapes otherwise (ragged
+    # rows, ``1_0``, non-ASCII digits, junk) goes through the line-by-line
+    # parser, which accepts what float() accepts and names the first bad line.
+    # comments=None keeps '#' an ordinary, rejected character.
+    try:
+        frames = np.loadtxt(
+            [line for _, line in body], dtype=np.float64, comments=None, ndmin=2
+        )
+    except ValueError:
+        frames = None
+    if frames is None or frames.shape != (t, k):
+        return FeatureSequence(_parse_rows(path, body, k))
+    finite = np.isfinite(frames).all(axis=1)
+    if not finite.all():
+        lineno = body[int(finite.argmin())][0]
+        raise ParseError(f"{path}: line {lineno}: non-finite value")
     return FeatureSequence(frames)
 
 

@@ -3,10 +3,12 @@
 from __future__ import annotations
 
 import itertools
+import math
 from math import comb
 
 import numpy as np
 
+from oacpool.dimreduce import KMEANS_MAX_ITERS, _kmeans_pp_init
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
 
@@ -49,6 +51,64 @@ def dense_reference_gradients(model, cache, label: int):
     d_resp *= pre > 0
     bank_w = np.einsum("tkj,tki->kji", d_resp, cache.windows)
     return (*head, bank_w, d_resp.sum(axis=0))
+
+
+def unblocked_lloyd_kmeans(points, k: int, seed=0):
+    """Lloyd's algorithm with the whole (n, k, c) distance array built at once.
+
+    The same seeding, tie-breaking, empty-cluster reseeding and stopping
+    rule as dimreduce.lloyd_kmeans, which fills the distances in row blocks.
+    """
+    points = np.asarray(points, dtype=np.float64)
+    n = points.shape[0]
+    centroids = _kmeans_pp_init(points, k, np.random.default_rng(seed))
+    previous = None
+    objectives = []
+    point_idx = np.arange(n)
+    for _ in range(KMEANS_MAX_ITERS):
+        dist2 = ((points[:, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+        assignment = dist2.argmin(axis=1)
+        for g in range(k):
+            if not (assignment == g).any():
+                own = dist2[point_idx, assignment]
+                moved = int(own.argmax())
+                assignment[moved] = g
+                centroids[g] = points[moved]
+                dist2[:, g] = ((points - centroids[g]) ** 2).sum(axis=1)
+        objectives.append(float(dist2[point_idx, assignment].sum()))
+        if previous is not None and np.array_equal(assignment, previous):
+            break
+        previous = assignment.copy()
+        for g in range(k):
+            centroids[g] = points[assignment == g].mean(axis=0)
+    return assignment, centroids, np.asarray(objectives)
+
+
+def float_reference_rows(text: str):
+    """Read the body of a feature text file one float() per token.
+
+    The header must be well formed and declare as many rows as there are
+    non-blank body lines.  Returns (frames, None), or (None, message) where
+    message is 'line N: reason' for the first bad line, as a reader that
+    checks width, then numbers, then finiteness line by line reports it.
+    """
+    lines = text.splitlines()
+    num_dims = int(lines[0].split()[1][2:])
+    rows = []
+    for lineno, line in enumerate(lines[1:], start=2):
+        parts = line.split()
+        if not parts:
+            continue
+        if len(parts) != num_dims:
+            return None, f"line {lineno}: expected {num_dims} values, got {len(parts)}"
+        try:
+            row = [float(p) for p in parts]
+        except ValueError:
+            return None, f"line {lineno}: non-numeric value"
+        if not all(math.isfinite(v) for v in row):
+            return None, f"line {lineno}: non-finite value"
+        rows.append(row)
+    return np.array(rows, dtype=np.float64), None
 
 
 def adjusted_rand_index(labels_a, labels_b) -> float:

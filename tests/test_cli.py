@@ -341,6 +341,17 @@ class TestReduceCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_feature_header_beyond_int64_is_data_error(self, tmp_path, capsys):
+        (tmp_path / "huge.txt").write_text("T=1 K=99999999999999999999\n1 2\n")
+        manifest = tmp_path / "data.manifest"
+        manifest.write_text("classes=a\nhuge.txt 0\n")
+        code = run_cli(
+            "reduce", "--manifest", str(manifest), "--target-dim", "1",
+            "--partition-out", str(tmp_path / "p.txt"),
+        )
+        assert code == 2
+        assert "line 2" in capsys.readouterr().err
+
     def test_target_above_dims_is_data_error(self, tmp_path, capsys):
         manifest = self._manifest_with_dims(tmp_path, dims=3)
         code = run_cli(

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -5,6 +7,7 @@ from helpers import (
     adjusted_rand_index,
     brute_force_partition_optimum,
     canonical_labels,
+    unblocked_lloyd_kmeans,
 )
 
 from oacpool.dimreduce import (
@@ -92,6 +95,48 @@ class TestLloydKmeans:
             lloyd_kmeans(points, 5)
         with pytest.raises(InvalidTargetError):
             lloyd_kmeans(points, 0)
+
+    @pytest.mark.parametrize(
+        "n, k, c",
+        [
+            (2047, 4, 8),    # blocks of 2048 rows: n below one block
+            (2048, 4, 8),    # exactly one block
+            (2049, 4, 8),    # one block and a one-row block
+            (270, 260, 260),  # k*c above 2**16: one-row blocks
+        ],
+    )
+    def test_blocked_distances_match_the_unblocked_oracle(self, n, k, c):
+        rng = np.random.default_rng(n + k + c)
+        points = rng.standard_normal((n, c))
+        got = lloyd_kmeans(points, k, seed=3)
+        want = unblocked_lloyd_kmeans(points, k, seed=3)
+        for a, b in zip(got, want):
+            assert a.tobytes() == b.tobytes()
+
+    def test_result_does_not_depend_on_memory_layout(self):
+        rng = np.random.default_rng(69)
+        for case in range(40):
+            c = int(rng.integers(1, 60))
+            n = int(rng.integers(2, 80))
+            k = int(rng.integers(1, min(n, 12) + 1))
+            view = SignatureMatrix(rng.standard_normal((c, n))).signatures
+            copy = np.ascontiguousarray(view)
+            for a, b in zip(lloyd_kmeans(view, k, seed=case), lloyd_kmeans(copy, k, seed=case)):
+                assert a.tobytes() == b.tobytes(), (case, n, k, c)
+
+    def test_memory_stays_bounded_at_the_benchmark_shape(self):
+        # D=4096 signatures of 51 classes into 128 groups: one (D, k, c)
+        # distance array would be 214 MB
+        rng = np.random.default_rng(68)
+        prototypes = rng.standard_normal((128, 51))
+        points = prototypes[rng.integers(0, 128, 4096)] + 0.2 * rng.standard_normal((4096, 51))
+        tracemalloc.start()
+        try:
+            lloyd_kmeans(points, 128, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
 
 
 class TestKmeansPartition:
@@ -217,6 +262,21 @@ class TestReduceSequence:
         out = reduce_sequence(seq, partition)
         for t in range(6):
             assert out.frames[t].tobytes() == reduce(seq.frames[t], partition).tobytes()
+
+    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
+    def test_equals_stacked_vector_reduce(self, aggregation):
+        rng = np.random.default_rng(67)
+        for num_frames, num_dims, k in [(1, 1, 1), (3, 50, 7), (30, 4096, 128)]:
+            assignment = np.concatenate([np.arange(k), rng.integers(0, k, num_dims - k)])
+            partition = ReductionPartition(rng.permutation(assignment), k, aggregation)
+            seq = FeatureSequence(rng.standard_normal((num_frames, num_dims)) * 1e3)
+            want = np.stack([reduce(frame, partition) for frame in seq.frames])
+            assert reduce_sequence(seq, partition).frames.tobytes() == want.tobytes()
+
+    def test_width_mismatch(self):
+        partition = ReductionPartition(np.array([0, 1, 1]), 2)
+        with pytest.raises(ShapeMismatchError):
+            reduce_sequence(FeatureSequence(np.ones((2, 4))), partition)
 
 
 class TestPartitionFile:

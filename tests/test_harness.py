@@ -145,6 +145,9 @@ class TestFeatureFiles:
             "T=1 K=2\n1 2\n3 4\n",      # extra row
             "T=1 K=2\n1 inf\n",         # non-finite
             "T=1 K=2\n1 abc\n",
+            "T=1 K=2\n1 2 # x\n",      # '#' is no comment
+            "T=1 K=99999999999999999999\n1 2\n",  # K beyond int64
+            "T=1 K=1000000000000\n1 2\n",         # K that would size 8 TB
         ],
     )
     def test_malformed_text_rejected(self, tmp_path, content):
