@@ -16,7 +16,6 @@ from oacpool import (
     PyramidConfig,
     average_pool,
     max_pool,
-    oacp_forward,
     oacp_forward_details,
 )
 
@@ -54,5 +53,5 @@ print("responses on falling:", oacp_forward_details(falling, banks, cfg).respons
 # Pool those responses and the two signals get different fixed-length
 # representations -- order is now part of the feature.
 
-print("pooled conv features, rising :", oacp_forward(rising, banks, cfg))
-print("pooled conv features, falling:", oacp_forward(falling, banks, cfg))
+print("pooled conv features, rising :", oacp_forward_details(rising, banks, cfg).pooled)
+print("pooled conv features, falling:", oacp_forward_details(falling, banks, cfg).pooled)

@@ -58,8 +58,8 @@ print(manifest_path.read_text())
 print("classes:", load_manifest(manifest_path).class_names)
 
 #%%
-# Model checkpoints carry a format tag, every shape, the ingestion settings
-# (sampling rate, normalization), and all parameters.
+# Model checkpoints carry a format tag, every shape, the ingestion setting
+# (sampling rate), and all parameters.
 
 model = ClassifierModel.build(
     "oacp", num_features=2, num_classes=2, interval=2, n_filters=1,

@@ -14,7 +14,6 @@ from . import errors
 from .convpool import (
     FilterBankSet,
     conv_responses,
-    oacp_forward,
     oacp_forward_details,
     param_count_joint,
     param_count_perdim,
@@ -70,9 +69,6 @@ from .pooling import (
 from .sequences import (
     FeatureSequence,
     LabeledSequence,
-    concat_frame_features,
-    l2_normalize_block,
-    l2_normalize_frames,
     replicate_pad,
     sample_frames,
 )
@@ -98,7 +94,6 @@ __all__ = [
     "average_pool",
     "backward",
     "class_signatures",
-    "concat_frame_features",
     "conv_responses",
     "errors",
     "evaluate",
@@ -108,15 +103,12 @@ __all__ = [
     "grad_check",
     "instance_loss",
     "kmeans_partition",
-    "l2_normalize_block",
-    "l2_normalize_frames",
     "load_dataset",
     "load_features",
     "load_manifest",
     "load_model",
     "load_partition",
     "max_pool",
-    "oacp_forward",
     "oacp_forward_details",
     "param_count_joint",
     "param_count_perdim",

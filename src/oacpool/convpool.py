@@ -68,11 +68,6 @@ class FilterBankSet:
     def interval(self) -> int:
         return self.weights.shape[2]
 
-    @property
-    def parameter_count(self) -> int:
-        """l*K*n + K*n: every weight plus every per-dimension bias."""
-        return self.weights.size + self.biases.size
-
 
 # Output rows per conv block: 2**16 doubles keep the block and its product
 # buffer (512 KiB each) in a core's L2 cache at the paper shape, where one
@@ -127,6 +122,11 @@ class OacpForward(NamedTuple):
 def oacp_forward_details(
     seq: FeatureSequence, banks: FilterBankSet, cfg: PyramidConfig
 ) -> OacpForward:
+    """Convolve every dimension, ReLU, pyramid-pool the responses, concatenate.
+
+    The pooled layout is dimension k outermost, then level, then segment,
+    then filter channel; length K * n_filters * M.
+    """
     if seq.num_features != banks.num_dims:
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} dimensions but the bank set has {banks.num_dims}"
@@ -140,17 +140,6 @@ def oacp_forward_details(
     # (M, K, n) -> dimension-major: k outermost, then (level, segment), then channel
     pooled = maxima.transpose(1, 0, 2).ravel()
     return OacpForward(pooled, pre, responses, windows, argmax)
-
-
-def oacp_forward(
-    seq: FeatureSequence, banks: FilterBankSet, cfg: PyramidConfig
-) -> np.ndarray:
-    """Convolve every dimension, ReLU, pyramid-pool the responses, concatenate.
-
-    Output layout: dimension k outermost, then level, then segment, then
-    filter channel; length K * n_filters * M.
-    """
-    return oacp_forward_details(seq, banks, cfg).pooled
 
 
 def param_count_joint(num_dims: int, interval: int, n_filters: int) -> int:
@@ -167,8 +156,8 @@ def param_count_joint(num_dims: int, interval: int, n_filters: int) -> int:
 def param_count_perdim(num_dims: int, interval: int, n_filters: int) -> int:
     """Parameter count of per-dimension banks: l*K*n + K*n.
 
-    Equals FilterBankSet.parameter_count for matching shapes.  Note the
-    K*n bias term: quoting only the weight count (l*K*n) understates this
+    Equals weights.size + biases.size of a FilterBankSet with matching
+    shapes.  Note the K*n bias term: quoting only the weight count (l*K*n) understates this
     by one bias per filter per dimension.
     """
     if min(num_dims, interval, n_filters) < 1:

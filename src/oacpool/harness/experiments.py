@@ -13,23 +13,16 @@ from dataclasses import dataclass, replace
 
 from ..errors import DivergenceError
 from ..model import ClassifierModel, PoolingSpec, TrainConfig, evaluate, sgd_train
-from ..sequences import (
-    LabeledSequence,
-    l2_normalize_frames,
-    replicate_pad,
-    sample_frames,
-)
+from ..sequences import LabeledSequence, replicate_pad, sample_frames
 
 
 def prepare_dataset(
     data: list[LabeledSequence], spec: PoolingSpec
 ) -> list[LabeledSequence]:
-    """Sample frames, optionally L2-normalize them, and edge-pad short sequences."""
+    """Sample frames and edge-pad short sequences to the spec's minimum_frames."""
     out = []
     for item in data:
         seq = sample_frames(item.sequence, spec.sample_rate)
-        if spec.normalize:
-            seq = l2_normalize_frames(seq)
         seq = replicate_pad(seq, spec.minimum_frames)
         out.append(LabeledSequence(seq, item.label))
     return out
@@ -47,7 +40,6 @@ def build_model(
         n_filters=spec.n_filters,
         pyramid=spec.pyramid,
         sample_rate=spec.sample_rate,
-        normalize=spec.normalize,
         seed=seed,
     )
 

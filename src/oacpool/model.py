@@ -33,7 +33,14 @@ LOG_EPS = 1e-15
 GRAD_CHECK_NUDGE = 1e-2
 
 CHECKPOINT_FORMAT = "oacpool-model"
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
+# The parameter text export's layout has not changed since version 1.
+TEXT_EXPORT_VERSION = 1
+
+# Largest minimum_frames a geometry may demand, in frames after sampling.
+# Real geometries need a few dozen; padding one paper-scale (K=4096)
+# sequence to this many frames takes 128 MiB.
+MAX_MINIMUM_FRAMES = 4096
 
 
 @dataclass(frozen=True)
@@ -42,9 +49,10 @@ class PoolingSpec:
 
     interval, stride and n_filters describe the filter banks, pyramid the
     segment count per level; kinds without banks or without a pyramid
-    ignore those fields.  sample_rate and normalize say how raw sequences
-    are prepared.  Every length, frame count and parameter count of a
-    model derives from here.
+    ignore those fields.  sample_rate says how raw sequences are sampled.
+    Every length, frame count and parameter count of a model derives from
+    here.  A geometry whose minimum_frames exceeds MAX_MINIMUM_FRAMES is
+    rejected.
     """
 
     kind: str
@@ -53,7 +61,6 @@ class PoolingSpec:
     n_filters: int = 3
     pyramid: tuple[int, ...] = (1, 2)
     sample_rate: int = 5
-    normalize: bool = False
 
     def __post_init__(self):
         if self.kind not in POOLING_KINDS:
@@ -63,6 +70,11 @@ class PoolingSpec:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
         object.__setattr__(self, "pyramid", tuple(int(m) for m in self.pyramid))
         PyramidConfig(self.pyramid)  # validate eagerly
+        if self.minimum_frames > MAX_MINIMUM_FRAMES:
+            raise ValueError(
+                f"minimum_frames {self.minimum_frames} exceeds the limit of "
+                f"{MAX_MINIMUM_FRAMES} frames"
+            )
 
     @property
     def minimum_frames(self) -> int:
@@ -132,8 +144,8 @@ class ClassifierModel:
 
     Parameters are mutated in place only by sgd_train; `version` is bumped
     on every update so stale forward caches can be detected.  sample_rate
-    and normalize record how training data was prepared, so evaluation can
-    reproduce the same ingestion.
+    records how training data was sampled, so evaluation can reproduce the
+    same ingestion.
     """
 
     pooling_kind: str
@@ -144,7 +156,6 @@ class ClassifierModel:
     filter_banks: FilterBankSet | None = None
     pyramid: PyramidConfig | None = None
     sample_rate: int = 1
-    normalize: bool = False
     version: int = field(default=0, repr=False)
 
     def __post_init__(self):
@@ -188,12 +199,7 @@ class ClassifierModel:
             )
         if self.pyramid is not None:
             geometry["pyramid"] = self.pyramid.segments_per_level
-        return PoolingSpec(
-            self.pooling_kind,
-            sample_rate=self.sample_rate,
-            normalize=self.normalize,
-            **geometry,
-        )
+        return PoolingSpec(self.pooling_kind, sample_rate=self.sample_rate, **geometry)
 
     @property
     def pooled_length(self) -> int:
@@ -212,7 +218,6 @@ class ClassifierModel:
         n_filters: int = 3,
         pyramid=(1, 2),
         sample_rate: int = 1,
-        normalize: bool = False,
         seed=0,
     ) -> "ClassifierModel":
         """Seeded initialization: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases 0.
@@ -227,7 +232,6 @@ class ClassifierModel:
             n_filters=n_filters,
             pyramid=pyramid,
             sample_rate=sample_rate,
-            normalize=normalize,
         )
         rng = np.random.default_rng(seed)
         banks = None
@@ -252,7 +256,6 @@ class ClassifierModel:
             filter_banks=banks,
             pyramid=pyr,
             sample_rate=sample_rate,
-            normalize=normalize,
         )
 
     def parameters(self) -> list[np.ndarray]:
@@ -520,7 +523,6 @@ def _geometry_fields(model: ClassifierModel) -> dict:
         "stride": spec.stride if banks else None,
         "n_filters": spec.n_filters if banks else None,
         "sample_rate": spec.sample_rate,
-        "normalize": spec.normalize,
         "effective_receptive_field": spec.receptive_field if banks else None,
     }
 
@@ -548,7 +550,8 @@ def load_model(path) -> ClassifierModel:
     """Read a checkpoint written by save_model.
 
     Every geometry field must agree with what the parameter shapes and
-    settings imply; a mismatch is a ParseError.
+    settings imply; a mismatch is a ParseError.  A version 1 checkpoint
+    loads only if its normalize field is false.
     """
     with open(path, "r", encoding="utf-8") as fh:
         try:
@@ -557,10 +560,12 @@ def load_model(path) -> ClassifierModel:
             raise ParseError(f"{path}: not a valid checkpoint: {exc}") from None
     if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
         raise ParseError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
-    if doc.get("format_version") != CHECKPOINT_VERSION:
-        raise ParseError(
-            f"{path}: unsupported checkpoint version {doc.get('format_version')!r}"
-        )
+    version = doc.get("format_version")
+    if version == 1:
+        if doc.get("normalize") is not False:
+            raise ParseError(f"{path}: version 1 checkpoint must have normalize false")
+    elif version != CHECKPOINT_VERSION:
+        raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         banks = None
         if doc["bank_weights"] is not None:
@@ -579,7 +584,6 @@ def load_model(path) -> ClassifierModel:
             filter_banks=banks,
             pyramid=pyramid,
             sample_rate=doc["sample_rate"],
-            normalize=bool(doc["normalize"]),
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from None
@@ -599,7 +603,7 @@ def export_parameters_text(model: ClassifierModel, path) -> None:
     describe the model.
     """
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {CHECKPOINT_FORMAT} text export, format_version {CHECKPOINT_VERSION}\n")
+        fh.write(f"# {CHECKPOINT_FORMAT} text export, format_version {TEXT_EXPORT_VERSION}\n")
         fh.write(
             f"# pooling_kind={model.pooling_kind} num_features={model.num_features} "
             f"num_classes={model.num_classes} pooled_length={model.pooled_length}\n"

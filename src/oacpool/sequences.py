@@ -11,11 +11,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ShapeMismatchError
-
-# Vectors with L2 norm at or below this are left unnormalized.
-ZERO_NORM_EPS = 1e-12
-
 
 def _validated_frames(values) -> np.ndarray:
     frames = np.array(values, dtype=np.float64, order="C")
@@ -81,38 +76,6 @@ def sample_frames(seq: FeatureSequence, rate: int) -> FeatureSequence:
     if rate < 1:
         raise ValueError(f"sampling rate must be >= 1, got {rate}")
     return FeatureSequence(seq.frames[::rate])
-
-
-def l2_normalize_block(v) -> np.ndarray:
-    """Scale a vector to unit L2 norm; vectors with norm <= ZERO_NORM_EPS pass through."""
-    v = np.asarray(v, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError(f"expected a 1-D vector, got shape {v.shape}")
-    if not np.isfinite(v).all():
-        raise ValueError("vector contains NaN or infinite values")
-    norm = float(np.sqrt(np.dot(v, v)))
-    if norm <= ZERO_NORM_EPS:
-        return v.copy()
-    return v / norm
-
-
-def l2_normalize_frames(seq: FeatureSequence) -> FeatureSequence:
-    """Apply l2_normalize_block to every frame of a sequence."""
-    rows = [l2_normalize_block(frame) for frame in seq.frames]
-    return FeatureSequence(np.stack(rows))
-
-
-def concat_frame_features(a: FeatureSequence, b: FeatureSequence) -> FeatureSequence:
-    """Concatenate two sequences frame-wise: frame t becomes [a_t ; b_t].
-
-    Callers are expected to normalize each block beforehand when combining
-    heterogeneous feature sources.
-    """
-    if a.num_frames != b.num_frames:
-        raise ShapeMismatchError(
-            f"frame counts differ: {a.num_frames} vs {b.num_frames}"
-        )
-    return FeatureSequence(np.hstack([a.frames, b.frames]))
 
 
 def replicate_pad(seq: FeatureSequence, min_frames: int) -> FeatureSequence:

@@ -22,7 +22,6 @@ from helpers import (
 from oacpool.cli import main as cli_main
 from oacpool.convpool import (
     FilterBankSet,
-    oacp_forward,
     oacp_forward_details,
     param_count_joint,
     param_count_perdim,
@@ -129,7 +128,8 @@ def test_permutation_invariance_and_order_sensitivity():
         banks = RISING_DETECTOR
         cfg = PyramidConfig((1,))
         assert not np.array_equal(
-            oacp_forward(monotone, banks, cfg), oacp_forward(reverse, banks, cfg)
+            oacp_forward_details(monotone, banks, cfg).pooled,
+            oacp_forward_details(reverse, banks, cfg).pooled,
         )
     _report("permutation invariance + order sensitivity (100 draws)")
 
@@ -145,7 +145,6 @@ def test_parameter_accounting():
         banks = FilterBankSet(
             rng.standard_normal((k, n, length)), rng.standard_normal((k, n))
         )
-        assert banks.parameter_count == param_count_perdim(k, length, n)
         assert banks.weights.size + banks.biases.size == param_count_perdim(k, length, n)
     _report("parameter accounting (reference shapes + 200 random bank sets)")
 
@@ -164,7 +163,8 @@ def test_pyramid_dimensionality():
         banks = FilterBankSet(
             rng.standard_normal((k, n, length)), rng.standard_normal((k, n))
         )
-        assert oacp_forward(seq, banks, cfg).shape == (k * n * cfg.total_segments,)
+        pooled = oacp_forward_details(seq, banks, cfg).pooled
+        assert pooled.shape == (k * n * cfg.total_segments,)
     _report("pyramid dimensionality (1000 random shape draws)")
 
 

@@ -1,3 +1,4 @@
+import json
 import os
 import subprocess
 import sys
@@ -175,9 +176,9 @@ class TestTrainEval:
         assert code == 0
         capsys.readouterr()
 
-    def test_eval_rejects_checkpoint_with_tampered_geometry(self, synth_dir, tmp_path, capsys):
-        import json
-
+    @staticmethod
+    def _trained_checkpoint(synth_dir, tmp_path, **edits):
+        """Train a small oacp model, then apply edits to its checkpoint document."""
         model_path = tmp_path / "model.json"
         code = run_cli(
             "train", "--manifest", str(synth_dir / "train.manifest"),
@@ -186,8 +187,12 @@ class TestTrainEval:
         )
         assert code == 0
         doc = json.loads(model_path.read_text())
-        doc["interval"] = 5
+        doc.update(edits)
         model_path.write_text(json.dumps(doc))
+        return model_path
+
+    def test_eval_rejects_checkpoint_with_tampered_geometry(self, synth_dir, tmp_path, capsys):
+        model_path = self._trained_checkpoint(synth_dir, tmp_path, interval=5)
         capsys.readouterr()
         code = run_cli(
             "eval", "--manifest", str(synth_dir / "test.manifest"),
@@ -195,6 +200,60 @@ class TestTrainEval:
         )
         assert code == 2
         assert "interval 5 does not match" in capsys.readouterr().err
+
+    # An oversized geometry must be refused before any sequence is padded to
+    # it; the guard turns a regression into a failure instead of a huge array.
+    @staticmethod
+    def _refuse_padding(monkeypatch):
+        def refuse(seq, min_frames):
+            raise AssertionError(f"asked to pad a sequence to {min_frames} frames")
+
+        monkeypatch.setattr("oacpool.harness.experiments.replicate_pad", refuse)
+
+    def test_eval_rejects_checkpoint_with_oversized_geometry(
+        self, synth_dir, tmp_path, capsys, monkeypatch
+    ):
+        model_path = self._trained_checkpoint(synth_dir, tmp_path, stride=10**30)
+        capsys.readouterr()
+        self._refuse_padding(monkeypatch)
+        code = run_cli(
+            "eval", "--manifest", str(synth_dir / "test.manifest"),
+            "--model", str(model_path),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "minimum_frames" in err and err.count("\n") == 1
+
+    @pytest.mark.parametrize("normalize", [False, True])
+    def test_eval_reads_version_1_checkpoint_only_without_normalize(
+        self, synth_dir, tmp_path, capsys, normalize
+    ):
+        eval_args = ("eval", "--manifest", str(synth_dir / "test.manifest"), "--confusion")
+        model_path = self._trained_checkpoint(synth_dir, tmp_path)
+        capsys.readouterr()
+        assert run_cli(*eval_args, "--model", str(model_path)) == 0
+        expected = capsys.readouterr().out
+        doc = json.loads(model_path.read_text())
+        doc.update(format_version=1, normalize=normalize)
+        model_path.write_text(json.dumps(doc))
+        code = run_cli(*eval_args, "--model", str(model_path))
+        out, err = capsys.readouterr()
+        if normalize:
+            assert code == 2 and "normalize" in err
+        else:
+            assert code == 0 and out == expected
+
+    def test_train_rejects_oversized_stride(self, synth_dir, tmp_path, capsys, monkeypatch):
+        model_path = tmp_path / "model.json"
+        self._refuse_padding(monkeypatch)
+        code = run_cli(
+            "train", "--manifest", str(synth_dir / "train.manifest"),
+            "--pooling", "oacp", "--stride", "1000000000",
+            "--epochs", "1", "--model-out", str(model_path),
+        )
+        assert code == 1
+        assert "minimum_frames" in capsys.readouterr().err
+        assert not model_path.exists()
 
 
 class TestCompare:

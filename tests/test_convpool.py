@@ -6,7 +6,6 @@ from helpers import conv_oracle
 from oacpool.convpool import (
     FilterBankSet,
     conv_responses,
-    oacp_forward,
     oacp_forward_details,
     param_count_joint,
     param_count_perdim,
@@ -45,7 +44,7 @@ class TestFilterBankTypes:
             n = int(rng.integers(1, 5))
             length = int(rng.integers(1, 6))
             fbs = FilterBankSet(np.zeros((k, n, length)), np.zeros((k, n)))
-            assert fbs.parameter_count == param_count_perdim(k, length, n)
+            assert fbs.weights.size + fbs.biases.size == param_count_perdim(k, length, n)
 
 
 class TestConvDimForward:
@@ -143,22 +142,22 @@ class TestOacpForward:
         rng = np.random.default_rng(27)
         seq = FeatureSequence(rng.uniform(0.0, 1.0, (7, 1)))
         fbs = FilterBankSet(np.ones((1, 1, 1)), np.zeros((1, 1)))
-        out = oacp_forward(seq, fbs, PyramidConfig((1,)))
+        out = oacp_forward_details(seq, fbs, PyramidConfig((1,))).pooled
         assert np.array_equal(out, max_pool(seq))
 
     def test_output_length_for_high_dimensional_input(self):
         k = 10000
         seq = FeatureSequence(np.random.default_rng(28).standard_normal((9, k)))
         fbs = FilterBankSet(np.zeros((k, 3, 8)), np.zeros((k, 3)))
-        assert oacp_forward(seq, fbs, PyramidConfig((1, 2))).shape == (90000,)
+        assert oacp_forward_details(seq, fbs, PyramidConfig((1, 2))).pooled.shape == (90000,)
 
     def test_opposite_ramps_become_separable(self):
         fbs = RISING_DETECTOR
         cfg = PyramidConfig((1,))
         rising = FeatureSequence(np.array([0.0, 1.0, 2.0, 3.0])[:, None])
         falling = FeatureSequence(rising.frames[::-1])
-        assert oacp_forward(rising, fbs, cfg).tolist() == [1.0]
-        assert oacp_forward(falling, fbs, cfg).tolist() == [0.0]
+        assert oacp_forward_details(rising, fbs, cfg).pooled.tolist() == [1.0]
+        assert oacp_forward_details(falling, fbs, cfg).pooled.tolist() == [0.0]
 
     def test_output_length_property(self):
         rng = np.random.default_rng(29)
@@ -173,7 +172,8 @@ class TestOacpForward:
             fbs = FilterBankSet(
                 rng.standard_normal((k, n, length)), rng.standard_normal((k, n))
             )
-            assert oacp_forward(seq, fbs, cfg).shape == (k * n * cfg.total_segments,)
+            pooled = oacp_forward_details(seq, fbs, cfg).pooled
+            assert pooled.shape == (k * n * cfg.total_segments,)
 
     def test_order_sensitive_where_plain_pooling_is_not(self):
         rng = np.random.default_rng(30)
@@ -182,7 +182,10 @@ class TestOacpForward:
         rev = FeatureSequence(values[::-1][:, None])
         fbs = RISING_DETECTOR
         cfg = PyramidConfig((1, 2))
-        assert not np.array_equal(oacp_forward(seq, fbs, cfg), oacp_forward(rev, fbs, cfg))
+        assert not np.array_equal(
+            oacp_forward_details(seq, fbs, cfg).pooled,
+            oacp_forward_details(rev, fbs, cfg).pooled,
+        )
         assert average_pool(seq).tobytes() == average_pool(rev).tobytes()
         assert max_pool(seq).tobytes() == max_pool(rev).tobytes()
 
@@ -190,14 +193,14 @@ class TestOacpForward:
         seq = FeatureSequence(np.zeros((6, 2)))
         fbs = FilterBankSet(np.zeros((3, 1, 2)), np.zeros((3, 1)))
         with pytest.raises(ShapeMismatchError):
-            oacp_forward(seq, fbs, PyramidConfig((1,)))
+            oacp_forward_details(seq, fbs, PyramidConfig((1,)))
 
     def test_propagates_too_short(self):
         seq = FeatureSequence(np.zeros((2, 1)))
         fbs = FilterBankSet(np.zeros((1, 1, 2)), np.zeros((1, 1)))
         with pytest.raises(TooShortSequenceError):
             # T_out = 1 cannot be split into 2 segments
-            oacp_forward(seq, fbs, PyramidConfig((1, 2)))
+            oacp_forward_details(seq, fbs, PyramidConfig((1, 2)))
 
 
 class TestParameterCounts:

@@ -300,12 +300,6 @@ class TestPrepareDataset:
         assert out.num_frames == 9
         assert np.array_equal(out.frames[8], out.frames[7])
 
-    def test_normalization_flag(self):
-        spec = PoolingSpec("max", sample_rate=1, normalize=True)
-        seq = FeatureSequence([[3.0, 4.0], [6.0, 8.0]])
-        out = prepare_dataset([LabeledSequence(seq, 0)], spec)[0].sequence
-        assert out.frames.tolist() == [[0.6, 0.8], [0.6, 0.8]]
-
 
 class TestRunComparison:
     def test_average_pooling_solves_mean_separable_data(self):
@@ -369,34 +363,6 @@ class TestRunComparison:
         assert accuracy["average"] == 0.5  # pooled features identical by construction
         assert accuracy["max"] == 0.5
         assert accuracy["oacp"] >= 0.95
-
-    def test_two_block_features_normalize_concat_train(self):
-        # heterogeneous feature blocks: L2-normalize each block per frame,
-        # concatenate, then train on the combined representation
-        from oacpool.sequences import concat_frame_features, l2_normalize_frames
-
-        spec_a = SyntheticSpec("trend-pair", n_train=20, n_test=10, num_frames=20,
-                               num_features=3, noise_sigma=0.1, seed=301)
-        spec_b = SyntheticSpec("trend-pair", n_train=20, n_test=10, num_frames=20,
-                               num_features=5, noise_sigma=0.1, seed=302)
-        combined = []
-        for split_a, split_b in zip(gen_synthetic(spec_a), gen_synthetic(spec_b)):
-            merged = []
-            for item_a, item_b in zip(split_a, split_b):
-                assert item_a.label == item_b.label
-                seq = concat_frame_features(
-                    l2_normalize_frames(item_a.sequence),
-                    l2_normalize_frames(item_b.sequence),
-                )
-                merged.append(LabeledSequence(seq, item_a.label))
-            combined.append(merged)
-        train, test = combined
-        assert train[0].sequence.num_features == 8
-        method = PoolingSpec("oacp", interval=6, n_filters=3, pyramid=(1, 2), sample_rate=1)
-        cfg = TrainConfig(learning_rate=0.1, epochs=25, seed=303)
-        row = run_comparison(train, test, [method], cfg).rows[0]
-        assert row.status == "ok"
-        assert row.accuracy >= 0.9
 
     def test_divergence_tagged_without_aborting_others(self):
         # training frames of order 1e200 overflow the logits within a few steps

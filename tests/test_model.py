@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -8,12 +9,14 @@ from helpers import dense_reference_gradients, mean_separable_dataset
 from oacpool.convpool import FilterBankSet
 from oacpool.errors import (
     DivergenceError,
+    ParseError,
     ShapeMismatchError,
     StaleCacheError,
     TooShortSequenceError,
 )
 from oacpool.harness import prepare_dataset
 from oacpool.model import (
+    MAX_MINIMUM_FRAMES,
     POOLING_KINDS,
     ClassifierModel,
     PoolingSpec,
@@ -55,6 +58,14 @@ def random_example(seed, num_frames, num_features, num_classes):
 
 def parameter_bytes(model):
     return b"".join(p.tobytes() for p in model.parameters())
+
+
+def save_edited(model, path, **edits):
+    """Save model as a checkpoint, then overwrite top-level fields with edits."""
+    save_model(model, path)
+    doc = json.loads(path.read_text())
+    doc.update(edits)
+    path.write_text(json.dumps(doc))
 
 
 class TestSoftmax:
@@ -497,13 +508,36 @@ class TestSpecGeometry:
     def test_spec_reads_model_settings(self):
         model = ClassifierModel.build(
             "oacp", 4, 2, interval=3, stride=2, n_filters=5, pyramid=(1, 2, 4),
-            sample_rate=7, normalize=True,
+            sample_rate=7,
         )
         assert model.spec == PoolingSpec(
             "oacp", interval=3, stride=2, n_filters=5, pyramid=(1, 2, 4),
-            sample_rate=7, normalize=True,
+            sample_rate=7,
         )
         assert model.spec is model.spec
+
+    # Specs and builds below are rejected before any array is sized by them,
+    # so the oversized values allocate nothing.
+    @pytest.mark.parametrize(
+        "geometry",
+        [
+            dict(kind="oacp", stride=10**30),
+            dict(kind="oacp", interval=MAX_MINIMUM_FRAMES + 1, pyramid=(1,)),
+            dict(kind="oacp", interval=2, stride=MAX_MINIMUM_FRAMES, pyramid=(1, 2)),
+            dict(kind="pyramid", pyramid=(1, MAX_MINIMUM_FRAMES + 1)),
+        ],
+    )
+    def test_rejects_geometry_past_the_frame_limit(self, geometry):
+        with pytest.raises(ValueError, match="minimum_frames"):
+            PoolingSpec(**geometry)
+
+    def test_geometry_at_the_frame_limit_is_accepted(self):
+        spec = PoolingSpec("oacp", interval=2, stride=MAX_MINIMUM_FRAMES - 2, pyramid=(1, 2))
+        assert spec.minimum_frames == MAX_MINIMUM_FRAMES
+
+    def test_build_rejects_oversized_stride(self):
+        with pytest.raises(ValueError, match="minimum_frames"):
+            ClassifierModel.build("oacp", 4, 2, stride=10**30)
 
 
 class TestCheckpoint:
@@ -517,8 +551,40 @@ class TestCheckpoint:
         loaded = load_model(path)
         assert loaded.pooling_kind == model.pooling_kind
         assert loaded.sample_rate == model.sample_rate
-        assert loaded.normalize == model.normalize
         assert parameter_bytes(loaded) == parameter_bytes(model)
+
+    def test_writes_version_2_without_normalize(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_model(tiny_oacp_model(seed=68), path)
+        doc = json.loads(path.read_text())
+        assert doc["format_version"] == 2
+        assert "normalize" not in doc
+
+    @pytest.mark.parametrize("kind", ["average", "max", "pyramid", "oacp"])
+    def test_loads_version_1_with_normalize_false(self, kind, tmp_path):
+        model = ClassifierModel.build(
+            kind, 4, 3, interval=2, n_filters=2, pyramid=(1, 2), sample_rate=5, seed=69
+        )
+        path = tmp_path / "model.json"
+        save_edited(model, path, format_version=1, normalize=False)
+        loaded = load_model(path)
+        assert loaded.spec == model.spec
+        assert parameter_bytes(loaded) == parameter_bytes(model)
+
+    @pytest.mark.parametrize(
+        "fields", [{"normalize": True}, {"normalize": 0}, {}], ids=["true", "zero", "missing"]
+    )
+    def test_rejects_version_1_unless_normalize_false(self, fields, tmp_path):
+        path = tmp_path / "model.json"
+        save_edited(tiny_oacp_model(seed=70), path, format_version=1, **fields)
+        with pytest.raises(ParseError, match="normalize"):
+            load_model(path)
+
+    def test_rejects_unknown_version(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_edited(tiny_oacp_model(seed=71), path, format_version=3)
+        with pytest.raises(ParseError, match="version 3"):
+            load_model(path)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = tiny_oacp_model(seed=61)
@@ -529,8 +595,6 @@ class TestCheckpoint:
         assert forward(model, seq)[0].tobytes() == forward(loaded, seq)[0].tobytes()
 
     def test_rejects_garbage_and_foreign_files(self, tmp_path):
-        from oacpool.errors import ParseError
-
         bad = tmp_path / "bad.json"
         bad.write_text("{not json")
         with pytest.raises(ParseError):
@@ -541,18 +605,12 @@ class TestCheckpoint:
             load_model(foreign)
 
     def test_rejects_non_utf8_file(self, tmp_path):
-        from oacpool.errors import ParseError
-
         bad = tmp_path / "bad.json"
         bad.write_bytes(b'{"format": "\xff"}\n')
         with pytest.raises(ParseError):
             load_model(bad)
 
     def test_rejects_tampered_pooled_length(self, tmp_path):
-        import json
-
-        from oacpool.errors import ParseError
-
         model = tiny_oacp_model(seed=63)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -576,10 +634,6 @@ class TestCheckpoint:
         ],
     )
     def test_rejects_tampered_geometry(self, kind, key, value, tmp_path):
-        import json
-
-        from oacpool.errors import ParseError
-
         model = ClassifierModel.build(kind, 3, 2, interval=2, n_filters=2, seed=65)
         path = tmp_path / "model.json"
         save_model(model, path)
@@ -587,6 +641,12 @@ class TestCheckpoint:
         doc[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=key):
+            load_model(path)
+
+    def test_rejects_oversized_geometry(self, tmp_path):
+        path = tmp_path / "model.json"
+        save_edited(tiny_oacp_model(seed=66), path, stride=10**30)
+        with pytest.raises(ParseError, match="minimum_frames"):
             load_model(path)
 
     def test_text_export_lists_every_parameter_in_order(self, tmp_path):

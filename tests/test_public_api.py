@@ -1,0 +1,98 @@
+"""The public surface, pinned: adding or dropping a public name shows up here."""
+
+import pytest
+
+import oacpool
+import oacpool.harness
+
+PUBLIC_NAMES = {
+    oacpool: [
+        "ClassifierModel",
+        "DatasetManifest",
+        "EpochStats",
+        "FeatureSequence",
+        "FilterBankSet",
+        "ForwardCache",
+        "Gradients",
+        "LabeledSequence",
+        "PoolingSpec",
+        "PyramidConfig",
+        "ReductionPartition",
+        "ResultTable",
+        "SignatureMatrix",
+        "SyntheticSpec",
+        "TrainConfig",
+        "average_pool",
+        "backward",
+        "class_signatures",
+        "conv_responses",
+        "errors",
+        "evaluate",
+        "export_parameters_text",
+        "forward",
+        "gen_synthetic",
+        "grad_check",
+        "instance_loss",
+        "kmeans_partition",
+        "load_dataset",
+        "load_features",
+        "load_manifest",
+        "load_model",
+        "load_partition",
+        "max_pool",
+        "oacp_forward_details",
+        "param_count_joint",
+        "param_count_perdim",
+        "partition_segments",
+        "prepare_dataset",
+        "reduce_sequence",
+        "replicate_pad",
+        "run_comparison",
+        "sample_frames",
+        "save_features",
+        "save_manifest",
+        "save_model",
+        "save_partition",
+        "sgd_train",
+        "softmax",
+        "sweep_filters",
+        "temporal_pyramid_pool",
+    ],
+    oacpool.harness: [
+        "ComparisonRow",
+        "DatasetManifest",
+        "PoolingSpec",
+        "ResultTable",
+        "SyntheticSpec",
+        "TASK_KINDS",
+        "build_model",
+        "gen_synthetic",
+        "labeled_frames",
+        "load_dataset",
+        "load_features",
+        "load_manifest",
+        "prepare_dataset",
+        "run_comparison",
+        "save_features",
+        "save_manifest",
+        "sweep_filters",
+    ],
+}
+
+MODULES = pytest.mark.parametrize("module", list(PUBLIC_NAMES), ids=lambda m: m.__name__)
+
+
+@MODULES
+def test_all_is_exactly_the_pinned_list(module):
+    assert module.__all__ == PUBLIC_NAMES[module]
+
+
+@MODULES
+def test_all_has_no_duplicates(module):
+    assert len(set(module.__all__)) == len(module.__all__)
+
+
+@MODULES
+def test_every_public_name_resolves(module):
+    missing = [name for name in module.__all__ if not hasattr(module, name)]
+    assert missing == []

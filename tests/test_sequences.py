@@ -1,13 +1,9 @@
 import numpy as np
 import pytest
 
-from oacpool.errors import ShapeMismatchError
 from oacpool.sequences import (
     FeatureSequence,
     LabeledSequence,
-    concat_frame_features,
-    l2_normalize_block,
-    l2_normalize_frames,
     replicate_pad,
     sample_frames,
 )
@@ -96,62 +92,6 @@ class TestSampleFrames:
             assert sample_frames(seq, r1 * r2) == sample_frames(
                 sample_frames(seq, r1), r2
             )
-
-
-class TestL2Normalize:
-    def test_three_four_five(self):
-        assert l2_normalize_block([3.0, 4.0]).tolist() == [0.6, 0.8]
-
-    def test_zero_vector_passes_through(self):
-        assert l2_normalize_block([0.0, 0.0]).tolist() == [0.0, 0.0]
-
-    def test_single_component(self):
-        assert l2_normalize_block([5.0]).tolist() == [1.0]
-
-    def test_norm_is_one_or_unchanged(self):
-        rng = np.random.default_rng(2)
-        for scale in (1.0, 1e-3, 1e-14):
-            for _ in range(20):
-                v = scale * rng.standard_normal(6)
-                out = l2_normalize_block(v)
-                in_norm = np.sqrt(np.dot(v, v))
-                out_norm = np.sqrt(np.dot(out, out))
-                if in_norm <= 1e-12:
-                    assert np.array_equal(out, v)
-                else:
-                    assert out_norm == pytest.approx(1.0, abs=1e-12)
-
-    def test_frames_helper_matches_blockwise(self):
-        seq = FeatureSequence(np.random.default_rng(3).standard_normal((5, 4)))
-        out = l2_normalize_frames(seq)
-        for t in range(5):
-            assert np.array_equal(out.frames[t], l2_normalize_block(seq.frames[t]))
-
-
-class TestConcat:
-    def test_widths_add(self):
-        a = FeatureSequence(np.zeros((3, 2)))
-        b = FeatureSequence(np.ones((3, 5)))
-        assert concat_frame_features(a, b).frames.shape == (3, 7)
-
-    def test_values_interleave_per_frame(self):
-        a = FeatureSequence([[1.0], [2.0]])
-        b = FeatureSequence([[3.0], [4.0]])
-        assert concat_frame_features(a, b).frames.tolist() == [[1.0, 3.0], [2.0, 4.0]]
-
-    def test_frame_count_mismatch(self):
-        a = FeatureSequence(np.zeros((3, 1)))
-        b = FeatureSequence(np.zeros((4, 1)))
-        with pytest.raises(ShapeMismatchError):
-            concat_frame_features(a, b)
-
-    def test_project_back_roundtrip_is_bit_exact(self):
-        rng = np.random.default_rng(4)
-        a = FeatureSequence(rng.standard_normal((6, 3)))
-        b = FeatureSequence(rng.standard_normal((6, 2)))
-        cat = concat_frame_features(a, b)
-        assert cat.frames[:, :3].tobytes() == a.frames.tobytes()
-        assert cat.frames[:, 3:].tobytes() == b.frames.tobytes()
 
 
 class TestReplicatePad:
