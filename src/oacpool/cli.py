@@ -33,7 +33,6 @@ from .harness import (
     PoolingSpec,
     SyntheticSpec,
     TASK_KINDS,
-    build_model,
     gen_synthetic,
     labeled_frames,
     load_dataset,
@@ -99,13 +98,13 @@ def _nonneg_float(text: str) -> float:
     return value
 
 
-def _pyramid(text: str) -> tuple[int, ...]:
+def _pyramid(text: str) -> PyramidConfig:
     try:
         segments = tuple(int(p) for p in text.split(","))
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from None
     try:
-        return PyramidConfig(segments).segments_per_level
+        return PyramidConfig(segments)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc)) from None
 
@@ -123,14 +122,15 @@ def _methods(text: str) -> list[str]:
 
 
 def _add_shared_training_flags(sub) -> None:
-    sub.add_argument("--interval", type=_positive_int, default=8)
-    sub.add_argument("--stride", type=_positive_int, default=1)
-    sub.add_argument("--filters", type=_positive_int, default=3)
-    sub.add_argument("--pyramid", type=_pyramid, default=(1, 2))
+    # the geometry defaults are PoolingSpec's field defaults (its class attributes)
+    sub.add_argument("--interval", type=_positive_int, default=PoolingSpec.interval)
+    sub.add_argument("--stride", type=_positive_int, default=PoolingSpec.stride)
+    sub.add_argument("--filters", type=_positive_int, default=PoolingSpec.n_filters)
+    sub.add_argument("--pyramid", type=_pyramid, default=PoolingSpec.pyramid)
     sub.add_argument("--lr", type=_nonneg_float, default=0.1)
     sub.add_argument("--epochs", type=_positive_int, default=50)
     sub.add_argument("--seed", type=int, default=0)
-    sub.add_argument("--sample-rate", type=_positive_int, default=5)
+    sub.add_argument("--sample-rate", type=_positive_int, default=PoolingSpec.sample_rate)
 
 
 def build_parser() -> _Parser:
@@ -240,7 +240,7 @@ def _cmd_train(args) -> int:
     data = load_dataset(manifest)
     spec = _spec_from_flags(args, args.pooling)
     prepared = prepare_dataset(data, spec)
-    model = build_model(
+    model = ClassifierModel.from_spec(
         spec, prepared[0].sequence.num_features, manifest.num_classes, seed=args.seed
     )
     model, history = sgd_train(model, prepared, _train_cfg(args))

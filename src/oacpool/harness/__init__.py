@@ -4,7 +4,6 @@ from .experiments import (
     ComparisonRow,
     PoolingSpec,
     ResultTable,
-    build_model,
     prepare_dataset,
     run_comparison,
     sweep_filters,
@@ -26,7 +25,6 @@ __all__ = [
     "ResultTable",
     "SyntheticSpec",
     "TASK_KINDS",
-    "build_model",
     "gen_synthetic",
     "labeled_frames",
     "load_dataset",

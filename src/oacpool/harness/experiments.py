@@ -28,22 +28,6 @@ def prepare_dataset(
     return out
 
 
-def build_model(
-    spec: PoolingSpec, num_features: int, num_classes: int, seed=0
-) -> ClassifierModel:
-    return ClassifierModel.build(
-        spec.kind,
-        num_features,
-        num_classes,
-        interval=spec.interval,
-        stride=spec.stride,
-        n_filters=spec.n_filters,
-        pyramid=spec.pyramid,
-        sample_rate=spec.sample_rate,
-        seed=seed,
-    )
-
-
 @dataclass
 class ComparisonRow:
     method: str
@@ -90,7 +74,9 @@ def _run_method(
     try:
         prepared_train = prepare_dataset(train, spec)
         prepared_test = prepare_dataset(test, spec)
-        model = build_model(spec, num_features, num_classes, seed=train_cfg.seed)
+        model = ClassifierModel.from_spec(
+            spec, num_features, num_classes, seed=train_cfg.seed
+        )
         sgd_train(model, prepared_train, train_cfg)
         accuracy, _ = evaluate(model, prepared_test)
         status = "ok"

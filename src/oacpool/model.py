@@ -11,7 +11,6 @@ at nonpositive pre-activations) into the filter banks.
 from __future__ import annotations
 
 import copy
-import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -47,19 +46,21 @@ MAX_MINIMUM_FRAMES = 4096
 class PoolingSpec:
     """A model's geometry: pooling kind plus the settings that shape it.
 
-    interval, stride and n_filters describe the filter banks, pyramid the
-    segment count per level; kinds without banks or without a pyramid
-    ignore those fields.  sample_rate says how raw sequences are sampled.
-    Every length, frame count and parameter count of a model derives from
-    here.  A geometry whose minimum_frames exceeds MAX_MINIMUM_FRAMES is
-    rejected.
+    interval, stride and n_filters describe the filter banks, pyramid (a
+    PyramidConfig, converted from any int sequence) the segment count per
+    level, sample_rate how raw sequences are sampled.  Every field is
+    validated, then those a kind does not read take their defaults, so equal
+    geometries compare equal.  A model holds its geometry as
+    ClassifierModel.spec, and every length, frame count and parameter count
+    derives from here.  A geometry whose minimum_frames exceeds
+    MAX_MINIMUM_FRAMES is rejected.
     """
 
     kind: str
     interval: int = 8
     stride: int = 1
     n_filters: int = 3
-    pyramid: tuple[int, ...] = (1, 2)
+    pyramid: PyramidConfig = PyramidConfig((1, 2))
     sample_rate: int = 5
 
     def __post_init__(self):
@@ -68,8 +69,14 @@ class PoolingSpec:
         for name in ("interval", "stride", "n_filters", "sample_rate"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        object.__setattr__(self, "pyramid", tuple(int(m) for m in self.pyramid))
-        PyramidConfig(self.pyramid)  # validate eagerly
+        if not isinstance(self.pyramid, PyramidConfig):
+            object.__setattr__(self, "pyramid", PyramidConfig(self.pyramid))
+        unread = () if self.kind == "oacp" else ("interval", "stride", "n_filters")
+        if self.kind in ("average", "max"):
+            unread += ("pyramid",)
+        for name in unread:
+            # a dataclass field's default is its class attribute
+            object.__setattr__(self, name, getattr(PoolingSpec, name))
         if self.minimum_frames > MAX_MINIMUM_FRAMES:
             raise ValueError(
                 f"minimum_frames {self.minimum_frames} exceeds the limit of "
@@ -82,8 +89,8 @@ class PoolingSpec:
         if self.kind in ("average", "max"):
             return 1
         if self.kind == "pyramid":
-            return max(self.pyramid)
-        return self.interval + self.stride * (max(self.pyramid) - 1)
+            return self.pyramid.max_segments
+        return self.interval + self.stride * (self.pyramid.max_segments - 1)
 
     @property
     def receptive_field(self) -> int:
@@ -96,7 +103,7 @@ class PoolingSpec:
         """P: length of the pooled representation of num_features dimensions."""
         if self.kind in ("average", "max"):
             return num_features
-        segments = sum(self.pyramid)
+        segments = self.pyramid.total_segments
         if self.kind == "pyramid":
             return num_features * segments
         return num_features * self.n_filters * segments
@@ -142,39 +149,41 @@ class EpochStats:
 class ClassifierModel:
     """Pooling stage plus softmax head; the trainable artifact.
 
-    Parameters are mutated in place only by sgd_train; `version` is bumped
-    on every update so stale forward caches can be detected.  sample_rate
-    records how training data was sampled, so evaluation can reproduce the
-    same ingestion.
+    spec is the model's whole geometry, sample_rate included so evaluation
+    can reproduce how training data was sampled; oacp banks must agree with
+    it, and other kinds have none.  Parameters are mutated in place only by
+    sgd_train; `version` is bumped on every update so stale forward caches
+    can be detected.
     """
 
-    pooling_kind: str
+    spec: PoolingSpec
     num_features: int
     num_classes: int
     w_head: np.ndarray  # (num_classes, pooled_length)
     b_head: np.ndarray  # (num_classes,)
     filter_banks: FilterBankSet | None = None
-    pyramid: PyramidConfig | None = None
-    sample_rate: int = 1
     version: int = field(default=0, repr=False)
 
     def __post_init__(self):
         if self.num_features < 1 or self.num_classes < 1:
             raise ValueError("num_features and num_classes must be >= 1")
-        if self.pooling_kind in ("pyramid", "oacp") and self.pyramid is None:
-            raise ValueError(f"{self.pooling_kind} pooling needs a PyramidConfig")
-        if self.pooling_kind in ("average", "max") and self.pyramid is not None:
-            raise ValueError(f"{self.pooling_kind} pooling takes no pyramid")
-        if self.pooling_kind == "oacp":
-            if self.filter_banks is None:
+        spec, banks = self.spec, self.filter_banks
+        if spec.kind == "oacp":
+            if banks is None:
                 raise ValueError("oacp pooling needs a FilterBankSet")
-            if self.filter_banks.num_dims != self.num_features:
+            if banks.num_dims != self.num_features:
                 raise ShapeMismatchError(
-                    f"bank set covers {self.filter_banks.num_dims} dimensions, "
+                    f"bank set covers {banks.num_dims} dimensions, "
                     f"model expects {self.num_features}"
                 )
-        elif self.filter_banks is not None:
-            raise ValueError(f"{self.pooling_kind} pooling takes no filter banks")
+            actual = (banks.interval, banks.n_filters, banks.stride)
+            expected = (spec.interval, spec.n_filters, spec.stride)
+            if actual != expected:
+                raise ShapeMismatchError(
+                    f"bank set has (interval, n_filters, stride) {actual}, spec has {expected}"
+                )
+        elif banks is not None:
+            raise ValueError(f"{spec.kind} pooling takes no filter banks")
         self.w_head = np.array(self.w_head, dtype=np.float64, order="C")
         self.b_head = np.array(self.b_head, dtype=np.float64, order="C")
         expected = (self.num_classes, self.pooled_length)
@@ -187,24 +196,40 @@ class ClassifierModel:
         if not (np.isfinite(self.w_head).all() and np.isfinite(self.b_head).all()):
             raise ValueError("head parameters contain NaN or infinite values")
 
-    @functools.cached_property
-    def spec(self) -> PoolingSpec:
-        """The model's geometry, read once from its banks, pyramid and settings."""
-        geometry = {}
-        if self.filter_banks is not None:
-            geometry.update(
-                interval=self.filter_banks.interval,
-                stride=self.filter_banks.stride,
-                n_filters=self.filter_banks.n_filters,
-            )
-        if self.pyramid is not None:
-            geometry["pyramid"] = self.pyramid.segments_per_level
-        return PoolingSpec(self.pooling_kind, sample_rate=self.sample_rate, **geometry)
-
     @property
     def pooled_length(self) -> int:
         """P: length of the pooled representation implied by kind and shapes."""
         return self.spec.pooled_length(self.num_features)
+
+    @classmethod
+    def from_spec(
+        cls, spec: PoolingSpec, num_features: int, num_classes: int, seed=0
+    ) -> "ClassifierModel":
+        """Seeded initialization: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases 0.
+
+        Filter banks are drawn before the head, so a given seed fixes every
+        parameter of the model.
+        """
+        rng = np.random.default_rng(seed)
+        banks = None
+        if spec.kind == "oacp":
+            interval, n_filters = spec.interval, spec.n_filters
+            bound = math.sqrt(6.0 / (interval + n_filters))
+            banks = FilterBankSet(
+                weights=rng.uniform(-bound, bound, (num_features, n_filters, interval)),
+                biases=np.zeros((num_features, n_filters)),
+                stride=spec.stride,
+            )
+        pooled_len = spec.pooled_length(num_features)
+        bound = math.sqrt(6.0 / (pooled_len + num_classes))
+        return cls(
+            spec,
+            num_features,
+            num_classes,
+            w_head=rng.uniform(-bound, bound, (num_classes, pooled_len)),
+            b_head=np.zeros(num_classes),
+            filter_banks=banks,
+        )
 
     @classmethod
     def build(
@@ -213,50 +238,13 @@ class ClassifierModel:
         num_features: int,
         num_classes: int,
         *,
-        interval: int = 8,
-        stride: int = 1,
-        n_filters: int = 3,
-        pyramid=(1, 2),
         sample_rate: int = 1,
         seed=0,
+        **geometry,
     ) -> "ClassifierModel":
-        """Seeded initialization: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases 0.
-
-        Filter banks are drawn before the head, so a given seed fixes every
-        parameter of the model.
-        """
-        spec = PoolingSpec(
-            pooling_kind,
-            interval=interval,
-            stride=stride,
-            n_filters=n_filters,
-            pyramid=pyramid,
-            sample_rate=sample_rate,
-        )
-        rng = np.random.default_rng(seed)
-        banks = None
-        pyr = None
-        if pooling_kind in ("pyramid", "oacp"):
-            pyr = PyramidConfig(spec.pyramid)
-        if pooling_kind == "oacp":
-            bound = math.sqrt(6.0 / (interval + n_filters))
-            banks = FilterBankSet(
-                weights=rng.uniform(-bound, bound, (num_features, n_filters, interval)),
-                biases=np.zeros((num_features, n_filters)),
-                stride=stride,
-            )
-        pooled_len = spec.pooled_length(num_features)
-        bound = math.sqrt(6.0 / (pooled_len + num_classes))
-        return cls(
-            pooling_kind=pooling_kind,
-            num_features=num_features,
-            num_classes=num_classes,
-            w_head=rng.uniform(-bound, bound, (num_classes, pooled_len)),
-            b_head=np.zeros(num_classes),
-            filter_banks=banks,
-            pyramid=pyr,
-            sample_rate=sample_rate,
-        )
+        """from_spec with PoolingSpec's fields as keywords; sample_rate defaults to 1."""
+        spec = PoolingSpec(pooling_kind, sample_rate=sample_rate, **geometry)
+        return cls.from_spec(spec, num_features, num_classes, seed=seed)
 
     def parameters(self) -> list[np.ndarray]:
         """Trainable arrays in checkpoint order: head weights, head biases, then banks."""
@@ -313,14 +301,15 @@ def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, F
             f"sequence has {seq.num_features} features, model expects {model.num_features}"
         )
     extras = {}
-    if model.pooling_kind == "average":
+    kind, pyramid = model.spec.kind, model.spec.pyramid
+    if kind == "average":
         pooled = average_pool(seq)
-    elif model.pooling_kind == "max":
+    elif kind == "max":
         pooled = max_pool(seq)
-    elif model.pooling_kind == "pyramid":
-        pooled = temporal_pyramid_pool(seq, model.pyramid)
+    elif kind == "pyramid":
+        pooled = temporal_pyramid_pool(seq, pyramid)
     else:
-        details = oacp_forward_details(seq, model.filter_banks, model.pyramid)
+        details = oacp_forward_details(seq, model.filter_banks, pyramid)
         pooled = details.pooled
         extras = dict(
             pre_activation=details.pre_activation,
@@ -360,7 +349,7 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
     dlogits[label] -= 1.0
     g_w_head = np.outer(dlogits, cache.pooled)
     g_b_head = dlogits
-    if model.pooling_kind != "oacp":
+    if model.spec.kind != "oacp":
         return Gradients(g_w_head, g_b_head)
 
     # pooled holds each slot's ReLU'd maximum in d_pooled's (K, M, n) layout,
@@ -515,10 +504,11 @@ def grad_check(
 def _geometry_fields(model: ClassifierModel) -> dict:
     """Checkpoint fields describing the model's shape; null where a kind has none."""
     spec = model.spec
-    banks = model.filter_banks is not None
+    banks = spec.kind == "oacp"
+    pyramid = spec.kind in ("pyramid", "oacp")
     return {
         "pooled_length": model.pooled_length,
-        "pyramid": list(spec.pyramid) if model.pyramid else None,
+        "pyramid": list(spec.pyramid.segments_per_level) if pyramid else None,
         "interval": spec.interval if banks else None,
         "stride": spec.stride if banks else None,
         "n_filters": spec.n_filters if banks else None,
@@ -532,7 +522,7 @@ def save_model(model: ClassifierModel, path) -> None:
     doc = {
         "format": CHECKPOINT_FORMAT,
         "format_version": CHECKPOINT_VERSION,
-        "pooling_kind": model.pooling_kind,
+        "pooling_kind": model.spec.kind,
         "num_features": model.num_features,
         "num_classes": model.num_classes,
         **_geometry_fields(model),
@@ -546,9 +536,19 @@ def save_model(model: ClassifierModel, path) -> None:
         fh.write("\n")
 
 
+def _json_int(value, name: str) -> int:
+    """value if it is a JSON integer; floats and booleans are a ParseError."""
+    if type(value) is not int:
+        raise ParseError(f"{name} must be an integer, got {value!r}")
+    return value
+
+
 def load_model(path) -> ClassifierModel:
     """Read a checkpoint written by save_model.
 
+    The model's spec takes interval and n_filters from the bank arrays and
+    the other settings from their fields; num_features, num_classes,
+    sample_rate, stride and the pyramid entries must be JSON integers.
     Every geometry field must agree with what the parameter shapes and
     settings imply; a mismatch is a ParseError.  A version 1 checkpoint
     loads only if its normalize field is false.
@@ -568,22 +568,30 @@ def load_model(path) -> ClassifierModel:
         raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
     try:
         banks = None
+        geometry = {}
         if doc["bank_weights"] is not None:
             banks = FilterBankSet(
                 weights=doc["bank_weights"],
                 biases=doc["bank_biases"],
-                stride=doc["stride"],
+                stride=_json_int(doc["stride"], "stride"),
             )
-        pyramid = PyramidConfig(tuple(doc["pyramid"])) if doc["pyramid"] else None
+            geometry.update(
+                interval=banks.interval, stride=banks.stride, n_filters=banks.n_filters
+            )
+        if doc["pyramid"]:
+            geometry["pyramid"] = [_json_int(m, "pyramid") for m in doc["pyramid"]]
+        spec = PoolingSpec(
+            doc["pooling_kind"],
+            sample_rate=_json_int(doc["sample_rate"], "sample_rate"),
+            **geometry,
+        )
         model = ClassifierModel(
-            pooling_kind=doc["pooling_kind"],
-            num_features=doc["num_features"],
-            num_classes=doc["num_classes"],
+            spec,
+            num_features=_json_int(doc["num_features"], "num_features"),
+            num_classes=_json_int(doc["num_classes"], "num_classes"),
             w_head=np.asarray(doc["w_head"], dtype=np.float64),
             b_head=np.asarray(doc["b_head"], dtype=np.float64),
             filter_banks=banks,
-            pyramid=pyramid,
-            sample_rate=doc["sample_rate"],
         )
     except (KeyError, TypeError, ValueError) as exc:
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from None
@@ -605,7 +613,7 @@ def export_parameters_text(model: ClassifierModel, path) -> None:
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {CHECKPOINT_FORMAT} text export, format_version {TEXT_EXPORT_VERSION}\n")
         fh.write(
-            f"# pooling_kind={model.pooling_kind} num_features={model.num_features} "
+            f"# pooling_kind={model.spec.kind} num_features={model.num_features} "
             f"num_classes={model.num_classes} pooled_length={model.pooled_length}\n"
         )
         fh.write(

@@ -35,10 +35,6 @@ class PyramidConfig:
         object.__setattr__(self, "segments_per_level", segs)
 
     @property
-    def num_levels(self) -> int:
-        return len(self.segments_per_level)
-
-    @property
     def total_segments(self) -> int:
         """M = sum of the per-level segment counts."""
         return sum(self.segments_per_level)

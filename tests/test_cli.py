@@ -8,10 +8,10 @@ import numpy as np
 import pytest
 
 import oacpool
-from oacpool.cli import main
+from oacpool.cli import _spec_from_flags, build_parser, main
 from oacpool.dimreduce import load_partition
 from oacpool.harness import load_features, load_manifest, save_features
-from oacpool.model import load_model
+from oacpool.model import POOLING_KINDS, PoolingSpec, load_model
 from oacpool.sequences import FeatureSequence
 
 
@@ -143,7 +143,7 @@ class TestTrainEval:
         )
         assert code == 0
         model = load_model(model_path)
-        assert model.pooling_kind == "oacp" and model.sample_rate == 1
+        assert model.spec.kind == "oacp" and model.spec.sample_rate == 1
         capsys.readouterr()
 
         code = run_cli(
@@ -168,7 +168,7 @@ class TestTrainEval:
             "--model-out", str(model_path),
         )
         assert code == 0
-        assert load_model(model_path).sample_rate == 5
+        assert load_model(model_path).spec.sample_rate == 5
         code = run_cli(
             "eval", "--manifest", str(synth_dir / "test.manifest"),
             "--model", str(model_path),
@@ -177,12 +177,12 @@ class TestTrainEval:
         capsys.readouterr()
 
     @staticmethod
-    def _trained_checkpoint(synth_dir, tmp_path, **edits):
-        """Train a small oacp model, then apply edits to its checkpoint document."""
+    def _trained_checkpoint(synth_dir, tmp_path, pooling="oacp", **edits):
+        """Train a small model, then apply edits to its checkpoint document."""
         model_path = tmp_path / "model.json"
         code = run_cli(
             "train", "--manifest", str(synth_dir / "train.manifest"),
-            "--pooling", "oacp", "--interval", "4", "--sample-rate", "1",
+            "--pooling", pooling, "--interval", "4", "--sample-rate", "1",
             "--epochs", "1", "--model-out", str(model_path),
         )
         assert code == 0
@@ -200,6 +200,22 @@ class TestTrainEval:
         )
         assert code == 2
         assert "interval 5 does not match" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "pooling,key,value",
+        [("oacp", "num_classes", 2.0), ("average", "sample_rate", 2.5)],
+    )
+    def test_eval_rejects_checkpoint_with_non_integer_field(
+        self, synth_dir, tmp_path, capsys, pooling, key, value
+    ):
+        model_path = self._trained_checkpoint(synth_dir, tmp_path, pooling, **{key: value})
+        capsys.readouterr()
+        code = run_cli(
+            "eval", "--manifest", str(synth_dir / "test.manifest"),
+            "--model", str(model_path),
+        )
+        assert code == 2
+        assert f"{key} must be an integer" in capsys.readouterr().err
 
     # An oversized geometry must be refused before any sequence is padded to
     # it; the guard turns a regression into a failure instead of a huge array.
@@ -418,6 +434,17 @@ class TestReduceCommand:
             "--partition-out", str(tmp_path / "p.txt"),
         )
         assert code == 2
+
+
+@pytest.mark.parametrize("kind", POOLING_KINDS)
+def test_bare_geometry_flags_give_the_default_spec(kind):
+    parser = build_parser()
+    bare = (
+        ["train", "--manifest", "m", "--model-out", "o", "--pooling", kind],
+        ["compare", "--train-manifest", "a", "--test-manifest", "b", "--methods", kind],
+    )
+    for argv in bare:
+        assert _spec_from_flags(parser.parse_args(argv), kind) == PoolingSpec(kind)
 
 
 def test_module_entry_point_runs():

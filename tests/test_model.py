@@ -132,29 +132,61 @@ class TestModelBuild:
     def test_validation(self):
         with pytest.raises(ValueError):
             ClassifierModel.build("median", 3, 2)
+        with pytest.raises(ValueError):
+            ClassifierModel.build("average", 3, 2, interval=0)
         with pytest.raises(ShapeMismatchError):
             ClassifierModel(
-                pooling_kind="average",
+                spec=PoolingSpec("average"),
                 num_features=3,
                 num_classes=2,
                 w_head=np.zeros((2, 4)),  # should be (2, 3)
                 b_head=np.zeros(2),
             )
-        with pytest.raises(ValueError):
+        banks = FilterBankSet(np.zeros((3, 3, 8)), np.zeros((3, 3)))
+        with pytest.raises(ValueError, match="needs a FilterBankSet"):
             ClassifierModel(
-                pooling_kind="pyramid",
+                spec=PoolingSpec("oacp"),
                 num_features=3,
                 num_classes=2,
-                w_head=np.zeros((2, 9)),
+                w_head=np.zeros((2, 27)),
                 b_head=np.zeros(2),
-                pyramid=None,
+            )
+        with pytest.raises(ValueError, match="takes no filter banks"):
+            ClassifierModel(
+                spec=PoolingSpec("average"),
+                num_features=3,
+                num_classes=2,
+                w_head=np.zeros((2, 3)),
+                b_head=np.zeros(2),
+                filter_banks=banks,
+            )
+
+    # the spec has interval 3, n_filters 2 and stride 1
+    @pytest.mark.parametrize(
+        "interval,n_filters,stride",
+        [(4, 2, 1), (3, 1, 1), (3, 2, 2)],
+        ids=["interval", "n_filters", "stride"],
+    )
+    def test_rejects_banks_that_disagree_with_the_spec(self, interval, n_filters, stride):
+        spec = PoolingSpec("oacp", interval=3, n_filters=2, pyramid=(1, 2))
+        banks = FilterBankSet(
+            np.zeros((4, n_filters, interval)), np.zeros((4, n_filters)), stride=stride
+        )
+        with pytest.raises(ShapeMismatchError, match="bank set has"):
+            ClassifierModel(
+                spec,
+                num_features=4,
+                num_classes=2,
+                w_head=np.zeros((2, spec.pooled_length(4))),
+                b_head=np.zeros(2),
+                filter_banks=banks,
             )
 
 
 class TestForward:
     def test_zero_head_gives_uniform(self):
         model = ClassifierModel(
-            "average", 3, 4, w_head=np.zeros((4, 3)), b_head=np.zeros(4)
+            PoolingSpec("average"), 3, 4, w_head=np.zeros((4, 3)), b_head=np.zeros(4)
         )
         probs, _ = forward(model, FeatureSequence(np.random.default_rng(41).standard_normal((5, 3))))
         np.testing.assert_allclose(probs, [0.25] * 4, rtol=1e-15)
@@ -170,13 +202,12 @@ class TestForward:
         # ramp [0,1,2,3] through filter [-1,1]: responses [1,1,1];
         # pyramid (1,2) pools them to [1,1,1]; this head then yields equal logits.
         model = ClassifierModel(
-            "oacp",
+            PoolingSpec("oacp", interval=2, n_filters=1, pyramid=(1, 2)),
             num_features=1,
             num_classes=2,
             w_head=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]),
             b_head=np.zeros(2),
             filter_banks=FilterBankSet(np.array([[[-1.0, 1.0]]]), np.zeros((1, 1))),
-            pyramid=PyramidConfig((1, 2)),
         )
         probs, cache = forward(model, FeatureSequence(np.array([0.0, 1.0, 2.0, 3.0])[:, None]))
         assert cache.pooled.tolist() == [1.0, 1.0, 1.0]
@@ -203,7 +234,7 @@ class TestInstanceLoss:
 class TestBackward:
     def test_uniform_probs_logit_gradient(self):
         model = ClassifierModel(
-            "average", 3, 2, w_head=np.zeros((2, 3)), b_head=np.zeros(2)
+            PoolingSpec("average"), 3, 2, w_head=np.zeros((2, 3)), b_head=np.zeros(2)
         )
         _, cache = forward(model, FeatureSequence(np.ones((4, 3))))
         grads = backward(model, cache, 0)
@@ -413,7 +444,7 @@ class TestSgdTrain:
 class TestEvaluate:
     def test_constant_predictor_on_balanced_data(self):
         model = ClassifierModel(
-            "average", 3, 2, w_head=np.zeros((2, 3)), b_head=np.zeros(2)
+            PoolingSpec("average"), 3, 2, w_head=np.zeros((2, 3)), b_head=np.zeros(2)
         )  # zero logits: argmax tie always resolves to class 0
         rng = np.random.default_rng(50)
         data = [
@@ -432,7 +463,7 @@ class TestEvaluate:
 
     def test_perfect_separator(self):
         model = ClassifierModel(
-            "average",
+            PoolingSpec("average"),
             2,
             2,
             w_head=np.array([[-5.0, -5.0], [5.0, 5.0]]),
@@ -516,6 +547,22 @@ class TestSpecGeometry:
         )
         assert model.spec is model.spec
 
+    def test_unread_fields_take_their_defaults(self):
+        assert PoolingSpec("average", interval=3) == PoolingSpec("average")
+        assert PoolingSpec("max", stride=2, pyramid=(1, 4)) == PoolingSpec("max")
+        assert PoolingSpec("pyramid", n_filters=5) == PoolingSpec("pyramid")
+        assert PoolingSpec("oacp", interval=3) != PoolingSpec("oacp")
+        assert PoolingSpec("average", sample_rate=2) != PoolingSpec("average")
+        # unread fields are still validated first
+        for geometry in (dict(interval=0), dict(pyramid=(2,))):
+            with pytest.raises(ValueError):
+                PoolingSpec("average", **geometry)
+
+    def test_pyramid_is_a_pyramid_config(self):
+        spec = PoolingSpec("pyramid", pyramid=[1, 2, 4])
+        assert spec.pyramid == PyramidConfig((1, 2, 4))
+        assert spec == PoolingSpec("pyramid", pyramid=PyramidConfig((1, 2, 4)))
+
     # Specs and builds below are rejected before any array is sized by them,
     # so the oversized values allocate nothing.
     @pytest.mark.parametrize(
@@ -541,16 +588,19 @@ class TestSpecGeometry:
 
 
 class TestCheckpoint:
-    @pytest.mark.parametrize("kind", ["average", "max", "pyramid", "oacp"])
-    def test_roundtrip_is_bit_exact(self, kind, tmp_path):
-        model = ClassifierModel.build(
-            kind, 4, 3, interval=2, n_filters=2, pyramid=(1, 2), sample_rate=5, seed=60
-        )
+    @pytest.mark.parametrize(
+        "kind,geometry",
+        [(kind, dict(interval=2, n_filters=2, pyramid=(1, 2))) for kind in POOLING_KINDS]
+        + [("oacp", dict(interval=3, stride=2, pyramid=(1, 2, 4)))],
+        ids=[*POOLING_KINDS, "oacp-stride2"],
+    )
+    def test_roundtrip_is_bit_exact(self, kind, geometry, tmp_path):
+        model = ClassifierModel.build(kind, 4, 3, sample_rate=5, seed=60, **geometry)
         path = tmp_path / "model.json"
         save_model(model, path)
         loaded = load_model(path)
-        assert loaded.pooling_kind == model.pooling_kind
-        assert loaded.sample_rate == model.sample_rate
+        assert loaded.spec == model.spec
+        assert loaded.spec.sample_rate == 5
         assert parameter_bytes(loaded) == parameter_bytes(model)
 
     def test_writes_version_2_without_normalize(self, tmp_path):
@@ -641,6 +691,26 @@ class TestCheckpoint:
         doc[key] = value
         path.write_text(json.dumps(doc))
         with pytest.raises(ParseError, match=key):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "kind,key,value",
+        [
+            ("oacp", "num_features", 3.0),
+            ("oacp", "num_classes", 2.0),
+            ("average", "sample_rate", 2.5),
+            ("max", "sample_rate", True),
+            ("oacp", "sample_rate", 1.0),
+            ("oacp", "stride", 1.0),
+            ("oacp", "pyramid", [1, 2.0]),
+            ("pyramid", "pyramid", [True, 2]),
+        ],
+    )
+    def test_rejects_non_integer_fields(self, kind, key, value, tmp_path):
+        model = ClassifierModel.build(kind, 3, 2, interval=2, n_filters=2, seed=72)
+        path = tmp_path / "model.json"
+        save_edited(model, path, **{key: value})
+        with pytest.raises(ParseError, match=f"{key} must be an integer"):
             load_model(path)
 
     def test_rejects_oversized_geometry(self, tmp_path):

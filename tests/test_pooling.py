@@ -16,7 +16,7 @@ from oacpool.sequences import FeatureSequence
 class TestPyramidConfig:
     def test_totals(self):
         cfg = PyramidConfig((1, 2, 4))
-        assert cfg.num_levels == 3
+        assert cfg.segments_per_level == (1, 2, 4)
         assert cfg.total_segments == 7
         assert cfg.max_segments == 4
 

@@ -1,5 +1,7 @@
 """The public surface, pinned: adding or dropping a public name shows up here."""
 
+import dataclasses
+
 import pytest
 
 import oacpool
@@ -65,7 +67,6 @@ PUBLIC_NAMES = {
         "ResultTable",
         "SyntheticSpec",
         "TASK_KINDS",
-        "build_model",
         "gen_synthetic",
         "labeled_frames",
         "load_dataset",
@@ -96,3 +97,17 @@ def test_all_has_no_duplicates(module):
 def test_every_public_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+def test_classifier_model_fields_are_pinned():
+    # spec is the model's only copy of its geometry
+    names = [f.name for f in dataclasses.fields(oacpool.ClassifierModel)]
+    assert names == [
+        "spec",
+        "num_features",
+        "num_classes",
+        "w_head",
+        "b_head",
+        "filter_banks",
+        "version",
+    ]
