@@ -9,6 +9,7 @@ single joint convolution over all K dimensions with n >> n_filters.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -110,7 +111,15 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
 
 
 class OacpForward(NamedTuple):
-    """Everything the forward pass produces that backpropagation needs."""
+    """Everything the forward pass produces that backpropagation needs.
+
+    Three fields are free transposed views of contiguous buffers with K
+    innermost, and .transpose(0, 2, 1) of each gives that buffer back:
+    pre_activation views conv_responses' (T_out, n_filters, K) sums,
+    responses views the ReLU'd copy of them, and segment_argmax views an
+    (M, n_filters, K) index array.  pooled is contiguous, and windows is a
+    strided view of the input frames.
+    """
 
     pooled: np.ndarray          # (K * n_filters * M,)
     pre_activation: np.ndarray  # (T_out, K, n_filters)
@@ -119,27 +128,63 @@ class OacpForward(NamedTuple):
     segment_argmax: np.ndarray  # (M, K, n_filters) absolute response-row indices
 
 
+@functools.lru_cache(maxsize=256)
+def _row_weights(length: int) -> np.ndarray:
+    """Read-only (length, 1, 1) weights [length, ..., 1] in the narrowest unsigned type.
+
+    uint8 up to 255 rows, uint16 up to 65535, and so on; built once per length.
+    """
+    weights = np.arange(length, 0, -1, dtype=np.min_scalar_type(length))[:, None, None]
+    weights.flags.writeable = False
+    return weights
+
+
+def _first_hits(hits: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
+    """Write start + the index of the first True row of each column of hits into out.
+
+    hits has stop - start rows; a column without a True row gets stop.
+    """
+    out[...] = stop
+    out -= (hits.view(np.uint8) * _row_weights(stop - start)).max(axis=0)
+
+
 def oacp_forward_details(
     seq: FeatureSequence, banks: FilterBankSet, cfg: PyramidConfig
 ) -> OacpForward:
     """Convolve every dimension, ReLU, pyramid-pool the responses, concatenate.
 
     The pooled layout is dimension k outermost, then level, then segment,
-    then filter channel; length K * n_filters * M.
+    then filter channel; length K * n_filters * M.  Each segment [a, b) is
+    reduced over the rows of the contiguous (T_out, n_filters, K) responses:
+    its maxima are a max reduce, and its argmax is the first row equal to
+    the maximum, found as b minus the largest of the weights [b-a, ..., 1]
+    over the equal rows.  A segment holding a NaN takes its first NaN row
+    instead, as np.argmax does.
     """
     if seq.num_features != banks.num_dims:
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} dimensions but the bank set has {banks.num_dims}"
         )
     pre = conv_responses(seq.frames, banks)
-    responses = np.maximum(pre, 0.0)
+    responses = np.maximum(pre.transpose(0, 2, 1), 0.0)  # (T_out, n, K), contiguous
     windows = sliding_window_view(seq.frames, banks.interval, axis=0)[:: banks.stride]
     ranges = segment_ranges(responses.shape[0], cfg)
-    argmax = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
-    maxima = np.take_along_axis(responses, argmax, axis=0)
-    # (M, K, n) -> dimension-major: k outermost, then (level, segment), then channel
-    pooled = maxima.transpose(1, 0, 2).ravel()
-    return OacpForward(pooled, pre, responses, windows, argmax)
+    maxima = np.empty((len(ranges),) + responses.shape[1:])
+    argmax = np.empty(maxima.shape, dtype=np.intp)
+    for m, (a, b) in enumerate(ranges):
+        seg = responses[a:b]
+        hits = seg == seg.max(axis=0, out=maxima[m])
+        _first_hits(hits, a, b, out=argmax[m])
+    if np.isnan(maxima).any():
+        # a NaN equals nothing; like np.argmax, take a column's first NaN as its maximum
+        for m, (a, b) in enumerate(ranges):
+            seg = responses[a:b]
+            _first_hits((seg == maxima[m]) | np.isnan(seg), a, b, out=argmax[m])
+    # (M, n, K) -> dimension-major: k outermost, then (level, segment), then channel
+    pooled = maxima.transpose(2, 0, 1).ravel()
+    return OacpForward(
+        pooled, pre, responses.transpose(0, 2, 1), windows, argmax.transpose(0, 2, 1)
+    )
 
 
 def param_count_joint(num_dims: int, interval: int, n_filters: int) -> int:

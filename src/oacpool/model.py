@@ -19,7 +19,13 @@ import numpy as np
 
 from .convpool import FilterBankSet, oacp_forward_details, param_count_perdim
 from .errors import DivergenceError, ParseError, ShapeMismatchError, StaleCacheError
-from .pooling import PyramidConfig, average_pool, max_pool, temporal_pyramid_pool
+from .pooling import (
+    PyramidConfig,
+    average_pool,
+    max_pool,
+    positive_int,
+    temporal_pyramid_pool,
+)
 from .sequences import FeatureSequence, LabeledSequence
 
 POOLING_KINDS = ("average", "max", "pyramid", "oacp")
@@ -49,10 +55,11 @@ class PoolingSpec:
     interval, stride and n_filters describe the filter banks, pyramid (a
     PyramidConfig, converted from any int sequence) the segment count per
     level, sample_rate how raw sequences are sampled.  Every field is
-    validated, then those a kind does not read take their defaults, so equal
-    geometries compare equal.  A model holds its geometry as
-    ClassifierModel.spec, and every length, frame count and parameter count
-    derives from here.  A geometry whose minimum_frames exceeds
+    validated (the settings must be integers >= 1, NumPy integers included,
+    and are stored as ints), then those a kind does not read take their
+    defaults, so equal geometries compare equal.  A model holds its geometry
+    as ClassifierModel.spec, and every length, frame count and parameter
+    count derives from here.  A geometry whose minimum_frames exceeds
     MAX_MINIMUM_FRAMES is rejected.
     """
 
@@ -67,8 +74,7 @@ class PoolingSpec:
         if self.kind not in POOLING_KINDS:
             raise ValueError(f"unknown pooling kind {self.kind!r}")
         for name in ("interval", "stride", "n_filters", "sample_rate"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+            object.__setattr__(self, name, positive_int(getattr(self, name), name))
         if not isinstance(self.pyramid, PyramidConfig):
             object.__setattr__(self, "pyramid", PyramidConfig(self.pyramid))
         unread = () if self.kind == "oacp" else ("interval", "stride", "n_filters")
@@ -358,13 +364,16 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
     coef = (d_pooled * (cache.pooled > 0)).reshape(
         model.num_features, cache.segment_argmax.shape[0], -1
     )
-    dims = np.arange(model.num_features)[:, None]
-    routed = cache.windows[cache.segment_argmax, dims]  # (M, K, n, l)
-    g_bank_w = coef[:, 0, :, None] * routed[0]
+    # gather and sum with K innermost, as the forward's buffers hold it
+    argmax = cache.segment_argmax.transpose(0, 2, 1)  # contiguous (M, n, K)
+    routed = cache.windows[argmax, np.arange(model.num_features)]  # (M, n, K, l)
+    coef_nk = coef.transpose(1, 2, 0)[..., None]  # (M, n, K, 1)
+    g_bank_w = coef_nk[0] * routed[0]
     g_bank_b = coef[:, 0].copy()
     for m in range(1, coef.shape[1]):
-        g_bank_w += coef[:, m, :, None] * routed[m]
+        g_bank_w += coef_nk[m] * routed[m]
         g_bank_b += coef[:, m]
+    g_bank_w = g_bank_w.transpose(1, 0, 2)  # (K, n, l) view of the (n, K, l) sums
     return Gradients(g_w_head, g_b_head, g_bank_w, g_bank_b)
 
 

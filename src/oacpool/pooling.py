@@ -6,12 +6,29 @@ convolutional path, on per-dimension filter response sequences.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooShortSequenceError
 from .sequences import FeatureSequence
+
+
+def positive_int(value, name: str) -> int:
+    """value as a Python int if it is an integer >= 1 (NumPy integers included).
+
+    Floats, even whole ones, and booleans are a ValueError naming the setting.
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < 1:
+        raise ValueError(f"{name} must be >= 1, got {value}")
+    return value
 
 
 @dataclass(frozen=True)
@@ -25,11 +42,9 @@ class PyramidConfig:
     segments_per_level: tuple[int, ...]
 
     def __post_init__(self):
-        segs = tuple(int(m) for m in self.segments_per_level)
+        segs = tuple(positive_int(m, "segment count") for m in self.segments_per_level)
         if len(segs) < 1:
             raise ValueError("a pyramid needs at least one level")
-        if any(m < 1 for m in segs):
-            raise ValueError(f"segment counts must be >= 1, got {segs}")
         if segs[0] != 1:
             raise ValueError(f"level 1 must have exactly one segment, got {segs[0]}")
         object.__setattr__(self, "segments_per_level", segs)

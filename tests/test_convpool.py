@@ -10,9 +10,10 @@ from oacpool.convpool import (
     param_count_joint,
     param_count_perdim,
 )
-from oacpool.errors import ShapeMismatchError, TooShortSequenceError
-from oacpool.pooling import PyramidConfig, average_pool, max_pool
-from oacpool.sequences import FeatureSequence
+from oacpool.errors import DivergenceError, ShapeMismatchError, TooShortSequenceError
+from oacpool.model import ClassifierModel, TrainConfig, sgd_train
+from oacpool.pooling import PyramidConfig, average_pool, max_pool, segment_ranges
+from oacpool.sequences import FeatureSequence, LabeledSequence
 
 RISING_DETECTOR = FilterBankSet([[[-1.0, 1.0]]], [[0.0]])
 
@@ -201,6 +202,74 @@ class TestOacpForward:
         with pytest.raises(TooShortSequenceError):
             # T_out = 1 cannot be split into 2 segments
             oacp_forward_details(seq, fbs, PyramidConfig((1, 2)))
+
+
+def numpy_segment_pooling(responses, cfg):
+    """(argmax, maxima) of every pyramid segment by np.argmax and np.max, each (M, K, n)."""
+    ranges = segment_ranges(responses.shape[0], cfg)
+    argmax = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
+    maxima = np.stack([responses[a:b].max(axis=0) for a, b in ranges])
+    return argmax, maxima
+
+
+def overflowing_conv_case():
+    """Finite frames and banks whose conv overflows to inf and to inf - inf = NaN.
+
+    Dimensions 0 and 2 get NaN responses from filter 0 (2 * 1e308 - 2 * 1e308)
+    and inf from filter 1; dimension 2 has two NaN rows in level 1's segment.
+    Dimension 1 stays finite.
+    """
+    frames = np.ones((12, 3))
+    frames[[4, 5, 8], 0] = 1e308
+    frames[:, 1] = np.arange(12.0)
+    frames[[2, 3, 9, 10], 2] = 1e308
+    weights = np.tile([[2.0, -2.0], [1.0, 1.0]], (3, 1, 1))
+    return FeatureSequence(frames), FilterBankSet(weights, np.zeros((3, 2)))
+
+
+class TestSegmentArgmax:
+    """The segment argmax and maxima equal np.argmax's and np.max's, bytewise."""
+
+    # 255 and 256 rows straddle the uint8 row weights, 65536 the uint16 ones
+    @pytest.mark.parametrize("num_frames", [255, 256, 600, 65536])
+    @pytest.mark.parametrize("levels", [(1,), (1, 2)])
+    def test_long_segments(self, num_frames, levels):
+        rng = np.random.default_rng(num_frames)
+        frames = np.zeros((num_frames, 4))
+        frames[[num_frames - 5, num_frames - 3], 0] = 1.0  # first maximum past row 255
+        frames[:, 2] = rng.choice([-1.0, 0.0, 1.0], num_frames)
+        frames[:, 3] = rng.standard_normal(num_frames)
+        identity = FilterBankSet(np.ones((4, 1, 1)), np.zeros((4, 1)))
+        cfg = PyramidConfig(levels)
+        details = oacp_forward_details(FeatureSequence(frames), identity, cfg)
+        argmax, maxima = numpy_segment_pooling(details.responses, cfg)
+        assert np.ascontiguousarray(details.segment_argmax).tobytes() == argmax.tobytes()
+        assert details.pooled.tobytes() == maxima.transpose(1, 0, 2).ravel().tobytes()
+        assert details.segment_argmax[0, 0, 0] == num_frames - 5
+        assert details.segment_argmax[0, 1, 0] == 0
+
+    def test_overflow_to_nan_takes_the_first_nan_as_argmax(self):
+        seq, banks = overflowing_conv_case()
+        cfg = PyramidConfig((1, 2))
+        with np.errstate(over="ignore", invalid="ignore"):
+            details = oacp_forward_details(seq, banks, cfg)
+        argmax, maxima = numpy_segment_pooling(details.responses, cfg)
+        assert np.isnan(details.responses).any() and np.isinf(details.responses).any()
+        assert np.ascontiguousarray(details.segment_argmax).tobytes() == argmax.tobytes()
+        assert np.array_equal(
+            details.pooled, maxima.transpose(1, 0, 2).ravel(), equal_nan=True
+        )
+        assert details.segment_argmax[:, 2, 0].tolist() == [2, 2, 9]
+
+    def test_overflow_to_nan_is_a_training_divergence(self):
+        seq, banks = overflowing_conv_case()
+        model = ClassifierModel.build("oacp", 3, 2, interval=2, n_filters=2, seed=0)
+        model.filter_banks = banks
+        data = [LabeledSequence(seq, 0)]
+        cfg = TrainConfig(learning_rate=0.1, epochs=1)
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DivergenceError, match="epoch 0, instance 0"):
+                sgd_train(model, data, cfg)
 
 
 class TestParameterCounts:

@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -441,6 +442,41 @@ class TestSgdTrain:
             sgd_train(model, bad, TrainConfig(learning_rate=0.1, epochs=1))
 
 
+def traced_peak_mib(call) -> float:
+    """Peak of the memory call() allocates, in MiB, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
+class TestPaperShapeMemory:
+    """tracemalloc bounds at the paper's shape: K=4096, T=30, 51 classes, default oacp.
+
+    A training step peaks near 21.6 MiB: the head's 15 MiB outer-product
+    gradient plus the conv buffers.  An evaluated instance needs about
+    5.4 MiB.  The bounds catch a per-step temporary coming back.
+    """
+
+    @pytest.fixture(scope="class")
+    def paper_case(self):
+        model = ClassifierModel.build("oacp", 4096, 51, seed=3)
+        frames = np.random.default_rng(3).standard_normal((30, 4096))
+        return model, [LabeledSequence(FeatureSequence(frames), 7)]
+
+    def test_training_step(self, paper_case):
+        model, data = paper_case
+        cfg = TrainConfig(learning_rate=0.1, epochs=1)
+        assert traced_peak_mib(lambda: sgd_train(model, data, cfg)) < 24
+
+    def test_evaluated_instance(self, paper_case):
+        model, data = paper_case
+        assert traced_peak_mib(lambda: evaluate(model, data)) < 8
+
+
 class TestEvaluate:
     def test_constant_predictor_on_balanced_data(self):
         model = ClassifierModel(
@@ -557,6 +593,29 @@ class TestSpecGeometry:
         for geometry in (dict(interval=0), dict(pyramid=(2,))):
             with pytest.raises(ValueError):
                 PoolingSpec("average", **geometry)
+
+    @pytest.mark.parametrize("kind", ["oacp", "average"])
+    @pytest.mark.parametrize("name", ["interval", "stride", "n_filters", "sample_rate"])
+    @pytest.mark.parametrize("value", [2.5, 2.0, True, np.float64(3.0)])
+    def test_rejects_non_integer_settings(self, kind, name, value):
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            PoolingSpec(kind, **{name: value})
+
+    @pytest.mark.parametrize("pyramid", [(1, 2.5), (1, True)])
+    def test_rejects_non_integer_pyramid(self, pyramid):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PoolingSpec("pyramid", pyramid=pyramid)
+
+    def test_numpy_integers_become_ints(self):
+        spec = PoolingSpec(
+            "oacp", interval=np.int64(3), stride=np.int32(2), n_filters=np.uint8(2),
+            sample_rate=np.int16(4), pyramid=np.array([1, 2]),
+        )
+        assert spec == PoolingSpec(
+            "oacp", interval=3, stride=2, n_filters=2, sample_rate=4, pyramid=(1, 2)
+        )
+        for name in ("interval", "stride", "n_filters", "sample_rate"):
+            assert type(getattr(spec, name)) is int, name
 
     def test_pyramid_is_a_pyramid_config(self):
         spec = PoolingSpec("pyramid", pyramid=[1, 2, 4])

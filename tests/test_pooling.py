@@ -25,6 +25,18 @@ class TestPyramidConfig:
         with pytest.raises(ValueError):
             PyramidConfig(bad)
 
+    @pytest.mark.parametrize(
+        "bad", [(1, 2.5), (1, 2.0), (1.0,), (True,), (1, True), (1, np.float64(2.0)), (1, np.True_)]
+    )
+    def test_rejects_non_integer_counts(self, bad):
+        with pytest.raises(ValueError, match="must be an integer"):
+            PyramidConfig(bad)
+
+    def test_numpy_integer_counts_become_ints(self):
+        cfg = PyramidConfig(np.array([1, 2, 4]))
+        assert cfg == PyramidConfig((1, 2, 4))
+        assert all(type(m) is int for m in cfg.segments_per_level)
+
 
 class TestAveragePool:
     def test_arithmetic_mean(self):
