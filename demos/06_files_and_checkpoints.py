@@ -17,7 +17,6 @@ from oacpool import (
     ClassifierModel,
     DatasetManifest,
     FeatureSequence,
-    export_parameters_text,
     load_features,
     load_manifest,
     load_model,
@@ -73,10 +72,3 @@ same = all(
     for a, b in zip(model.parameters(), loaded.parameters())
 )
 print("checkpoint round trip bit-exact:", same)
-
-#%%
-# For debugging there is a plain-text export, one parameter per line.
-
-txt = workdir / "params.txt"
-export_parameters_text(model, txt)
-print("\n".join(txt.read_text().splitlines()[:6]), "\n...")

@@ -39,7 +39,6 @@ from .harness import (
     run_comparison,
     save_features,
     save_manifest,
-    sweep_filters,
 )
 from .model import (
     ClassifierModel,
@@ -50,7 +49,6 @@ from .model import (
     TrainConfig,
     backward,
     evaluate,
-    export_parameters_text,
     forward,
     grad_check,
     instance_loss,
@@ -97,7 +95,6 @@ __all__ = [
     "conv_responses",
     "errors",
     "evaluate",
-    "export_parameters_text",
     "forward",
     "gen_synthetic",
     "grad_check",
@@ -124,6 +121,5 @@ __all__ = [
     "save_partition",
     "sgd_train",
     "softmax",
-    "sweep_filters",
     "temporal_pyramid_pool",
 ]

@@ -8,6 +8,7 @@ failure (training divergence or a gradient check above threshold).
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from pathlib import Path
 
@@ -30,7 +31,6 @@ from .errors import (
 )
 from .harness import (
     DatasetManifest,
-    PoolingSpec,
     SyntheticSpec,
     TASK_KINDS,
     gen_synthetic,
@@ -45,6 +45,7 @@ from .harness import (
 from .model import (
     POOLING_KINDS,
     ClassifierModel,
+    PoolingSpec,
     TrainConfig,
     evaluate,
     grad_check,
@@ -93,8 +94,8 @@ def _nonneg_float(text: str) -> float:
         value = float(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be >= 0, got {value}")
+    if not 0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
     return value
 
 

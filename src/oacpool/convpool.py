@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError, TooShortSequenceError
-from .pooling import PyramidConfig, segment_ranges
+from .pooling import PyramidConfig, positive_int, segment_ranges
 from .sequences import FeatureSequence
 
 
@@ -53,9 +53,7 @@ class FilterBankSet:
                 f"biases shape {self.biases.shape} does not match "
                 f"weights shape {self.weights.shape}"
             )
-        self.stride = int(self.stride)
-        if self.stride < 1:
-            raise ValueError(f"stride must be >= 1, got {self.stride}")
+        self.stride = positive_int(self.stride, "stride")
 
     @property
     def num_dims(self) -> int:

@@ -2,11 +2,9 @@
 
 from .experiments import (
     ComparisonRow,
-    PoolingSpec,
     ResultTable,
     prepare_dataset,
     run_comparison,
-    sweep_filters,
 )
 from .featfile import load_features, save_features
 from .manifest import (
@@ -21,7 +19,6 @@ from .synthetic import TASK_KINDS, SyntheticSpec, gen_synthetic
 __all__ = [
     "ComparisonRow",
     "DatasetManifest",
-    "PoolingSpec",
     "ResultTable",
     "SyntheticSpec",
     "TASK_KINDS",
@@ -34,5 +31,4 @@ __all__ = [
     "run_comparison",
     "save_features",
     "save_manifest",
-    "sweep_filters",
 ]

@@ -9,7 +9,7 @@ receptive field is reported alongside each result row.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from ..errors import DivergenceError
 from ..model import ClassifierModel, PoolingSpec, TrainConfig, evaluate, sgd_train
@@ -58,12 +58,7 @@ class ResultTable:
         return "\n".join(lines) + "\n"
 
 
-def _num_classes(train, test) -> int:
-    return 1 + max(item.label for item in list(train) + list(test))
-
-
 def _run_method(
-    label: str,
     spec: PoolingSpec,
     train: list[LabeledSequence],
     test: list[LabeledSequence],
@@ -84,7 +79,7 @@ def _run_method(
         accuracy = float("nan")
         status = "diverged"
     return ComparisonRow(
-        method=label,
+        method=spec.kind,
         accuracy=accuracy,
         pool_params=spec.pool_parameters(num_features),
         total_params=spec.total_parameters(num_features, num_classes),
@@ -114,33 +109,6 @@ def run_comparison(
     if not methods:
         raise ValueError("need at least one method")
     if num_classes is None:
-        num_classes = _num_classes(train, test)
-    rows = [
-        _run_method(spec.kind, spec, train, test, train_cfg, num_classes)
-        for spec in methods
-    ]
-    return ResultTable(rows)
-
-
-def sweep_filters(
-    train: list[LabeledSequence],
-    test: list[LabeledSequence],
-    n_filter_values,
-    train_cfg: TrainConfig,
-    base: PoolingSpec | None = None,
-) -> ResultTable:
-    """Conv pooling only, one row per filter count in n_filter_values."""
-    if not train or not test:
-        raise ValueError("train and test data must be nonempty")
-    n_filter_values = list(n_filter_values)
-    if not n_filter_values:
-        raise ValueError("need at least one filter count")
-    base = base if base is not None else PoolingSpec(kind="oacp")
-    num_classes = _num_classes(train, test)
-    rows = []
-    for n in n_filter_values:
-        spec = replace(base, kind="oacp", n_filters=int(n))
-        rows.append(
-            _run_method(f"oacp(n={int(n)})", spec, train, test, train_cfg, num_classes)
-        )
+        num_classes = 1 + max(item.label for item in list(train) + list(test))
+    rows = [_run_method(spec, train, test, train_cfg, num_classes) for spec in methods]
     return ResultTable(rows)

@@ -39,8 +39,6 @@ GRAD_CHECK_NUDGE = 1e-2
 
 CHECKPOINT_FORMAT = "oacpool-model"
 CHECKPOINT_VERSION = 2
-# The parameter text export's layout has not changed since version 1.
-TEXT_EXPORT_VERSION = 1
 
 # Largest minimum_frames a geometry may demand, in frames after sampling.
 # Real geometries need a few dozen; padding one paper-scale (K=4096)
@@ -57,10 +55,13 @@ class PoolingSpec:
     level, sample_rate how raw sequences are sampled.  Every field is
     validated (the settings must be integers >= 1, NumPy integers included,
     and are stored as ints), then those a kind does not read take their
-    defaults, so equal geometries compare equal.  A model holds its geometry
-    as ClassifierModel.spec, and every length, frame count and parameter
-    count derives from here.  A geometry whose minimum_frames exceeds
-    MAX_MINIMUM_FRAMES is rejected.
+    no-op values: interval = stride = n_filters = 1 unless the kind is oacp,
+    and pyramid (1,) for average and max.  The baselines then read as
+    one-tap, one-filter conv pooling over a one-level pyramid, so each
+    formula below has one expression for every kind, and equal geometries
+    compare equal.  A model holds its geometry as ClassifierModel.spec, and
+    every length, frame count and parameter count derives from here.  A
+    geometry whose minimum_frames exceeds MAX_MINIMUM_FRAMES is rejected.
     """
 
     kind: str
@@ -77,12 +78,11 @@ class PoolingSpec:
             object.__setattr__(self, name, positive_int(getattr(self, name), name))
         if not isinstance(self.pyramid, PyramidConfig):
             object.__setattr__(self, "pyramid", PyramidConfig(self.pyramid))
-        unread = () if self.kind == "oacp" else ("interval", "stride", "n_filters")
+        if self.kind != "oacp":
+            for name in ("interval", "stride", "n_filters"):
+                object.__setattr__(self, name, 1)
         if self.kind in ("average", "max"):
-            unread += ("pyramid",)
-        for name in unread:
-            # a dataclass field's default is its class attribute
-            object.__setattr__(self, name, getattr(PoolingSpec, name))
+            object.__setattr__(self, "pyramid", PyramidConfig((1,)))
         if self.minimum_frames > MAX_MINIMUM_FRAMES:
             raise ValueError(
                 f"minimum_frames {self.minimum_frames} exceeds the limit of "
@@ -92,27 +92,16 @@ class PoolingSpec:
     @property
     def minimum_frames(self) -> int:
         """Frames needed after sampling so every pyramid level is poolable."""
-        if self.kind in ("average", "max"):
-            return 1
-        if self.kind == "pyramid":
-            return self.pyramid.max_segments
         return self.interval + self.stride * (self.pyramid.max_segments - 1)
 
     @property
     def receptive_field(self) -> int:
-        """Original frames covered by one filter interval (or one sample otherwise)."""
-        if self.kind == "oacp":
-            return self.interval * self.sample_rate
-        return self.sample_rate
+        """Original frames covered by one filter interval (one sample unless oacp)."""
+        return self.interval * self.sample_rate
 
     def pooled_length(self, num_features: int) -> int:
         """P: length of the pooled representation of num_features dimensions."""
-        if self.kind in ("average", "max"):
-            return num_features
-        segments = self.pyramid.total_segments
-        if self.kind == "pyramid":
-            return num_features * segments
-        return num_features * self.n_filters * segments
+        return num_features * self.n_filters * self.pyramid.total_segments
 
     def pool_parameters(self, num_features: int) -> int:
         """Trainable parameters in the pooling stage itself (0 unless oacp)."""
@@ -129,8 +118,9 @@ class PoolingSpec:
 class TrainConfig:
     """Hyperparameters of the per-instance SGD loop: theta <- theta - lr * grad.
 
-    learning_rate 0 is allowed and performs null updates (useful as a
-    determinism check).  seed fixes the instance order of every epoch.
+    learning_rate must be finite; 0 is allowed and performs null updates
+    (useful as a determinism check).  seed fixes the instance order of every
+    epoch.
     """
 
     learning_rate: float
@@ -138,10 +128,11 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate < 0:
-            raise ValueError(f"learning_rate must be >= 0, got {self.learning_rate}")
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        if not 0 <= self.learning_rate < math.inf:
+            raise ValueError(
+                f"learning_rate must be finite and >= 0, got {self.learning_rate}"
+            )
+        self.epochs = positive_int(self.epochs, "epochs")
 
 
 @dataclass
@@ -171,8 +162,8 @@ class ClassifierModel:
     version: int = field(default=0, repr=False)
 
     def __post_init__(self):
-        if self.num_features < 1 or self.num_classes < 1:
-            raise ValueError("num_features and num_classes must be >= 1")
+        self.num_features = positive_int(self.num_features, "num_features")
+        self.num_classes = positive_int(self.num_classes, "num_classes")
         spec, banks = self.spec, self.filter_banks
         if spec.kind == "oacp":
             if banks is None:
@@ -216,6 +207,8 @@ class ClassifierModel:
         Filter banks are drawn before the head, so a given seed fixes every
         parameter of the model.
         """
+        num_features = positive_int(num_features, "num_features")
+        num_classes = positive_int(num_classes, "num_classes")
         rng = np.random.default_rng(seed)
         banks = None
         if spec.kind == "oacp":
@@ -545,13 +538,6 @@ def save_model(model: ClassifierModel, path) -> None:
         fh.write("\n")
 
 
-def _json_int(value, name: str) -> int:
-    """value if it is a JSON integer; floats and booleans are a ParseError."""
-    if type(value) is not int:
-        raise ParseError(f"{name} must be an integer, got {value!r}")
-    return value
-
-
 def load_model(path) -> ClassifierModel:
     """Read a checkpoint written by save_model.
 
@@ -582,22 +568,18 @@ def load_model(path) -> ClassifierModel:
             banks = FilterBankSet(
                 weights=doc["bank_weights"],
                 biases=doc["bank_biases"],
-                stride=_json_int(doc["stride"], "stride"),
+                stride=doc["stride"],
             )
             geometry.update(
                 interval=banks.interval, stride=banks.stride, n_filters=banks.n_filters
             )
         if doc["pyramid"]:
-            geometry["pyramid"] = [_json_int(m, "pyramid") for m in doc["pyramid"]]
-        spec = PoolingSpec(
-            doc["pooling_kind"],
-            sample_rate=_json_int(doc["sample_rate"], "sample_rate"),
-            **geometry,
-        )
+            geometry["pyramid"] = [positive_int(m, "pyramid") for m in doc["pyramid"]]
+        spec = PoolingSpec(doc["pooling_kind"], sample_rate=doc["sample_rate"], **geometry)
         model = ClassifierModel(
             spec,
-            num_features=_json_int(doc["num_features"], "num_features"),
-            num_classes=_json_int(doc["num_classes"], "num_classes"),
+            num_features=doc["num_features"],
+            num_classes=doc["num_classes"],
             w_head=np.asarray(doc["w_head"], dtype=np.float64),
             b_head=np.asarray(doc["b_head"], dtype=np.float64),
             filter_banks=banks,
@@ -610,25 +592,3 @@ def load_model(path) -> ClassifierModel:
                 f"{path}: {key} {doc.get(key)!r} does not match the model's {value!r}"
             )
     return model
-
-
-def export_parameters_text(model: ClassifierModel, path) -> None:
-    """Debugging export: one full-precision parameter value per line.
-
-    Order: w_head row-major, b_head, bank weights by (dimension, filter,
-    tap), bank biases by (dimension, filter).  Lines starting with '#'
-    describe the model.
-    """
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(f"# {CHECKPOINT_FORMAT} text export, format_version {TEXT_EXPORT_VERSION}\n")
-        fh.write(
-            f"# pooling_kind={model.spec.kind} num_features={model.num_features} "
-            f"num_classes={model.num_classes} pooled_length={model.pooled_length}\n"
-        )
-        fh.write(
-            "# order: w_head row-major, b_head, bank weights (dimension, filter, tap), "
-            "bank biases (dimension, filter)\n"
-        )
-        for param in model.parameters():
-            for value in param.reshape(-1):
-                fh.write(repr(float(value)) + "\n")

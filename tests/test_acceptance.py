@@ -8,6 +8,7 @@ at build time and are asserted, not aspirational.
 """
 
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -27,14 +28,15 @@ from oacpool.convpool import (
     param_count_perdim,
 )
 from oacpool.dimreduce import SignatureMatrix, kmeans_partition, lloyd_kmeans
-from oacpool.harness import (
+from oacpool.harness import SyntheticSpec, gen_synthetic, run_comparison
+from oacpool.model import (
+    ClassifierModel,
     PoolingSpec,
-    SyntheticSpec,
-    gen_synthetic,
-    run_comparison,
-    sweep_filters,
+    TrainConfig,
+    grad_check,
+    load_model,
+    save_model,
 )
-from oacpool.model import ClassifierModel, TrainConfig, grad_check, load_model, save_model
 from oacpool.pooling import PyramidConfig, average_pool, max_pool, temporal_pyramid_pool
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
@@ -270,15 +272,16 @@ def test_determinism(tmp_path, capsys):
 def test_filter_count_sweep():
     train, test = _trend_pair_data()
     base = PoolingSpec("oacp", interval=8, stride=1, pyramid=(1, 2), sample_rate=1)
-    table = sweep_filters(train, test, [1, 3, 5], EXPERIMENT_CFG, base)
+    methods = [replace(base, n_filters=n) for n in (1, 3, 5)]
+    table = run_comparison(train, test, methods, EXPERIMENT_CFG)
     assert [row.status for row in table.rows] == ["ok", "ok", "ok"]
     counts = [row.pool_params for row in table.rows]
     assert counts[1] == 3 * counts[0]
     assert counts[2] == 5 * counts[0]
-    acc = {row.method: row.accuracy for row in table.rows}
-    assert acc["oacp(n=3)"] >= acc["oacp(n=1)"] - 0.02
+    acc = [row.accuracy for row in table.rows]
+    assert acc[1] >= acc[0] - 0.02
     _report(
         "filter-count sweep (pool params "
         f"{counts[0]}:{counts[1]}:{counts[2]} = 1:3:5, "
-        f"acc n=1 {acc['oacp(n=1)']:.2f}, n=3 {acc['oacp(n=3)']:.2f})"
+        f"acc n=1 {acc[0]:.2f}, n=3 {acc[1]:.2f})"
     )

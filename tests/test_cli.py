@@ -49,6 +49,17 @@ class TestExitCodes:
             )
         assert err.value.code == 1
 
+    # a non-finite rate is a usage error, not a training divergence (exit 3)
+    @pytest.mark.parametrize("lr", ["nan", "inf", "1e400"])
+    def test_usage_error_on_non_finite_learning_rate(self, synth_dir, tmp_path, capsys, lr):
+        with pytest.raises(SystemExit) as err:
+            run_cli(
+                "train", "--manifest", str(synth_dir / "train.manifest"),
+                "--model-out", str(tmp_path / "m.json"), "--lr", lr,
+            )
+        assert err.value.code == 1
+        assert "must be finite" in capsys.readouterr().err
+
     def test_usage_error_on_invalid_config_values(self, tmp_path, capsys):
         # values that pass flag parsing but violate config invariants
         assert run_cli(

@@ -38,6 +38,17 @@ class TestFilterBankTypes:
         with pytest.raises(ShapeMismatchError):
             FilterBankSet(np.zeros((1, 3, 8)), np.zeros((1, 2)))
 
+    @pytest.mark.parametrize(
+        "stride", [2.5, 2.0, True, np.float64(3.0)], ids=["2.5", "2.0", "True", "np.float64"]
+    )
+    def test_rejects_non_integer_stride(self, stride):
+        with pytest.raises(ValueError, match="stride must be an integer"):
+            FilterBankSet(np.zeros((1, 1, 2)), np.zeros((1, 1)), stride=stride)
+
+    def test_numpy_integer_stride_becomes_int(self):
+        fbs = FilterBankSet(np.zeros((1, 1, 2)), np.zeros((1, 1)), stride=np.int64(2))
+        assert type(fbs.stride) is int and fbs.stride == 2
+
     def test_parameter_count_matches_formula(self):
         rng = np.random.default_rng(21)
         for _ in range(30):

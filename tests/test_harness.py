@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from oacpool.convpool import param_count_perdim
 from oacpool.errors import ParseError, ShapeMismatchError
 from oacpool.harness import (
     DatasetManifest,
-    PoolingSpec,
     SyntheticSpec,
     gen_synthetic,
     labeled_frames,
@@ -18,9 +19,8 @@ from oacpool.harness import (
     run_comparison,
     save_features,
     save_manifest,
-    sweep_filters,
 )
-from oacpool.model import TrainConfig
+from oacpool.model import PoolingSpec, TrainConfig
 from oacpool.pooling import average_pool, max_pool
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
@@ -276,6 +276,8 @@ class TestPoolingSpec:
     def test_receptive_field(self):
         assert PoolingSpec("oacp", interval=8, sample_rate=5).receptive_field == 40
         assert PoolingSpec("max", sample_rate=5).receptive_field == 5
+        assert PoolingSpec("average", interval=8, sample_rate=5).receptive_field == 5
+        assert PoolingSpec("pyramid", interval=8, sample_rate=3).receptive_field == 3
 
     def test_parameter_accounting(self):
         spec = PoolingSpec("oacp", interval=8, n_filters=3, pyramid=(1, 2))
@@ -411,8 +413,9 @@ class TestSweepFilters:
         train, test = gen_synthetic(spec)
         cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=98)
         base = PoolingSpec("oacp", interval=3, pyramid=(1, 2), sample_rate=1)
-        table = sweep_filters(train, test, [1, 3, 5], cfg, base)
-        assert [row.method for row in table.rows] == ["oacp(n=1)", "oacp(n=3)", "oacp(n=5)"]
+        methods = [replace(base, n_filters=n) for n in (1, 3, 5)]
+        table = run_comparison(train, test, methods, cfg)
+        assert [row.method for row in table.rows] == ["oacp", "oacp", "oacp"]
         counts = [row.pool_params for row in table.rows]
         assert counts[1] == 3 * counts[0] and counts[2] == 5 * counts[0]
 
@@ -422,7 +425,8 @@ class TestSweepFilters:
         train, test = gen_synthetic(spec)
         cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=99)
         base = PoolingSpec("oacp", interval=3, pyramid=(1, 2), sample_rate=1)
-        table = sweep_filters(train, test, [2, 2], cfg, base)
+        methods = [replace(base, n_filters=n) for n in (2, 2)]
+        table = run_comparison(train, test, methods, cfg)
         a, b = table.rows
         assert (a.method, a.accuracy, a.pool_params, a.total_params) == (
             b.method,

@@ -24,7 +24,6 @@ from oacpool.model import (
     TrainConfig,
     backward,
     evaluate,
-    export_parameters_text,
     forward,
     grad_check,
     instance_loss,
@@ -110,6 +109,21 @@ class TestTrainConfig:
         with pytest.raises(ValueError):
             TrainConfig(**kwargs)
 
+    @pytest.mark.parametrize(
+        "epochs", [2.5, 2.0, True, np.float64(3.0)], ids=["2.5", "2.0", "True", "np.float64"]
+    )
+    def test_rejects_non_integer_epochs(self, epochs):
+        with pytest.raises(ValueError, match="epochs must be an integer"):
+            TrainConfig(0.1, epochs)
+
+    def test_numpy_integer_epochs_become_int(self):
+        assert type(TrainConfig(0.1, np.int64(3)).epochs) is int
+
+    @pytest.mark.parametrize("lr", [math.nan, math.inf], ids=["nan", "inf"])
+    def test_rejects_non_finite_learning_rate(self, lr):
+        with pytest.raises(ValueError, match="learning_rate must be finite"):
+            TrainConfig(lr, 1)
+
 
 class TestModelBuild:
     def test_pooled_lengths(self):
@@ -161,6 +175,24 @@ class TestModelBuild:
                 b_head=np.zeros(2),
                 filter_banks=banks,
             )
+
+    @pytest.mark.parametrize("name", ["num_features", "num_classes"])
+    @pytest.mark.parametrize(
+        "value", [2.5, 3.0, True, np.float64(3.0)], ids=["2.5", "3.0", "True", "np.float64"]
+    )
+    def test_rejects_non_integer_counts(self, name, value):
+        counts = {"num_features": 3, "num_classes": 3, name: value}
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ClassifierModel(
+                PoolingSpec("average"), w_head=np.zeros((3, 3)), b_head=np.zeros(3),
+                **counts,
+            )
+        with pytest.raises(ValueError, match=f"{name} must be an integer"):
+            ClassifierModel.build("oacp", seed=1, **counts)
+
+    def test_numpy_integer_counts_become_ints(self):
+        model = ClassifierModel.build("average", np.int64(3), np.uint8(2))
+        assert type(model.num_features) is int and type(model.num_classes) is int
 
     # the spec has interval 3, n_filters 2 and stride 1
     @pytest.mark.parametrize(
@@ -584,6 +616,16 @@ class TestSpecGeometry:
         assert model.spec is model.spec
 
     def test_unread_fields_take_their_defaults(self):
+        # a field a kind does not read holds its no-op value
+        for kind in ("average", "max", "pyramid"):
+            spec = PoolingSpec(kind, interval=3, stride=2, n_filters=5)
+            assert (spec.interval, spec.stride, spec.n_filters) == (1, 1, 1), kind
+        for kind in ("average", "max"):
+            assert PoolingSpec(kind, pyramid=(1, 4)).pyramid == PyramidConfig((1,)), kind
+        assert PoolingSpec("pyramid", pyramid=(1, 4)).pyramid == PyramidConfig((1, 4))
+        oacp = PoolingSpec("oacp")
+        assert (oacp.interval, oacp.stride, oacp.n_filters) == (8, 1, 3)
+        assert oacp.pyramid == PyramidConfig((1, 2))
         assert PoolingSpec("average", interval=3) == PoolingSpec("average")
         assert PoolingSpec("max", stride=2, pyramid=(1, 4)) == PoolingSpec("max")
         assert PoolingSpec("pyramid", n_filters=5) == PoolingSpec("pyramid")
@@ -777,15 +819,3 @@ class TestCheckpoint:
         save_edited(tiny_oacp_model(seed=66), path, stride=10**30)
         with pytest.raises(ParseError, match="minimum_frames"):
             load_model(path)
-
-    def test_text_export_lists_every_parameter_in_order(self, tmp_path):
-        model = tiny_oacp_model(seed=64)
-        path = tmp_path / "params.txt"
-        export_parameters_text(model, path)
-        values = [
-            float(line)
-            for line in path.read_text().splitlines()
-            if not line.startswith("#")
-        ]
-        expected = np.concatenate([p.reshape(-1) for p in model.parameters()])
-        assert np.array_equal(np.array(values), expected)

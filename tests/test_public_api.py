@@ -30,7 +30,6 @@ PUBLIC_NAMES = {
         "conv_responses",
         "errors",
         "evaluate",
-        "export_parameters_text",
         "forward",
         "gen_synthetic",
         "grad_check",
@@ -57,13 +56,11 @@ PUBLIC_NAMES = {
         "save_partition",
         "sgd_train",
         "softmax",
-        "sweep_filters",
         "temporal_pyramid_pool",
     ],
     oacpool.harness: [
         "ComparisonRow",
         "DatasetManifest",
-        "PoolingSpec",
         "ResultTable",
         "SyntheticSpec",
         "TASK_KINDS",
@@ -76,7 +73,6 @@ PUBLIC_NAMES = {
         "run_comparison",
         "save_features",
         "save_manifest",
-        "sweep_filters",
     ],
 }
 
