@@ -8,6 +8,7 @@ failure (training divergence or a gradient check above threshold).
 from __future__ import annotations
 
 import argparse
+import functools
 import math
 import sys
 from pathlib import Path
@@ -79,14 +80,17 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str) -> int:
+def _positive_int(text: str, minimum: int = 1) -> int:
     try:
         value = int(text)
     except ValueError:
         raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    if value < minimum:
+        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
     return value
+
+
+_seed = functools.partial(_positive_int, minimum=0)
 
 
 def _nonneg_float(text: str) -> float:
@@ -130,7 +134,7 @@ def _add_shared_training_flags(sub) -> None:
     sub.add_argument("--pyramid", type=_pyramid, default=PoolingSpec.pyramid)
     sub.add_argument("--lr", type=_nonneg_float, default=0.1)
     sub.add_argument("--epochs", type=_positive_int, default=50)
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_seed, default=0)
     sub.add_argument("--sample-rate", type=_positive_int, default=PoolingSpec.sample_rate)
 
 
@@ -145,7 +149,7 @@ def build_parser() -> _Parser:
     synth.add_argument("--n-train", type=_positive_int, default=200)
     synth.add_argument("--n-test", type=_positive_int, default=100)
     synth.add_argument("--noise", type=_nonneg_float, default=0.1)
-    synth.add_argument("--seed", type=int, default=0)
+    synth.add_argument("--seed", type=_seed, default=0)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=_cmd_synth)
 
@@ -175,14 +179,14 @@ def build_parser() -> _Parser:
     gradcheck.add_argument("--interval", type=_positive_int, default=2)
     gradcheck.add_argument("--filters", type=_positive_int, default=2)
     gradcheck.add_argument("--classes", type=_positive_int, default=3)
-    gradcheck.add_argument("--seed", type=int, default=0)
+    gradcheck.add_argument("--seed", type=_seed, default=0)
     gradcheck.add_argument("--eps", type=float, default=1e-5)
     gradcheck.set_defaults(func=_cmd_gradcheck)
 
     reduce_cmd = subs.add_parser("reduce", help="fit or apply a dimensionality-reduction partition")
     reduce_cmd.add_argument("--manifest", required=True)
     reduce_cmd.add_argument("--target-dim", type=_positive_int)
-    reduce_cmd.add_argument("--seed", type=int, default=0)
+    reduce_cmd.add_argument("--seed", type=_seed, default=0)
     reduce_cmd.add_argument("--partition-out")
     reduce_cmd.add_argument("--apply", metavar="PARTITION")
     reduce_cmd.add_argument("--out-dir")

@@ -17,7 +17,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .errors import ShapeMismatchError, TooShortSequenceError
-from .pooling import PyramidConfig, positive_int, segment_ranges
+from .pooling import PyramidConfig, positive_int, segment_maxima, segment_ranges
 from .sequences import FeatureSequence
 
 
@@ -75,16 +75,15 @@ _BLOCK_ELEMENTS = 1 << 16
 
 
 def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
-    """Pre-activation responses (T_out, K, n_filters) for all dimensions at once.
+    """Contiguous pre-activation responses (T_out, n_filters, K) for all dimensions.
 
-    pre[t][k][j] = sum_i weights[k][j][i] * frames[t*stride + i][k] + biases[k][j],
+    pre[t][j][k] = sum_i weights[k][j][i] * frames[t*stride + i][k] + biases[k][j],
     with T_out = floor((T - l) / stride) + 1.  Taps accumulate in ascending
     i order and the bias is added last, so results are reproducible
     bit-for-bit regardless of BLAS backend and each dimension's responses
     equal those of a one-dimension bank set on that dimension alone.  The
-    sums accumulate in a (T_out, n_filters, K) buffer, a block of output rows
-    at a time, so the innermost loop runs over the K dimensions; the result
-    is a transposed view of that buffer.
+    sums accumulate a block of output rows at a time, with the K dimensions
+    innermost.
     """
     num_frames = frames.shape[0]
     interval = banks.interval
@@ -105,25 +104,22 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
             np.multiply(block_windows[..., i], taps[i], out=block_term)
             block += block_term
     acc += banks.biases.T
-    return acc.transpose(0, 2, 1)
+    return acc
 
 
 class OacpForward(NamedTuple):
     """Everything the forward pass produces that backpropagation needs.
 
-    Three fields are free transposed views of contiguous buffers with K
-    innermost, and .transpose(0, 2, 1) of each gives that buffer back:
-    pre_activation views conv_responses' (T_out, n_filters, K) sums,
-    responses views the ReLU'd copy of them, and segment_argmax views an
-    (M, n_filters, K) index array.  pooled is contiguous, and windows is a
-    strided view of the input frames.
+    pooled, pre_activation, responses and segment_argmax are contiguous,
+    the last three with K innermost; windows is a strided view of the input
+    frames.
     """
 
     pooled: np.ndarray          # (K * n_filters * M,)
-    pre_activation: np.ndarray  # (T_out, K, n_filters)
-    responses: np.ndarray       # (T_out, K, n_filters), post-ReLU
+    pre_activation: np.ndarray  # (T_out, n_filters, K)
+    responses: np.ndarray       # (T_out, n_filters, K), post-ReLU
     windows: np.ndarray         # (T_out, K, interval) view of the input frames
-    segment_argmax: np.ndarray  # (M, K, n_filters) absolute response-row indices
+    segment_argmax: np.ndarray  # (M, n_filters, K) absolute response-row indices
 
 
 @functools.lru_cache(maxsize=256)
@@ -137,52 +133,39 @@ def _row_weights(length: int) -> np.ndarray:
     return weights
 
 
-def _first_hits(hits: np.ndarray, start: int, stop: int, out: np.ndarray) -> None:
-    """Write start + the index of the first True row of each column of hits into out.
-
-    hits has stop - start rows; a column without a True row gets stop.
-    """
-    out[...] = stop
-    out -= (hits.view(np.uint8) * _row_weights(stop - start)).max(axis=0)
-
-
 def oacp_forward_details(
     seq: FeatureSequence, banks: FilterBankSet, cfg: PyramidConfig
 ) -> OacpForward:
     """Convolve every dimension, ReLU, pyramid-pool the responses, concatenate.
 
     The pooled layout is dimension k outermost, then level, then segment,
-    then filter channel; length K * n_filters * M.  Each segment [a, b) is
-    reduced over the rows of the contiguous (T_out, n_filters, K) responses:
-    its maxima are a max reduce, and its argmax is the first row equal to
-    the maximum, found as b minus the largest of the weights [b-a, ..., 1]
-    over the equal rows.  A segment holding a NaN takes its first NaN row
-    instead, as np.argmax does.
+    then filter channel; length K * n_filters * M.  The maxima are
+    segment_maxima over the (T_out, n_filters, K) responses.  Each segment
+    [a, b)'s argmax is the first row equal to its maximum, found as b minus
+    the largest of the weights [b-a, ..., 1] over the equal rows; when a
+    maximum is NaN, NaN rows count as equal too, so a segment holding a NaN
+    takes its first NaN row, as np.argmax does.
     """
     if seq.num_features != banks.num_dims:
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} dimensions but the bank set has {banks.num_dims}"
         )
     pre = conv_responses(seq.frames, banks)
-    responses = np.maximum(pre.transpose(0, 2, 1), 0.0)  # (T_out, n, K), contiguous
+    responses = np.maximum(pre, 0.0)
     windows = sliding_window_view(seq.frames, banks.interval, axis=0)[:: banks.stride]
-    ranges = segment_ranges(responses.shape[0], cfg)
-    maxima = np.empty((len(ranges),) + responses.shape[1:])
+    maxima = segment_maxima(responses, cfg)
+    any_nan = np.isnan(maxima).any()
     argmax = np.empty(maxima.shape, dtype=np.intp)
-    for m, (a, b) in enumerate(ranges):
+    for m, (a, b) in enumerate(segment_ranges(responses.shape[0], cfg)):
         seg = responses[a:b]
-        hits = seg == seg.max(axis=0, out=maxima[m])
-        _first_hits(hits, a, b, out=argmax[m])
-    if np.isnan(maxima).any():
-        # a NaN equals nothing; like np.argmax, take a column's first NaN as its maximum
-        for m, (a, b) in enumerate(ranges):
-            seg = responses[a:b]
-            _first_hits((seg == maxima[m]) | np.isnan(seg), a, b, out=argmax[m])
+        hits = seg == maxima[m]
+        if any_nan:
+            hits |= np.isnan(seg)
+        argmax[m] = b
+        argmax[m] -= (hits.view(np.uint8) * _row_weights(b - a)).max(axis=0)
     # (M, n, K) -> dimension-major: k outermost, then (level, segment), then channel
     pooled = maxima.transpose(2, 0, 1).ravel()
-    return OacpForward(
-        pooled, pre, responses.transpose(0, 2, 1), windows, argmax.transpose(0, 2, 1)
-    )
+    return OacpForward(pooled, pre, responses, windows, argmax)
 
 
 def param_count_joint(num_dims: int, interval: int, n_filters: int) -> int:

@@ -65,24 +65,22 @@ def _run_method(
     train_cfg: TrainConfig,
     num_classes: int,
 ) -> ComparisonRow:
-    num_features = train[0].sequence.num_features
+    model = ClassifierModel.from_spec(
+        spec, train[0].sequence.num_features, num_classes, seed=train_cfg.seed
+    )
     try:
-        prepared_train = prepare_dataset(train, spec)
-        prepared_test = prepare_dataset(test, spec)
-        model = ClassifierModel.from_spec(
-            spec, num_features, num_classes, seed=train_cfg.seed
-        )
-        sgd_train(model, prepared_train, train_cfg)
-        accuracy, _ = evaluate(model, prepared_test)
+        sgd_train(model, prepare_dataset(train, spec), train_cfg)
+        accuracy, _ = evaluate(model, prepare_dataset(test, spec))
         status = "ok"
     except DivergenceError:
         accuracy = float("nan")
         status = "diverged"
+    banks = model.filter_banks
     return ComparisonRow(
         method=spec.kind,
         accuracy=accuracy,
-        pool_params=spec.pool_parameters(num_features),
-        total_params=spec.total_parameters(num_features, num_classes),
+        pool_params=banks.weights.size + banks.biases.size if banks else 0,
+        total_params=model.parameter_total(),
         receptive_field=spec.receptive_field,
         status=status,
     )

@@ -7,10 +7,12 @@ order-aware method can separate the classes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
+from ..pooling import positive_int
 from ..sequences import FeatureSequence, LabeledSequence
 
 TASK_KINDS = ("trend-pair", "permuted-pair", "multiclass-trend")
@@ -24,7 +26,10 @@ _CLASS_NAMES = {
 
 @dataclass(frozen=True)
 class SyntheticSpec:
-    """Parameters of a synthetic dataset; deterministic given seed."""
+    """Parameters of a synthetic dataset; deterministic given seed (an integer >= 0).
+
+    The counts are integers >= 1 (num_frames >= 2); noise_sigma is finite and >= 0.
+    """
 
     task_kind: str
     n_train: int = 200
@@ -37,14 +42,12 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.task_kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.task_kind!r}")
-        if self.num_frames < 2:
-            raise ValueError(f"num_frames must be >= 2, got {self.num_frames}")
-        if self.n_train < 1 or self.n_test < 1:
-            raise ValueError("per-class instance counts must be >= 1")
-        if self.num_features < 1:
-            raise ValueError(f"num_features must be >= 1, got {self.num_features}")
-        if self.noise_sigma < 0:
-            raise ValueError(f"noise_sigma must be >= 0, got {self.noise_sigma}")
+        for name, minimum in (
+            ("n_train", 1), ("n_test", 1), ("num_frames", 2), ("num_features", 1), ("seed", 0)
+        ):
+            object.__setattr__(self, name, positive_int(getattr(self, name), name, minimum))
+        if not 0 <= self.noise_sigma < math.inf:
+            raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     @property
     def class_names(self) -> tuple[str, ...]:

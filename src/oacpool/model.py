@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convpool import FilterBankSet, oacp_forward_details, param_count_perdim
+from .convpool import FilterBankSet, oacp_forward_details
 from .errors import DivergenceError, ParseError, ShapeMismatchError, StaleCacheError
 from .pooling import (
     PyramidConfig,
@@ -60,7 +60,8 @@ class PoolingSpec:
     one-tap, one-filter conv pooling over a one-level pyramid, so each
     formula below has one expression for every kind, and equal geometries
     compare equal.  A model holds its geometry as ClassifierModel.spec, and
-    every length, frame count and parameter count derives from here.  A
+    every length and frame count derives from here; parameter counts come
+    from the arrays a model holds (ClassifierModel.parameter_total).  A
     geometry whose minimum_frames exceeds MAX_MINIMUM_FRAMES is rejected.
     """
 
@@ -103,24 +104,14 @@ class PoolingSpec:
         """P: length of the pooled representation of num_features dimensions."""
         return num_features * self.n_filters * self.pyramid.total_segments
 
-    def pool_parameters(self, num_features: int) -> int:
-        """Trainable parameters in the pooling stage itself (0 unless oacp)."""
-        if self.kind != "oacp":
-            return 0
-        return param_count_perdim(num_features, self.interval, self.n_filters)
-
-    def total_parameters(self, num_features: int, num_classes: int) -> int:
-        pooled = self.pooled_length(num_features)
-        return self.pool_parameters(num_features) + num_classes * pooled + num_classes
-
 
 @dataclass
 class TrainConfig:
     """Hyperparameters of the per-instance SGD loop: theta <- theta - lr * grad.
 
     learning_rate must be finite; 0 is allowed and performs null updates
-    (useful as a determinism check).  seed fixes the instance order of every
-    epoch.
+    (useful as a determinism check).  seed, an integer >= 0, fixes the
+    instance order of every epoch.
     """
 
     learning_rate: float
@@ -133,6 +124,7 @@ class TrainConfig:
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}"
             )
         self.epochs = positive_int(self.epochs, "epochs")
+        self.seed = positive_int(self.seed, "seed", minimum=0)
 
 
 @dataclass
@@ -358,8 +350,7 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
         model.num_features, cache.segment_argmax.shape[0], -1
     )
     # gather and sum with K innermost, as the forward's buffers hold it
-    argmax = cache.segment_argmax.transpose(0, 2, 1)  # contiguous (M, n, K)
-    routed = cache.windows[argmax, np.arange(model.num_features)]  # (M, n, K, l)
+    routed = cache.windows[cache.segment_argmax, np.arange(model.num_features)]  # (M, n, K, l)
     coef_nk = coef.transpose(1, 2, 0)[..., None]  # (M, n, K, 1)
     g_bank_w = coef_nk[0] * routed[0]
     g_bank_b = coef[:, 0].copy()

@@ -15,10 +15,11 @@ from .errors import TooShortSequenceError
 from .sequences import FeatureSequence
 
 
-def positive_int(value, name: str) -> int:
-    """value as a Python int if it is an integer >= 1 (NumPy integers included).
+def positive_int(value, name: str, minimum: int = 1) -> int:
+    """value as a Python int if it is an integer >= minimum (NumPy integers included).
 
     Floats, even whole ones, and booleans are a ValueError naming the setting.
+    minimum is 1 unless a setting allows 0 (a seed) or needs more.
     """
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
@@ -26,8 +27,8 @@ def positive_int(value, name: str) -> int:
         value = operator.index(value)
     except TypeError:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < 1:
-        raise ValueError(f"{name} must be >= 1, got {value}")
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
     return value
 
 
@@ -99,8 +100,11 @@ def segment_ranges(num_frames: int, cfg: PyramidConfig) -> list[tuple[int, int]]
 
 def segment_maxima(values: np.ndarray, cfg: PyramidConfig) -> np.ndarray:
     """Per-segment maxima over axis 0 of a (T, ...) array, rows in (level, segment) order."""
-    rows = [values[a:b].max(axis=0) for a, b in segment_ranges(values.shape[0], cfg)]
-    return np.stack(rows)
+    ranges = segment_ranges(values.shape[0], cfg)
+    maxima = np.empty((len(ranges),) + values.shape[1:], dtype=values.dtype)
+    for m, (a, b) in enumerate(ranges):
+        values[a:b].max(axis=0, out=maxima[m])
+    return maxima
 
 
 def temporal_pyramid_pool(seq: FeatureSequence, cfg: PyramidConfig) -> np.ndarray:

@@ -33,7 +33,7 @@ def conv_oracle(signal, weights, biases, stride: int) -> np.ndarray:
 def dense_reference_gradients(model, cache, label: int):
     """Gradients (w_head, b_head, bank weights, bank biases) by dense backprop.
 
-    Every pooled slot's gradient is scattered into a zeroed (T_out, K, n)
+    Every pooled slot's gradient is scattered into a zeroed (T_out, n, K)
     array at its segment's argmax row, masked by the ReLU, and contracted
     with the input windows over all T_out rows.
     """
@@ -41,16 +41,16 @@ def dense_reference_gradients(model, cache, label: int):
     dlogits[label] -= 1.0
     head = (np.outer(dlogits, cache.pooled), dlogits)
     pre = cache.pre_activation
-    segments, num_dims, n_filters = cache.segment_argmax.shape
+    segments, n_filters, num_dims = cache.segment_argmax.shape
     d_slots = (model.w_head.T @ dlogits).reshape(num_dims, segments, n_filters)
     d_resp = np.zeros(pre.shape)
-    dim_idx = np.arange(num_dims)[:, None]
-    chan_idx = np.arange(n_filters)[None, :]
+    chan_idx = np.arange(n_filters)[:, None]
+    dim_idx = np.arange(num_dims)[None, :]
     for m in range(segments):
-        np.add.at(d_resp, (cache.segment_argmax[m], dim_idx, chan_idx), d_slots[:, m, :])
+        np.add.at(d_resp, (cache.segment_argmax[m], chan_idx, dim_idx), d_slots[:, m, :].T)
     d_resp *= pre > 0
-    bank_w = np.einsum("tkj,tki->kji", d_resp, cache.windows)
-    return (*head, bank_w, d_resp.sum(axis=0))
+    bank_w = np.einsum("tjk,tki->kji", d_resp, cache.windows)
+    return (*head, bank_w, d_resp.sum(axis=0).T)
 
 
 def unblocked_lloyd_kmeans(points, k: int, seed=0):

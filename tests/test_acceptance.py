@@ -185,7 +185,7 @@ def test_brute_force_conv_equivalence():
                     seq = FeatureSequence(signal[:, None])
                     banks = FilterBankSet(weights[None], biases[None], stride)
                     details = oacp_forward_details(seq, banks, PyramidConfig((1,)))
-                    got = details.responses[:, 0, :]
+                    got = details.responses[:, :, 0]
                     want = conv_oracle(signal, weights, biases, stride)
                     assert got.tobytes() == want.tobytes(), (
                         f"mismatch at T={t} l={length} stride={stride} n={n_filters}"

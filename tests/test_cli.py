@@ -60,6 +60,23 @@ class TestExitCodes:
         assert err.value.code == 1
         assert "must be finite" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "command",
+        [
+            ["synth", "--task", "trend-pair", "--out", "unused"],
+            ["train", "--manifest", "unused", "--model-out", "unused"],
+            ["compare", "--train-manifest", "a", "--test-manifest", "b", "--methods", "oacp"],
+            ["gradcheck"],
+            ["reduce", "--manifest", "unused"],
+        ],
+        ids=["synth", "train", "compare", "gradcheck", "reduce"],
+    )
+    def test_usage_error_on_negative_seed(self, capsys, command):
+        with pytest.raises(SystemExit) as err:
+            run_cli(*command, "--seed", "-1")
+        assert err.value.code == 1
+        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+
     def test_usage_error_on_invalid_config_values(self, tmp_path, capsys):
         # values that pass flag parsing but violate config invariants
         assert run_cli(

@@ -26,7 +26,7 @@ def one_dim_bank(weights, biases, stride=1):
 def one_dim_responses(signal, banks):
     """Post-ReLU responses (T_out, n_filters) of a one-dimension bank set on a 1D signal."""
     seq = FeatureSequence(np.asarray(signal, dtype=np.float64)[:, None])
-    return oacp_forward_details(seq, banks, PyramidConfig((1,))).responses[:, 0, :]
+    return oacp_forward_details(seq, banks, PyramidConfig((1,))).responses[:, :, 0]
 
 
 class TestFilterBankTypes:
@@ -135,7 +135,7 @@ class TestConvResponsesAllDims:
         for k in range(fbs.num_dims):
             single = FilterBankSet(fbs.weights[k : k + 1], fbs.biases[k : k + 1], fbs.stride)
             alone = conv_responses(frames[:, k : k + 1], single)
-            assert stacked[:, k : k + 1, :].tobytes() == alone.tobytes()
+            assert stacked[:, :, k : k + 1].tobytes() == alone.tobytes()
 
     def test_row_blocks_match_the_oracle(self):
         # n * K = 6000 puts several blocks of output rows, the last one
@@ -146,7 +146,7 @@ class TestConvResponsesAllDims:
         responses = np.maximum(conv_responses(frames, fbs), 0.0)
         for k in (0, 1, 777, 1499):
             want = conv_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], fbs.stride)
-            assert responses[:, k, :].tobytes() == want.tobytes()
+            assert responses[:, :, k].tobytes() == want.tobytes()
 
 
 class TestOacpForward:
@@ -216,7 +216,7 @@ class TestOacpForward:
 
 
 def numpy_segment_pooling(responses, cfg):
-    """(argmax, maxima) of every pyramid segment by np.argmax and np.max, each (M, K, n)."""
+    """(argmax, maxima) of every pyramid segment by np.argmax and np.max, each (M, n, K)."""
     ranges = segment_ranges(responses.shape[0], cfg)
     argmax = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
     maxima = np.stack([responses[a:b].max(axis=0) for a, b in ranges])
@@ -254,10 +254,12 @@ class TestSegmentArgmax:
         cfg = PyramidConfig(levels)
         details = oacp_forward_details(FeatureSequence(frames), identity, cfg)
         argmax, maxima = numpy_segment_pooling(details.responses, cfg)
-        assert np.ascontiguousarray(details.segment_argmax).tobytes() == argmax.tobytes()
-        assert details.pooled.tobytes() == maxima.transpose(1, 0, 2).ravel().tobytes()
+        assert details.segment_argmax.tobytes() == argmax.tobytes()
+        assert details.pooled.tobytes() == maxima.transpose(2, 0, 1).ravel().tobytes()
         assert details.segment_argmax[0, 0, 0] == num_frames - 5
-        assert details.segment_argmax[0, 1, 0] == 0
+        assert details.segment_argmax[0, 0, 1] == 0
+        for buffer in (details.pre_activation, details.responses, details.segment_argmax):
+            assert buffer.flags.c_contiguous
 
     def test_overflow_to_nan_takes_the_first_nan_as_argmax(self):
         seq, banks = overflowing_conv_case()
@@ -266,11 +268,11 @@ class TestSegmentArgmax:
             details = oacp_forward_details(seq, banks, cfg)
         argmax, maxima = numpy_segment_pooling(details.responses, cfg)
         assert np.isnan(details.responses).any() and np.isinf(details.responses).any()
-        assert np.ascontiguousarray(details.segment_argmax).tobytes() == argmax.tobytes()
+        assert details.segment_argmax.tobytes() == argmax.tobytes()
         assert np.array_equal(
-            details.pooled, maxima.transpose(1, 0, 2).ravel(), equal_nan=True
+            details.pooled, maxima.transpose(2, 0, 1).ravel(), equal_nan=True
         )
-        assert details.segment_argmax[:, 2, 0].tolist() == [2, 2, 9]
+        assert details.segment_argmax[:, 0, 2].tolist() == [2, 2, 9]
 
     def test_overflow_to_nan_is_a_training_divergence(self):
         seq, banks = overflowing_conv_case()

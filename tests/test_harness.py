@@ -1,3 +1,4 @@
+import math
 from dataclasses import replace
 
 import numpy as np
@@ -42,6 +43,37 @@ class TestSyntheticSpec:
     def test_validation(self, kwargs):
         with pytest.raises(ValueError):
             SyntheticSpec(**kwargs)
+
+    @pytest.mark.parametrize(
+        "kwargs, match",
+        [
+            (dict(seed=-1), "seed must be >= 0"),
+            (dict(seed=2.5), "seed must be an integer"),
+            (dict(seed=True), "seed must be an integer"),
+            (dict(noise_sigma=math.nan), "noise_sigma must be finite"),
+            (dict(noise_sigma=math.inf), "noise_sigma must be finite"),
+            (dict(n_train=2.5), "n_train must be an integer"),
+            (dict(n_test=True), "n_test must be an integer"),
+            (dict(num_features=True), "num_features must be an integer"),
+            (dict(num_frames=5.0), "num_frames must be an integer"),
+            (dict(num_frames=1), "num_frames must be >= 2"),
+        ],
+        ids=[
+            "seed=-1", "seed=2.5", "seed=True", "noise=nan", "noise=inf", "n_train=2.5",
+            "n_test=True", "num_features=True", "num_frames=5.0", "num_frames=1",
+        ],
+    )
+    def test_rejects_bad_fields_by_name(self, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            SyntheticSpec("trend-pair", **kwargs)
+
+    def test_numpy_integers_become_ints(self):
+        spec = SyntheticSpec(
+            "trend-pair", n_train=np.int64(2), n_test=np.int32(1), num_frames=np.int64(5),
+            num_features=np.int16(3), seed=np.uint64(0),
+        )
+        for name in ("n_train", "n_test", "num_frames", "num_features", "seed"):
+            assert type(getattr(spec, name)) is int, name
 
 
 class TestGenSynthetic:
@@ -279,13 +311,6 @@ class TestPoolingSpec:
         assert PoolingSpec("average", interval=8, sample_rate=5).receptive_field == 5
         assert PoolingSpec("pyramid", interval=8, sample_rate=3).receptive_field == 3
 
-    def test_parameter_accounting(self):
-        spec = PoolingSpec("oacp", interval=8, n_filters=3, pyramid=(1, 2))
-        assert spec.pool_parameters(16) == param_count_perdim(16, 8, 3)
-        pooled = 16 * 3 * 3
-        assert spec.total_parameters(16, 2) == spec.pool_parameters(16) + 2 * pooled + 2
-        assert PoolingSpec("average").pool_parameters(16) == 0
-
     def test_validation(self):
         with pytest.raises(ValueError):
             PoolingSpec("median")
@@ -328,13 +353,17 @@ class TestRunComparison:
                              num_features=4, seed=93)
         train, test = gen_synthetic(spec)
         cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=93)
-        method = PoolingSpec("oacp", interval=3, n_filters=2, pyramid=(1, 2), sample_rate=1)
-        table = run_comparison(train, test, [method], cfg)
-        row = table.rows[0]
+        methods = [
+            PoolingSpec("oacp", interval=3, n_filters=2, pyramid=(1, 2), sample_rate=1),
+            PoolingSpec("average", sample_rate=1),
+        ]
+        row, baseline = run_comparison(train, test, methods, cfg).rows
         pooled = 4 * 2 * 3
         assert row.pool_params == param_count_perdim(4, 3, 2)
         assert row.total_params == row.pool_params + 2 * pooled + 2
         assert row.receptive_field == 3
+        assert baseline.pool_params == 0
+        assert baseline.total_params == 2 * 4 + 2
 
     def test_multiclass_trend_end_to_end(self):
         spec = SyntheticSpec("multiclass-trend", n_train=60, n_test=30, num_frames=30,

@@ -7,7 +7,7 @@ import pytest
 
 from helpers import dense_reference_gradients, mean_separable_dataset
 
-from oacpool.convpool import FilterBankSet
+from oacpool.convpool import FilterBankSet, param_count_perdim
 from oacpool.errors import (
     DivergenceError,
     ParseError,
@@ -123,6 +123,24 @@ class TestTrainConfig:
     def test_rejects_non_finite_learning_rate(self, lr):
         with pytest.raises(ValueError, match="learning_rate must be finite"):
             TrainConfig(lr, 1)
+
+    @pytest.mark.parametrize(
+        "seed, match",
+        [
+            (-1, "seed must be >= 0"),
+            (2.5, "seed must be an integer"),
+            (True, "seed must be an integer"),
+            (np.float64(3.0), "seed must be an integer"),
+        ],
+        ids=["-1", "2.5", "True", "np.float64"],
+    )
+    def test_rejects_invalid_seed(self, seed, match):
+        with pytest.raises(ValueError, match=match):
+            TrainConfig(0.1, 1, seed=seed)
+
+    def test_seed_zero_and_numpy_integer_seed_accepted(self):
+        assert TrainConfig(0.1, 1, seed=0).seed == 0
+        assert type(TrainConfig(0.1, 1, seed=np.int64(7)).seed) is int
 
 
 class TestModelBuild:
@@ -592,7 +610,8 @@ class TestSpecGeometry:
             shortest = FeatureSequence(rng.standard_normal((minimum, k)))
             _, cache = forward(model, shortest)
             assert len(cache.pooled) == spec.pooled_length(k) == model.pooled_length, where
-            assert model.parameter_total() == spec.total_parameters(k, c), where
+            bank = param_count_perdim(k, interval, n_filters) if kind == "oacp" else 0
+            assert model.parameter_total() == bank + c * spec.pooled_length(k) + c, where
             if minimum > 1:
                 with pytest.raises(TooShortSequenceError):
                     forward(model, FeatureSequence(rng.standard_normal((minimum - 1, k))))
