@@ -28,7 +28,7 @@ for label in range(3):
         data.append((vector, label))
 
 signatures = class_signatures(data, num_classes=3)
-print("signature matrix shape (classes x dims):", signatures.means.shape)
+print("signatures shape (dims x classes):", signatures.shape)
 
 #%%
 # Cluster the 12 signatures into 3 groups; the planted structure is
@@ -39,8 +39,8 @@ print("planted groups  :", group_of_dim.tolist())
 print("recovered groups:", partition.assignment.tolist())
 
 #%%
-# Reducing a vector sums each group's coordinates (mean is the opt-in
-# alternative); a whole sequence reduces frame by frame, T x 12 -> T x 3.
+# Reducing a vector sums each group's coordinates; a whole sequence
+# reduces frame by frame, T x 12 -> T x 3.
 
 vector = data[0][0]
 print("reduced vector:", reduce_vector(vector, partition))

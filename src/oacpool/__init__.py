@@ -20,7 +20,6 @@ from .convpool import (
 )
 from .dimreduce import (
     ReductionPartition,
-    SignatureMatrix,
     class_signatures,
     kmeans_partition,
     load_partition,
@@ -86,7 +85,6 @@ __all__ = [
     "PyramidConfig",
     "ReductionPartition",
     "ResultTable",
-    "SignatureMatrix",
     "SyntheticSpec",
     "TrainConfig",
     "average_pool",

@@ -2,10 +2,10 @@
 
 Each of the D feature dimensions gets a 'signature': the c-vector of its
 per-class mean values.  Clustering the D signatures into k groups with
-k-means yields a partition, and a vector is reduced by aggregating (sum or
-mean) the coordinates of each group.  Compared with PCA this needs only
-class means and one clustering pass, which is what makes it practical for
-reducing very high-dimensional encodings to medium dimensionality.
+k-means yields a partition, and a vector is reduced by summing the
+coordinates of each group.  Compared with PCA this needs only class means
+and one clustering pass, which is what makes it practical for reducing
+very high-dimensional encodings to medium dimensionality.
 """
 
 from __future__ import annotations
@@ -21,51 +21,19 @@ from .errors import (
     ParseError,
     ShapeMismatchError,
 )
+from .pooling import seed_value
 from .sequences import FeatureSequence
-
-AGGREGATIONS = ("sum", "mean")
 
 # Lloyd rounds before lloyd_kmeans stops even if assignments still move.
 KMEANS_MAX_ITERS = 100
 
 
-@dataclass(eq=False)
-class SignatureMatrix:
-    """Per-class mean feature vectors, one row per class: shape (c, D).
-
-    Column i is the signature of feature dimension i.
-    """
-
-    means: np.ndarray
-
-    def __post_init__(self):
-        self.means = np.array(self.means, dtype=np.float64, order="C")
-        if self.means.ndim != 2 or self.means.size == 0:
-            raise ValueError(f"means must be a nonempty 2-D array, got shape {self.means.shape}")
-        if not np.isfinite(self.means).all():
-            raise ValueError("means contain NaN or infinite values")
-
-    @property
-    def num_classes(self) -> int:
-        return self.means.shape[0]
-
-    @property
-    def num_dims(self) -> int:
-        return self.means.shape[1]
-
-    @property
-    def signatures(self) -> np.ndarray:
-        """The D signatures as rows: shape (D, c)."""
-        return self.means.T
-
-
 @dataclass(frozen=True, eq=False)
 class ReductionPartition:
-    """Assignment of each original dimension to one of k nonempty groups."""
+    """Assignment of each original dimension to one of k nonempty, summed groups."""
 
     assignment: np.ndarray
     k: int
-    aggregation: str = "sum"
 
     def __post_init__(self):
         assignment = np.array(self.assignment, dtype=np.int64)
@@ -79,8 +47,6 @@ class ReductionPartition:
         if (counts == 0).any():
             empty = int(np.flatnonzero(counts == 0)[0])
             raise ValueError(f"group {empty} is empty")
-        if self.aggregation not in AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {AGGREGATIONS}")
         assignment.flags.writeable = False
         object.__setattr__(self, "assignment", assignment)
         object.__setattr__(self, "_counts", counts)
@@ -94,8 +60,8 @@ class ReductionPartition:
         return self._counts
 
 
-def class_signatures(data, num_classes: int) -> SignatureMatrix:
-    """Mean feature vector of every class from (vector, label) pairs.
+def class_signatures(data, num_classes: int) -> np.ndarray:
+    """The (D, c) signatures from (vector, label) pairs: row i holds dimension i's class means.
 
     Every class in [0, num_classes) must contribute at least one vector.
     """
@@ -123,7 +89,7 @@ def class_signatures(data, num_classes: int) -> SignatureMatrix:
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
         raise MissingClassError(f"class {missing} has no training vectors")
-    return SignatureMatrix(sums / counts[:, None])
+    return np.ascontiguousarray((sums / counts[:, None]).T)
 
 
 def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -149,43 +115,48 @@ def _kmeans_pp_init(points: np.ndarray, k: int, rng: np.random.Generator) -> np.
 def lloyd_kmeans(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Lloyd's algorithm with k-means++ seeding, at most KMEANS_MAX_ITERS rounds.
 
-    Ties in the nearest-centroid assignment go to the lowest centroid index.
-    A cluster that comes up empty is reseeded to the point currently
-    farthest from its own centroid, which keeps every cluster nonempty and
-    never increases the objective.  Returns (assignment, centroids,
-    per-iteration objective), with the objective recorded after each
-    assignment step; the sequence is non-increasing.
+    points must be finite.  Ties in the nearest-centroid assignment go to
+    the lowest centroid index.  A cluster that comes up empty is reseeded
+    to the point farthest from its own centroid among clusters with at
+    least two members, so no cluster is ever empty and the objective never
+    increases.  Returns (assignment, centroids, per-iteration objective),
+    with the objective recorded after each assignment step; the sequence
+    is non-increasing.
     """
     # C order makes each distance a sum over a contiguous row, so the
     # rounding does not depend on the caller's memory layout
     points = np.ascontiguousarray(points, dtype=np.float64)
     if points.ndim != 2 or points.size == 0:
         raise ValueError(f"points must be a nonempty 2-D array, got shape {points.shape}")
+    if not np.isfinite(points).all():
+        raise ValueError("points contain NaN or infinite values")
     n = points.shape[0]
     if not 1 <= k <= n:
         raise InvalidTargetError(f"k must be in [1, {n}], got {k}")
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(seed_value(seed))
     centroids = _kmeans_pp_init(points, k, rng)
     previous = None
     objectives = []
-    point_idx = np.arange(n)
     # rows of points per distance block, so the (rows, k, c) temporary
     # stays within the conv's 2**16-double block budget
     rows = max(1, _BLOCK_ELEMENTS // (k * points.shape[1]))
-    dist2 = np.empty((n, k))
+    assignment = np.empty(n, dtype=np.intp)
+    own = np.empty(n)  # squared distance of each point to its centroid
     for _ in range(KMEANS_MAX_ITERS):
         for a in range(0, n, rows):
-            block = points[a : a + rows, None, :] - centroids[None, :, :]
-            dist2[a : a + rows] = (block**2).sum(axis=2)
-        assignment = dist2.argmin(axis=1)
-        for g in range(k):
-            if not (assignment == g).any():
-                own = dist2[point_idx, assignment]
-                moved = int(own.argmax())
-                assignment[moved] = g
-                centroids[g] = points[moved]
-                dist2[:, g] = ((points - centroids[g]) ** 2).sum(axis=1)
-        objectives.append(float(dist2[point_idx, assignment].sum()))
+            dist2 = ((points[a : a + rows, None, :] - centroids[None, :, :]) ** 2).sum(axis=2)
+            dist2.argmin(axis=1, out=assignment[a : a + rows])
+            dist2.min(axis=1, out=own[a : a + rows])
+        counts = np.bincount(assignment, minlength=k)
+        for g in np.flatnonzero(counts == 0):
+            # n >= k, so some cluster has a member to spare
+            moved = int(np.where(counts[assignment] > 1, own, -np.inf).argmax())
+            counts[assignment[moved]] -= 1
+            counts[g] = 1
+            assignment[moved] = g
+            own[moved] = 0.0
+            centroids[g] = points[moved]
+        objectives.append(float(own.sum()))
         if previous is not None and np.array_equal(assignment, previous):
             break
         previous = assignment.copy()
@@ -194,31 +165,27 @@ def lloyd_kmeans(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray, np.nda
     return assignment, centroids, np.asarray(objectives)
 
 
-def kmeans_partition(sig: SignatureMatrix, k: int, seed=0) -> ReductionPartition:
-    """Cluster the D signatures into k summed groups; deterministic given seed."""
-    if not 1 <= k <= sig.num_dims:
-        raise InvalidTargetError(
-            f"target dimensionality must be in [1, {sig.num_dims}], got {k}"
-        )
-    assignment, _, _ = lloyd_kmeans(sig.signatures, k, seed=seed)
+def kmeans_partition(signatures, k: int, seed=0) -> ReductionPartition:
+    """Cluster the rows of the (D, c) signatures into k summed groups; deterministic given seed."""
+    num_dims = len(signatures)
+    if not 1 <= k <= num_dims:
+        raise InvalidTargetError(f"target dimensionality must be in [1, {num_dims}], got {k}")
+    assignment, _, _ = lloyd_kmeans(signatures, k, seed=seed)
     return ReductionPartition(assignment, k)
 
 
 def reduce(x, partition: ReductionPartition) -> np.ndarray:
-    """Aggregate each group's coordinates of a D-vector into one value.
+    """Sum each group's coordinates of a D-vector into one value.
 
     Group sums accumulate in ascending dimension order (fixed summation
-    order); 'mean' divides each sum by the group size.
+    order).
     """
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 1 or x.shape[0] != partition.num_dims:
         raise ShapeMismatchError(
             f"vector of shape {x.shape}, partition covers {partition.num_dims} dimensions"
         )
-    sums = np.bincount(partition.assignment, weights=x, minlength=partition.k)
-    if partition.aggregation == "mean":
-        return sums / partition.group_sizes
-    return sums
+    return np.bincount(partition.assignment, weights=x, minlength=partition.k)
 
 
 def reduce_sequence(seq: FeatureSequence, partition: ReductionPartition) -> FeatureSequence:
@@ -234,26 +201,20 @@ def reduce_sequence(seq: FeatureSequence, partition: ReductionPartition) -> Feat
         )
     k = partition.k
     bins = partition.assignment + k * np.arange(num_frames)[:, None]
-    sums = np.bincount(
-        bins.ravel(), weights=seq.frames.ravel(), minlength=num_frames * k
-    ).reshape(num_frames, k)
-    if partition.aggregation == "mean":
-        sums /= partition.group_sizes
-    return FeatureSequence(sums)
+    sums = np.bincount(bins.ravel(), weights=seq.frames.ravel(), minlength=num_frames * k)
+    return FeatureSequence(sums.reshape(num_frames, k))
 
 
 def save_partition(partition: ReductionPartition, path) -> None:
-    """Text format: header `k=<k> D=<D> aggregation=<sum|mean>`, then one group index per line."""
+    """Text format: header `k=<k> D=<D> aggregation=sum`, then one group index per line."""
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write(
-            f"k={partition.k} D={partition.num_dims} aggregation={partition.aggregation}\n"
-        )
+        fh.write(f"k={partition.k} D={partition.num_dims} aggregation=sum\n")
         for g in partition.assignment:
             fh.write(f"{int(g)}\n")
 
 
 def load_partition(path) -> ReductionPartition:
-    """Read a partition written by save_partition."""
+    """Read a partition written by save_partition; the header must declare aggregation=sum."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             lines = fh.read().splitlines()
@@ -267,6 +228,10 @@ def load_partition(path) -> ReductionPartition:
     missing = {"k", "D", "aggregation"} - fields.keys()
     if len(fields) != len(lines[0].split()) or missing:
         raise ParseError(f"{path}: line 1: malformed header {lines[0]!r}")
+    if fields["aggregation"] != "sum":
+        raise ParseError(
+            f"{path}: line 1: aggregation must be sum, got {fields['aggregation']!r}"
+        )
     try:
         k = int(fields["k"])
         num_dims = int(fields["D"])
@@ -284,6 +249,6 @@ def load_partition(path) -> ReductionPartition:
         except (ValueError, OverflowError):
             raise ParseError(f"{path}: line {i + 2}: not a group index: {line!r}") from None
     try:
-        return ReductionPartition(assignment, k, fields["aggregation"])
+        return ReductionPartition(assignment, k)
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None

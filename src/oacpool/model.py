@@ -24,6 +24,7 @@ from .pooling import (
     average_pool,
     max_pool,
     positive_int,
+    seed_value,
     temporal_pyramid_pool,
 )
 from .sequences import FeatureSequence, LabeledSequence
@@ -196,12 +197,12 @@ class ClassifierModel:
     ) -> "ClassifierModel":
         """Seeded initialization: weights uniform in +-sqrt(6/(fan_in+fan_out)), biases 0.
 
-        Filter banks are drawn before the head, so a given seed fixes every
-        parameter of the model.
+        Filter banks are drawn before the head, so a given seed (an integer
+        >= 0 or an np.random.SeedSequence) fixes every parameter of the model.
         """
         num_features = positive_int(num_features, "num_features")
         num_classes = positive_int(num_classes, "num_classes")
-        rng = np.random.default_rng(seed)
+        rng = np.random.default_rng(seed_value(seed))
         banks = None
         if spec.kind == "oacp":
             interval, n_filters = spec.interval, spec.n_filters
@@ -468,8 +469,8 @@ def grad_check(
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps must be in [1e-7, 1e-3], got {eps}")
+    rng = np.random.default_rng(seed_value(seed))
     work = copy.deepcopy(model)
-    rng = np.random.default_rng(seed)
     for p in work.parameters():
         p += rng.uniform(-GRAD_CHECK_NUDGE, GRAD_CHECK_NUDGE, p.shape)
     work.version += 1

@@ -32,6 +32,13 @@ def positive_int(value, name: str, minimum: int = 1) -> int:
     return value
 
 
+def seed_value(seed):
+    """seed if it is an np.random.SeedSequence, else as an int >= 0 (see positive_int)."""
+    if isinstance(seed, np.random.SeedSequence):
+        return seed
+    return positive_int(seed, "seed", minimum=0)
+
+
 @dataclass(frozen=True)
 class PyramidConfig:
     """Segment counts per pyramid level, level 1 first.

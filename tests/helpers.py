@@ -57,7 +57,9 @@ def unblocked_lloyd_kmeans(points, k: int, seed=0):
     """Lloyd's algorithm with the whole (n, k, c) distance array built at once.
 
     The same seeding, tie-breaking, empty-cluster reseeding and stopping
-    rule as dimreduce.lloyd_kmeans, which fills the distances in row blocks.
+    rule as dimreduce.lloyd_kmeans, which assigns each row block as it
+    computes its distances.  An empty cluster takes the point farthest from
+    its own centroid among clusters with at least two members.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
@@ -71,7 +73,8 @@ def unblocked_lloyd_kmeans(points, k: int, seed=0):
         for g in range(k):
             if not (assignment == g).any():
                 own = dist2[point_idx, assignment]
-                moved = int(own.argmax())
+                shared = np.bincount(assignment, minlength=k)[assignment] > 1
+                moved = int(np.where(shared, own, -np.inf).argmax())
                 assignment[moved] = g
                 centroids[g] = points[moved]
                 dist2[:, g] = ((points - centroids[g]) ** 2).sum(axis=1)

@@ -27,7 +27,7 @@ from oacpool.convpool import (
     param_count_joint,
     param_count_perdim,
 )
-from oacpool.dimreduce import SignatureMatrix, kmeans_partition, lloyd_kmeans
+from oacpool.dimreduce import kmeans_partition, lloyd_kmeans
 from oacpool.harness import SyntheticSpec, gen_synthetic, run_comparison
 from oacpool.model import (
     ClassifierModel,
@@ -204,24 +204,24 @@ def test_dimensionality_reduction_recovery():
         for _ in range(10):
             points.append(centers[g] + sigma * rng.standard_normal(3))
             truth.append(g)
-    signatures = SignatureMatrix(np.asarray(points).T)  # D=30 dimensions, c=3
+    signatures = np.asarray(points)  # D=30 dimensions, c=3
     truth = np.asarray(truth)
 
     scores = []
     for seed in range(20):
         partition = kmeans_partition(signatures, 3, seed=seed)
         scores.append(adjusted_rand_index(partition.assignment, truth))
-        _, _, objectives = lloyd_kmeans(signatures.signatures, 3, seed=seed)
+        _, _, objectives = lloyd_kmeans(signatures, 3, seed=seed)
         assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
     assert np.mean(scores) >= 0.9, f"mean ARI {np.mean(scores):.3f}"
 
-    small = SignatureMatrix(np.asarray(points)[[0, 1, 10, 11, 20, 21]].T)
-    best_assign, best_obj = brute_force_partition_optimum(small.signatures, 3)
+    small = np.asarray(points)[[0, 1, 10, 11, 20, 21]]
+    best_assign, best_obj = brute_force_partition_optimum(small, 3)
     partition = kmeans_partition(small, 3, seed=0)
     assert np.array_equal(
         canonical_labels(partition.assignment), canonical_labels(best_assign)
     )
-    _, _, objectives = lloyd_kmeans(small.signatures, 3, seed=0)
+    _, _, objectives = lloyd_kmeans(small, 3, seed=0)
     assert objectives[-1] == pytest.approx(best_obj, rel=1e-12, abs=1e-12)
     _report(
         f"dimensionality-reduction recovery (mean ARI {np.mean(scores):.2f}, "

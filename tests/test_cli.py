@@ -444,6 +444,20 @@ class TestReduceCommand:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_fewer_distinct_dimensions_than_target(self, tmp_path, capsys):
+        # seven dimensions with two distinct signatures, reduced to four groups
+        save_features(FeatureSequence([[1, 1, 1, 1, 0, 0, 0]]), tmp_path / "one.txt")
+        manifest = tmp_path / "data.manifest"
+        manifest.write_text("classes=a\none.txt 0\n")
+        partition_path = tmp_path / "p.txt"
+        code = run_cli(
+            "reduce", "--manifest", str(manifest), "--target-dim", "4",
+            "--seed", "0", "--partition-out", str(partition_path),
+        )
+        assert code == 0
+        partition = load_partition(partition_path)
+        assert partition.k == 4 and (partition.group_sizes > 0).all()
+
     def test_feature_header_beyond_int64_is_data_error(self, tmp_path, capsys):
         (tmp_path / "huge.txt").write_text("T=1 K=99999999999999999999\n1 2\n")
         manifest = tmp_path / "data.manifest"

@@ -12,7 +12,6 @@ from helpers import (
 
 from oacpool.dimreduce import (
     ReductionPartition,
-    SignatureMatrix,
     class_signatures,
     kmeans_partition,
     lloyd_kmeans,
@@ -31,7 +30,7 @@ from oacpool.sequences import FeatureSequence
 
 
 def planted_signatures(rng, dims_per_group, centers, spread):
-    """Signatures clustered around given centers; returns (matrix, truth)."""
+    """(D, c) signatures clustered around given centers; returns (signatures, truth)."""
     points = []
     truth = []
     for g, center in enumerate(centers):
@@ -39,19 +38,19 @@ def planted_signatures(rng, dims_per_group, centers, spread):
             points.append(center + spread * rng.standard_normal(len(center)))
             truth.append(g)
     points = np.asarray(points)
-    return SignatureMatrix(points.T), np.asarray(truth)
+    return np.asarray(points), np.asarray(truth)
 
 
 class TestClassSignatures:
     def test_single_vector_per_class(self):
         data = [([1.0, 2.0], 0), ([3.0, 4.0], 1)]
         sig = class_signatures(data, 2)
-        assert sig.means.tolist() == [[1.0, 2.0], [3.0, 4.0]]
+        assert sig.tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
     def test_class_mean_is_midpoint(self):
         data = [([0.0, 2.0], 0), ([2.0, 0.0], 0), ([5.0, 5.0], 1)]
         sig = class_signatures(data, 2)
-        assert sig.means[0].tolist() == [1.0, 1.0]
+        assert sig[:, 0].tolist() == [1.0, 1.0]
 
     def test_missing_class_rejected(self):
         data = [([1.0], 0), ([2.0], 1)]
@@ -64,8 +63,8 @@ class TestClassSignatures:
 
     def test_signature_columns(self):
         sig = class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], 1)], 2)
-        assert sig.num_classes == 2 and sig.num_dims == 2
-        assert sig.signatures.tolist() == [[1.0, 3.0], [2.0, 4.0]]
+        assert sig.shape == (2, 2) and sig.flags.c_contiguous
+        assert sig.tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
 
 class TestLloydKmeans:
@@ -88,6 +87,18 @@ class TestLloydKmeans:
             assignment, _, objectives = lloyd_kmeans(points, 3, seed=seed)
             assert set(np.unique(assignment)) == {0, 1, 2}
             assert all(b <= a + 1e-12 for a, b in zip(objectives, objectives[1:]))
+
+    def test_fewer_distinct_points_than_k_fills_every_cluster(self):
+        # every own distance is 0, so only members of shared clusters may move
+        assignment, centroids, objectives = lloyd_kmeans(np.zeros((3, 1)), 3, seed=0)
+        assert sorted(assignment.tolist()) == [0, 1, 2]
+        assert np.isfinite(centroids).all()
+        assert objectives.tolist() == [0.0, 0.0]
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_rejects_non_finite_points(self, bad):
+        with pytest.raises(ValueError, match="NaN or infinite"):
+            lloyd_kmeans(np.array([[0.0], [bad]]), 1)
 
     def test_rejects_bad_k(self):
         points = np.zeros((4, 2))
@@ -119,7 +130,7 @@ class TestLloydKmeans:
             c = int(rng.integers(1, 60))
             n = int(rng.integers(2, 80))
             k = int(rng.integers(1, min(n, 12) + 1))
-            view = SignatureMatrix(rng.standard_normal((c, n))).signatures
+            view = rng.standard_normal((c, n)).T
             copy = np.ascontiguousarray(view)
             for a, b in zip(lloyd_kmeans(view, k, seed=case), lloyd_kmeans(copy, k, seed=case)):
                 assert a.tobytes() == b.tobytes(), (case, n, k, c)
@@ -136,18 +147,30 @@ class TestLloydKmeans:
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
-        assert peak < 32 * 2**20
+        assert peak < 4 * 2**20
+
+    def test_memory_stays_bounded_with_many_clusters(self):
+        # D=4096 one-class signatures into 1024 groups: a (D, k) distance
+        # array alone would be 32 MiB
+        points = np.random.default_rng(66).standard_normal((4096, 1))
+        tracemalloc.start()
+        try:
+            lloyd_kmeans(points, 1024, seed=0)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 4 * 2**20
 
 
 class TestKmeansPartition:
     def test_k_equals_d_gives_singletons(self):
         rng = np.random.default_rng(72)
-        sig = SignatureMatrix(rng.standard_normal((3, 6)))
+        sig = rng.standard_normal((3, 6)).T
         partition = kmeans_partition(sig, 6, seed=0)
         assert (partition.group_sizes == 1).all()
 
     def test_k_one_groups_everything(self):
-        sig = SignatureMatrix(np.random.default_rng(73).standard_normal((2, 5)))
+        sig = np.random.default_rng(73).standard_normal((2, 5)).T
         partition = kmeans_partition(sig, 1, seed=0)
         assert partition.assignment.tolist() == [0] * 5
 
@@ -159,13 +182,13 @@ class TestKmeansPartition:
             centers=[np.array([0.0, 0.0]), np.array([50.0, 0.0]), np.array([0.0, 50.0])],
             spread=0.5,
         )
-        assert sig.num_dims == 6
-        best_assign, best_obj = brute_force_partition_optimum(sig.signatures, 3)
+        assert len(sig) == 6
+        best_assign, best_obj = brute_force_partition_optimum(sig, 3)
         partition = kmeans_partition(sig, 3, seed=1)
         assert np.array_equal(
             canonical_labels(partition.assignment), canonical_labels(best_assign)
         )
-        _, _, objectives = lloyd_kmeans(sig.signatures, 3, seed=1)
+        _, _, objectives = lloyd_kmeans(sig, 3, seed=1)
         assert objectives[-1] == pytest.approx(best_obj, rel=1e-12, abs=1e-12)
 
     def test_recovers_planted_structure_across_seeds(self):
@@ -179,12 +202,12 @@ class TestKmeansPartition:
         assert np.mean(scores) >= 0.9
 
     def test_rejects_target_above_dimensionality(self):
-        sig = SignatureMatrix(np.zeros((2, 4)))
+        sig = np.zeros((2, 4)).T
         with pytest.raises(InvalidTargetError):
             kmeans_partition(sig, 5)
 
     def test_deterministic_assignment(self):
-        sig = SignatureMatrix(np.random.default_rng(76).standard_normal((3, 12)))
+        sig = np.random.default_rng(76).standard_normal((3, 12)).T
         a = kmeans_partition(sig, 4, seed=9).assignment
         b = kmeans_partition(sig, 4, seed=9).assignment
         assert np.array_equal(a, b)
@@ -203,10 +226,6 @@ class TestReductionPartition:
         with pytest.raises(ValueError, match="k must be in"):
             ReductionPartition(np.array([0, 1]), 10**23)
 
-    def test_rejects_unknown_aggregation(self):
-        with pytest.raises(ValueError):
-            ReductionPartition(np.array([0, 1]), 2, aggregation="median")
-
 
 class TestReduce:
     def test_identity_partition_copies_vector(self):
@@ -217,10 +236,6 @@ class TestReduce:
     def test_single_group_sums(self):
         partition = ReductionPartition(np.zeros(4, dtype=int), 1)
         assert reduce(np.array([1.0, 2.0, 3.0, 4.0]), partition).tolist() == [10.0]
-
-    def test_mean_aggregation(self):
-        partition = ReductionPartition(np.array([0, 0, 1]), 2, aggregation="mean")
-        assert reduce(np.array([1.0, 3.0, 7.0]), partition).tolist() == [2.0, 7.0]
 
     def test_linearity(self):
         rng = np.random.default_rng(77)
@@ -263,12 +278,11 @@ class TestReduceSequence:
         for t in range(6):
             assert out.frames[t].tobytes() == reduce(seq.frames[t], partition).tobytes()
 
-    @pytest.mark.parametrize("aggregation", ["sum", "mean"])
-    def test_equals_stacked_vector_reduce(self, aggregation):
+    def test_equals_stacked_vector_reduce(self):
         rng = np.random.default_rng(67)
         for num_frames, num_dims, k in [(1, 1, 1), (3, 50, 7), (30, 4096, 128)]:
             assignment = np.concatenate([np.arange(k), rng.integers(0, k, num_dims - k)])
-            partition = ReductionPartition(rng.permutation(assignment), k, aggregation)
+            partition = ReductionPartition(rng.permutation(assignment), k)
             seq = FeatureSequence(rng.standard_normal((num_frames, num_dims)) * 1e3)
             want = np.stack([reduce(frame, partition) for frame in seq.frames])
             assert reduce_sequence(seq, partition).frames.tobytes() == want.tobytes()
@@ -281,12 +295,12 @@ class TestReduceSequence:
 
 class TestPartitionFile:
     def test_roundtrip_exact(self, tmp_path):
-        partition = ReductionPartition(np.array([2, 0, 1, 1, 0, 2]), 3, aggregation="mean")
+        partition = ReductionPartition(np.array([2, 0, 1, 1, 0, 2]), 3)
         path = tmp_path / "partition.txt"
         save_partition(partition, path)
         loaded = load_partition(path)
         assert np.array_equal(loaded.assignment, partition.assignment)
-        assert loaded.k == 3 and loaded.aggregation == "mean"
+        assert loaded.k == 3
 
     def test_header_format(self, tmp_path):
         partition = ReductionPartition(np.array([0, 1]), 2)
@@ -305,6 +319,7 @@ class TestPartitionFile:
             "k=99999999999999999999999 D=2 aggregation=sum\n0\n1\n",
             "k=2 D=2 aggregation=sum\n0\n99999999999999999999999\n",
             "k=2 D=2 aggregation=sum\n0\n-99999999999999999999999\n",
+            "k=2 D=2 aggregation=mean\n0\n1\n",
         ],
     )
     def test_malformed_files_rejected(self, tmp_path, content):

@@ -8,6 +8,7 @@ import pytest
 from helpers import dense_reference_gradients, mean_separable_dataset
 
 from oacpool.convpool import FilterBankSet, param_count_perdim
+from oacpool.dimreduce import lloyd_kmeans
 from oacpool.errors import (
     DivergenceError,
     ParseError,
@@ -433,6 +434,23 @@ class TestGradCheck:
         model = tiny_oacp_model(seed=15)
         with pytest.raises(ValueError):
             grad_check(model, random_example(16, 6, 3, 2), 1e-2)
+
+
+SEEDED_ENTRY_POINTS = {
+    "from_spec": lambda seed: ClassifierModel.build("oacp", 2, 2, seed=seed),
+    "grad_check": lambda seed: grad_check(
+        tiny_oacp_model(), random_example(17, 6, 3, 2), 1e-5, seed=seed
+    ),
+    "lloyd_kmeans": lambda seed: lloyd_kmeans(np.zeros((2, 1)), 2, seed=seed),
+}
+
+
+@pytest.mark.parametrize("seed", [-1, True, 1.0], ids=["-1", "True", "1.0"])
+@pytest.mark.parametrize("entry", list(SEEDED_ENTRY_POINTS))
+def test_library_seed_is_checked(entry, seed):
+    # an integer >= 0 or a SeedSequence; a bool or float is not a seed
+    with pytest.raises(ValueError, match="^seed must be"):
+        SEEDED_ENTRY_POINTS[entry](seed)
 
 
 class TestSgdTrain:

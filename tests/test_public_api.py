@@ -21,7 +21,6 @@ PUBLIC_NAMES = {
         "PyramidConfig",
         "ReductionPartition",
         "ResultTable",
-        "SignatureMatrix",
         "SyntheticSpec",
         "TrainConfig",
         "average_pool",
@@ -107,3 +106,9 @@ def test_classifier_model_fields_are_pinned():
         "filter_banks",
         "version",
     ]
+
+
+def test_reduction_partition_fields_are_pinned():
+    # every partition sums its groups
+    names = [f.name for f in dataclasses.fields(oacpool.ReductionPartition)]
+    assert names == ["assignment", "k"]
