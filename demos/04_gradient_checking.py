@@ -37,7 +37,7 @@ loss_minus = instance_loss(forward(model, example.sequence)[0], example.label)
 model.w_head[0, 0] += eps
 model.version += 1
 fd = (loss_plus - loss_minus) / (2 * eps)
-print(f"analytic dL/dW[0,0] = {grads.w_head[0, 0]: .10f}")
+print(f"analytic dL/dW[0,0] = {grads.dense_w_head()[0, 0]: .10f}")
 print(f"finite difference   = {fd: .10f}")
 
 #%%

@@ -28,6 +28,7 @@ from .errors import (
     MissingClassError,
     ParseError,
     ShapeMismatchError,
+    SumOverflowError,
     TooShortSequenceError,
 )
 from .harness import (
@@ -65,6 +66,7 @@ _DATA_ERRORS = (
     TooShortSequenceError,
     MissingClassError,
     InvalidTargetError,
+    SumOverflowError,
     FileNotFoundError,
     IsADirectoryError,
     NotADirectoryError,

@@ -153,10 +153,11 @@ def oacp_forward_details(
     pre = conv_responses(seq.frames, banks)
     responses = np.maximum(pre, 0.0)
     windows = sliding_window_view(seq.frames, banks.interval, axis=0)[:: banks.stride]
-    maxima = segment_maxima(responses, cfg)
+    ranges = segment_ranges(responses.shape[0], cfg)
+    maxima = segment_maxima(responses, ranges)
     any_nan = np.isnan(maxima).any()
     argmax = np.empty(maxima.shape, dtype=np.intp)
-    for m, (a, b) in enumerate(segment_ranges(responses.shape[0], cfg)):
+    for m, (a, b) in enumerate(ranges):
         seg = responses[a:b]
         hits = seg == maxima[m]
         if any_nan:

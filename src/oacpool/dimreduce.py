@@ -20,6 +20,7 @@ from .errors import (
     MissingClassError,
     ParseError,
     ShapeMismatchError,
+    SumOverflowError,
 )
 from .pooling import seed_value
 from .sequences import FeatureSequence
@@ -63,32 +64,42 @@ class ReductionPartition:
 def class_signatures(data, num_classes: int) -> np.ndarray:
     """The (D, c) signatures from (vector, label) pairs: row i holds dimension i's class means.
 
-    Every class in [0, num_classes) must contribute at least one vector.
+    Every class in [0, num_classes) must contribute at least one vector, and
+    every class sum must be finite: the first (class, dimension) whose sum
+    is not raises SumOverflowError.
     """
     if num_classes < 1:
         raise ValueError(f"num_classes must be >= 1, got {num_classes}")
     sums = None
     counts = np.zeros(num_classes, dtype=np.int64)
-    for vector, label in data:
-        vector = np.asarray(vector, dtype=np.float64)
-        if vector.ndim != 1:
-            raise ValueError(f"expected 1-D vectors, got shape {vector.shape}")
-        label = int(label)
-        if not 0 <= label < num_classes:
-            raise ValueError(f"label {label} out of range for {num_classes} classes")
-        if sums is None:
-            sums = np.zeros((num_classes, vector.shape[0]))
-        elif vector.shape[0] != sums.shape[1]:
-            raise ShapeMismatchError(
-                f"vector of length {vector.shape[0]}, expected {sums.shape[1]}"
-            )
-        sums[label] += vector
-        counts[label] += 1
+    # a sum that overflows is reported below, naming its class and dimension
+    with np.errstate(over="ignore", invalid="ignore"):
+        for vector, label in data:
+            vector = np.asarray(vector, dtype=np.float64)
+            if vector.ndim != 1:
+                raise ValueError(f"expected 1-D vectors, got shape {vector.shape}")
+            label = int(label)
+            if not 0 <= label < num_classes:
+                raise ValueError(f"label {label} out of range for {num_classes} classes")
+            if sums is None:
+                sums = np.zeros((num_classes, vector.shape[0]))
+            elif vector.shape[0] != sums.shape[1]:
+                raise ShapeMismatchError(
+                    f"vector of length {vector.shape[0]}, expected {sums.shape[1]}"
+                )
+            sums[label] += vector
+            counts[label] += 1
     if sums is None:
         raise ValueError("no data")
     if (counts == 0).any():
         missing = int(np.flatnonzero(counts == 0)[0])
         raise MissingClassError(f"class {missing} has no training vectors")
+    finite = np.isfinite(sums)
+    if not finite.all():
+        label, dim = np.unravel_index(int(finite.argmin()), sums.shape)
+        raise SumOverflowError(
+            f"class {label} sums to a non-finite value in dimension {dim}"
+        )
     return np.ascontiguousarray((sums / counts[:, None]).T)
 
 

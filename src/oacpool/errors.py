@@ -25,6 +25,10 @@ class InvalidTargetError(ValueError):
     """A reduction target dimensionality the data cannot support."""
 
 
+class SumOverflowError(ValueError):
+    """Finite data values whose sum leaves the float64 range."""
+
+
 class DivergenceError(RuntimeError):
     """Training produced a non-finite loss or non-finite parameters."""
 

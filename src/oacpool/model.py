@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convpool import FilterBankSet, oacp_forward_details
+from .convpool import _BLOCK_ELEMENTS, FilterBankSet, oacp_forward_details
 from .errors import DivergenceError, ParseError, ShapeMismatchError, StaleCacheError
 from .pooling import (
     PyramidConfig,
@@ -263,15 +263,27 @@ class ForwardCache:
 
 @dataclass(eq=False)
 class Gradients:
-    """Loss gradients, same shapes as the trainable parameters."""
+    """Loss gradients of the trainable parameters.
 
-    w_head: np.ndarray
+    The head weight gradient is the rank-one outer(b_head, pooled): b_head
+    is the logit gradient probs - onehot(label), which is also the head
+    bias gradient, and pooled is the forward's pooled vector.  Only the two
+    factors are stored; dense_w_head() builds the (num_classes,
+    pooled_length) product.  The bank gradients have the banks' shapes.
+    """
+
     b_head: np.ndarray
+    pooled: np.ndarray
     bank_weights: np.ndarray | None = None
     bank_biases: np.ndarray | None = None
 
+    def dense_w_head(self) -> np.ndarray:
+        """The head weight gradient as a new dense array, np.outer(b_head, pooled)."""
+        return np.outer(self.b_head, self.pooled)
+
     def arrays(self) -> list[np.ndarray]:
-        out = [self.w_head, self.b_head]
+        """Dense gradients in ClassifierModel.parameters() order."""
+        out = [self.dense_w_head(), self.b_head]
         if self.bank_weights is not None:
             out.extend([self.bank_weights, self.bank_biases])
         return out
@@ -323,8 +335,10 @@ def instance_loss(probs, label: int) -> float:
 def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradients:
     """Gradients of the instance loss for every trainable parameter.
 
-    Logit gradient is probs - onehot(label).  The segment max routes each
-    pooled slot's gradient to its first maximal response row; ReLU passes
+    Logit gradient is probs - onehot(label).  The head weight gradient is
+    left as its two factors, the logit gradient and the pooled vector, so
+    no (num_classes, pooled_length) array is built.  The segment max routes
+    each pooled slot's gradient to its first maximal response row; ReLU passes
     gradient only where the pre-activation is strictly positive.  The bank
     gradient is therefore summed over the M routed rows of each (dimension,
     filter) only, in (level, segment) order: each routed slot adds its
@@ -339,10 +353,8 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
         raise ValueError(f"label {label} out of range for {model.num_classes} classes")
     dlogits = cache.probs.copy()
     dlogits[label] -= 1.0
-    g_w_head = np.outer(dlogits, cache.pooled)
-    g_b_head = dlogits
     if model.spec.kind != "oacp":
-        return Gradients(g_w_head, g_b_head)
+        return Gradients(dlogits, cache.pooled)
 
     # pooled holds each slot's ReLU'd maximum in d_pooled's (K, M, n) layout,
     # so it is positive exactly where the routed row's pre-activation is
@@ -359,11 +371,38 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
         g_bank_w += coef_nk[m] * routed[m]
         g_bank_b += coef[:, m]
     g_bank_w = g_bank_w.transpose(1, 0, 2)  # (K, n, l) view of the (n, K, l) sums
-    return Gradients(g_w_head, g_b_head, g_bank_w, g_bank_b)
+    return Gradients(dlogits, cache.pooled, g_bank_w, g_bank_b)
 
 
-def _finite_parameters(model: ClassifierModel) -> bool:
-    return all(np.isfinite(p).all() for p in model.parameters())
+def _sgd_step(model: ClassifierModel, grads: Gradients, learning_rate: float) -> bool:
+    """theta <- theta - learning_rate * grad in place; True if every updated value is finite.
+
+    The head weights take their rank-one update a block of rows at a time:
+    each block's slice of outer(b_head, pooled) is formed in a reused
+    buffer, scaled, subtracted and checked while the block is in cache.
+    Every element is rounded as np.outer, then *= learning_rate, then -=
+    would round it.  The other gradients are scaled in place, subtracted,
+    and their parameters checked.  Every array is updated before the
+    result is known.
+    """
+    w_head, dlogits, pooled = model.w_head, grads.b_head, grads.pooled
+    rows = max(1, _BLOCK_ELEMENTS // pooled.shape[0])
+    term = np.empty((min(rows, w_head.shape[0]), pooled.shape[0]))
+    finite = True
+    for start in range(0, w_head.shape[0], rows):
+        block = w_head[start : start + rows]
+        block_term = term[: block.shape[0]]
+        np.multiply(dlogits[start : start + rows, None], pooled, out=block_term)
+        block_term *= learning_rate
+        block -= block_term
+        finite &= bool(np.isfinite(block).all())
+    # b_head, then the bank pair, which only oacp models have
+    rest = (grads.b_head, grads.bank_weights, grads.bank_biases)
+    for param, grad in zip(model.parameters()[1:], rest):
+        grad *= learning_rate
+        param -= grad
+        finite &= bool(np.isfinite(param).all())
+    return finite
 
 
 def sgd_train(
@@ -374,7 +413,11 @@ def sgd_train(
     Instance order is reshuffled each epoch by a generator seeded from
     cfg.seed, so a given (seed, data order, cfg) is bit-deterministic.
     History records each epoch's mean loss and online accuracy (prediction
-    taken before the update).
+    taken before the update).  The head weights take the rank-one update
+    outer(b_head, pooled) a block of rows at a time, rounded as the dense
+    update would be, and no dense head gradient is built.  Each array is
+    checked for finiteness as it is updated; a non-finite parameter raises
+    DivergenceError once the whole step is applied.
     """
     if not data:
         raise ValueError("training data is empty")
@@ -413,12 +456,9 @@ def sgd_train(
             total_loss += loss
             if int(np.argmax(probs)) == item.label:
                 correct += 1
-            grads = backward(model, cache, item.label)
-            for param, grad in zip(model.parameters(), grads.arrays()):
-                grad *= cfg.learning_rate
-                param -= grad
+            finite = _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
             model.version += 1
-            if not _finite_parameters(model):
+            if not finite:
                 raise DivergenceError(
                     f"non-finite parameters after epoch {epoch}, instance {int(idx)}"
                 )

@@ -105,9 +105,11 @@ def segment_ranges(num_frames: int, cfg: PyramidConfig) -> list[tuple[int, int]]
     return ranges
 
 
-def segment_maxima(values: np.ndarray, cfg: PyramidConfig) -> np.ndarray:
-    """Per-segment maxima over axis 0 of a (T, ...) array, rows in (level, segment) order."""
-    ranges = segment_ranges(values.shape[0], cfg)
+def segment_maxima(values: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
+    """Per-segment maxima over axis 0 of a (T, ...) array, one row per [a, b) range.
+
+    ranges is segment_ranges(T, cfg), so the rows are in (level, segment) order.
+    """
     maxima = np.empty((len(ranges),) + values.shape[1:], dtype=values.dtype)
     for m, (a, b) in enumerate(ranges):
         values[a:b].max(axis=0, out=maxima[m])
@@ -120,4 +122,4 @@ def temporal_pyramid_pool(seq: FeatureSequence, cfg: PyramidConfig) -> np.ndarra
     Output index order: dimension k outermost, then level, then segment;
     length K * M.  With cfg = [1] this equals max_pool exactly.
     """
-    return segment_maxima(seq.frames, cfg).T.ravel()
+    return segment_maxima(seq.frames, segment_ranges(seq.num_frames, cfg)).T.ravel()

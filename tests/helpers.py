@@ -9,6 +9,7 @@ from math import comb
 import numpy as np
 
 from oacpool.dimreduce import KMEANS_MAX_ITERS, _kmeans_pp_init
+from oacpool.model import backward, forward
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
 
@@ -51,6 +52,32 @@ def dense_reference_gradients(model, cache, label: int):
     d_resp *= pre > 0
     bank_w = np.einsum("tjk,tki->kji", d_resp, cache.windows)
     return (*head, bank_w, d_resp.sum(axis=0).T)
+
+
+def dense_update_sgd(model, data, cfg):
+    """sgd_train's instance loop with the dense head update.
+
+    The same shuffling and steps, but each head weight step forms the whole
+    np.outer(probs - onehot(label), pooled), then scales it by the learning
+    rate, then subtracts it.  No divergence checks; returns the model.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    order = np.arange(len(data))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        for idx in order:
+            item = data[idx]
+            probs, cache = forward(model, item.sequence)
+            dlogits = probs.copy()
+            dlogits[item.label] -= 1.0
+            grads = backward(model, cache, item.label)
+            dense = [np.outer(dlogits, cache.pooled), grads.b_head]
+            dense += [grads.bank_weights, grads.bank_biases]
+            for param, grad in zip(model.parameters(), dense):
+                grad *= cfg.learning_rate
+                param -= grad
+            model.version += 1
+    return model
 
 
 def unblocked_lloyd_kmeans(points, k: int, seed=0):

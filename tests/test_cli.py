@@ -477,6 +477,21 @@ class TestReduceCommand:
         )
         assert code == 2
 
+    def test_overflowing_class_sum_is_data_error(self, tmp_path, capsys):
+        # every value is finite, but class a's sum in dimension 0 is not
+        save_features(FeatureSequence([[1e308, 1.0], [1e308, 2.0]]), tmp_path / "big.txt")
+        save_features(FeatureSequence([[1.0, 1.0]]), tmp_path / "small.txt")
+        manifest = tmp_path / "data.manifest"
+        manifest.write_text("classes=a,b\nsmall.txt 1\nbig.txt 0\n")
+        code = run_cli(
+            "reduce", "--manifest", str(manifest), "--target-dim", "1",
+            "--partition-out", str(tmp_path / "p.txt"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "class 0" in err and "dimension 0" in err
+        assert not (tmp_path / "p.txt").exists()
+
 
 @pytest.mark.parametrize("kind", POOLING_KINDS)
 def test_bare_geometry_flags_give_the_default_spec(kind):

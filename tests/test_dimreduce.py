@@ -25,6 +25,7 @@ from oacpool.errors import (
     MissingClassError,
     ParseError,
     ShapeMismatchError,
+    SumOverflowError,
 )
 from oacpool.sequences import FeatureSequence
 
@@ -60,6 +61,12 @@ class TestClassSignatures:
     def test_inconsistent_vector_lengths(self):
         with pytest.raises(ShapeMismatchError):
             class_signatures([([1.0, 2.0], 0), ([1.0], 0)], 1)
+
+    def test_overflowing_class_sum_names_class_and_dimension(self):
+        # finite vectors whose class-1 sum overflows in dimension 2 only
+        data = [([0.0, 1.0, 2.0], 0), ([1.0, 1.0, 1e308], 1), ([2.0, 3.0, 1e308], 1)]
+        with pytest.raises(SumOverflowError, match="class 1 .*dimension 2"):
+            class_signatures(data, 2)
 
     def test_signature_columns(self):
         sig = class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], 1)], 2)

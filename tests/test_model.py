@@ -5,9 +5,9 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from helpers import dense_reference_gradients, mean_separable_dataset
+from helpers import dense_reference_gradients, dense_update_sgd, mean_separable_dataset
 
-from oacpool.convpool import FilterBankSet, param_count_perdim
+from oacpool.convpool import _BLOCK_ELEMENTS, FilterBankSet, param_count_perdim
 from oacpool.dimreduce import lloyd_kmeans
 from oacpool.errors import (
     DivergenceError,
@@ -323,7 +323,7 @@ class TestBackward:
         _, cache = forward(model, random_example(5, 8, 3, 2).sequence)
         grads = backward(model, cache, 1)
         assert grads.bank_weights is None and grads.bank_biases is None
-        assert grads.w_head.shape == (2, 9)  # P = K * (1 + 2) segments
+        assert grads.dense_w_head().shape == (2, 9)  # P = K * (1 + 2) segments
 
 
 def sparse_backward_case(stride, pyramid, case):
@@ -369,7 +369,7 @@ class TestSparseBankGradient:
         _, cache = forward(model, example.sequence)
         grads = backward(model, cache, example.label)
         w_head, b_head, bank_w, bank_b = dense_reference_gradients(model, cache, example.label)
-        assert grads.w_head.tobytes() == w_head.tobytes()
+        assert grads.dense_w_head().tobytes() == w_head.tobytes()
         assert grads.b_head.tobytes() == b_head.tobytes()
         np.testing.assert_allclose(grads.bank_weights, bank_w, rtol=1e-12, atol=0)
         np.testing.assert_allclose(grads.bank_biases, bank_b, rtol=1e-12, atol=0)
@@ -453,6 +453,10 @@ def test_library_seed_is_checked(entry, seed):
         SEEDED_ENTRY_POINTS[entry](seed)
 
 
+# the message of a step that leaves a parameter non-finite
+NON_FINITE_PARAMETERS = r"^non-finite parameters after epoch \d+, instance \d+$"
+
+
 class TestSgdTrain:
     def test_zero_learning_rate_is_bit_identity(self):
         model = tiny_oacp_model(seed=20)
@@ -501,6 +505,72 @@ class TestSgdTrain:
             with pytest.raises(DivergenceError, match=r"epoch \d+, instance \d+"):
                 sgd_train(model, data, cfg)
 
+    @pytest.mark.parametrize(
+        "num_features, num_classes, n_filters, block_rows",
+        # P = 3 * 2 * 3 = 18: the whole two-class head in one block;
+        # P = 2800 * 3 * 3 = 25,200: blocks of two rows, the last one partial
+        [(3, 2, 2, [2]), (2800, 5, 3, [2, 2, 1])],
+        ids=["one-block", "row-blocks"],
+    )
+    def test_head_update_matches_the_dense_update(
+        self, num_features, num_classes, n_filters, block_rows
+    ):
+        runs = []
+        for train in (sgd_train, dense_update_sgd):
+            model = tiny_oacp_model(
+                seed=24, num_features=num_features, num_classes=num_classes,
+                n_filters=n_filters,
+            )
+            data = [random_example(s, 7, num_features, num_classes) for s in range(5)]
+            train(model, data, TrainConfig(learning_rate=0.05, epochs=2, seed=8))
+            runs.append(parameter_bytes(model))
+        rows = _BLOCK_ELEMENTS // model.pooled_length
+        assert [min(rows, num_classes - a) for a in range(0, num_classes, rows)] == block_rows
+        assert runs[0] == runs[1]
+
+    def test_head_overflow_in_a_later_row_block_is_divergence(self):
+        # P = 25,200 gives blocks of rows (0, 1), (2, 3), (4).  Dimension 0
+        # pools to about 1e300 and its head columns are zero, so the logits
+        # stay finite; classes 0-2 get probability 0 and no update, and
+        # rows 3 and 4 overflow, in the second and third blocks.
+        model = tiny_oacp_model(seed=25, num_features=2800, num_classes=5, n_filters=3)
+        model.filter_banks.weights[0] = 0.5
+        model.w_head[:, :9] = 0.0  # dimension 0's n_filters * M slots
+        model.b_head[:] = [-1000.0, -1000.0, -1000.0, 0.0, 0.0]
+        model.version += 1
+        frames = random_example(26, 7, 2800, 5).sequence.frames.copy()
+        frames[:, 0] = 1e300
+        data = [LabeledSequence(FeatureSequence(frames), 3)]
+        bank_biases = model.filter_banks.biases.copy()
+        cfg = TrainConfig(learning_rate=1e10, epochs=1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergenceError, match=NON_FINITE_PARAMETERS):
+                sgd_train(model, data, cfg)
+        finite_rows = np.isfinite(model.w_head).all(axis=1)
+        assert finite_rows.tolist() == [True, True, True, False, False]
+        assert np.isfinite(model.filter_banks.weights).all()
+        # the whole step was applied before the error
+        assert not np.array_equal(model.filter_banks.biases, bank_biases)
+
+    def test_bank_bias_overflow_is_divergence(self):
+        # pooled values near 1e-200 under head weights of +-1e100 keep the
+        # logits, the head step and the bank weight step finite, while each
+        # bank bias gradient is near 1e100 and its step 1e350
+        model = tiny_oacp_model(seed=27)
+        model.w_head[0] = 1e100
+        model.w_head[1] = -1e100
+        model.version += 1
+        example = random_example(28, 6, 3, 2)
+        frames = example.sequence.frames * 1e-200
+        data = [LabeledSequence(FeatureSequence(frames), example.label)]
+        cfg = TrainConfig(learning_rate=1e250, epochs=1)
+        with np.errstate(over="ignore"):
+            with pytest.raises(DivergenceError, match=NON_FINITE_PARAMETERS):
+                sgd_train(model, data, cfg)
+        assert not np.isfinite(model.filter_banks.biases).all()
+        for param in model.parameters()[:3]:
+            assert np.isfinite(param).all()
+
     def test_rejects_bad_labels_and_empty_data(self):
         model = ClassifierModel.build("average", 3, 2, seed=0)
         with pytest.raises(ValueError):
@@ -524,9 +594,11 @@ def traced_peak_mib(call) -> float:
 class TestPaperShapeMemory:
     """tracemalloc bounds at the paper's shape: K=4096, T=30, 51 classes, default oacp.
 
-    A training step peaks near 21.6 MiB: the head's 15 MiB outer-product
-    gradient plus the conv buffers.  An evaluated instance needs about
-    5.4 MiB.  The bounds catch a per-step temporary coming back.
+    A training step peaks near 7.2 MiB: the conv buffers, the routed
+    windows of the bank gradient, and one row of the head update; no
+    (num_classes, pooled_length) head gradient is built.  An evaluated
+    instance needs about 5.4 MiB.  The bounds catch a per-step temporary
+    coming back.
     """
 
     @pytest.fixture(scope="class")
@@ -538,7 +610,7 @@ class TestPaperShapeMemory:
     def test_training_step(self, paper_case):
         model, data = paper_case
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
-        assert traced_peak_mib(lambda: sgd_train(model, data, cfg)) < 24
+        assert traced_peak_mib(lambda: sgd_train(model, data, cfg)) < 8
 
     def test_evaluated_instance(self, paper_case):
         model, data = paper_case
