@@ -44,6 +44,7 @@ from .harness import (
     save_features,
     save_manifest,
 )
+from .harness.manifest import iter_dataset
 from .model import (
     POOLING_KINDS,
     ClassifierModel,
@@ -340,7 +341,6 @@ def _cmd_reduce(args) -> int:
         )
         return 1
     manifest = load_manifest(args.manifest)
-    data = load_dataset(manifest)
     if fit_mode:
         if args.target_dim is None or args.partition_out is None:
             print(
@@ -348,7 +348,9 @@ def _cmd_reduce(args) -> int:
                 file=sys.stderr,
             )
             return 1
-        signatures = class_signatures(labeled_frames(data), manifest.num_classes)
+        signatures = class_signatures(
+            labeled_frames(iter_dataset(manifest)), manifest.num_classes
+        )
         partition = kmeans_partition(signatures, args.target_dim, seed=args.seed)
         save_partition(partition, args.partition_out)
         print(
@@ -363,12 +365,14 @@ def _cmd_reduce(args) -> int:
         )
         return 1
     partition = load_partition(args.apply)
+    # each input is reduced as it is read and only the k-wide results are
+    # kept; nothing is written until every input has been read
+    reduced = [reduce_sequence(item.sequence, partition) for item in iter_dataset(manifest)]
     out_dir = Path(args.out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     entries = []
-    for (path, label), item in zip(manifest.entries, data):
-        reduced = reduce_sequence(item.sequence, partition)
-        save_features(reduced, out_dir / path.name)
+    for (path, label), seq in zip(manifest.entries, reduced):
+        save_features(seq, out_dir / path.name)
         entries.append((out_dir / path.name, label))
     reduced_manifest = DatasetManifest(entries, manifest.class_names, manifest.split_tag)
     manifest_name = Path(args.manifest).name

@@ -16,6 +16,7 @@ starting with '#' are ignored.
 from __future__ import annotations
 
 import os
+from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -116,9 +117,14 @@ def save_manifest(manifest: DatasetManifest, path) -> None:
             fh.write(f"{rel} {label}\n")
 
 
-def load_dataset(manifest: DatasetManifest) -> list[LabeledSequence]:
-    """Load every entry; all sequences must share one feature dimensionality."""
-    data = []
+def iter_dataset(manifest: DatasetManifest) -> Iterator[LabeledSequence]:
+    """Read the entries in manifest order, yielding each sequence as soon as it is read.
+
+    Nothing is kept between entries, so a caller that lets go of each
+    sequence before asking for the next holds one sequence at a time.
+    Every sequence must have the first one's feature dimensionality; the
+    first that does not raises ShapeMismatchError when it is read.
+    """
     feature_dim = None
     for entry_path, label in manifest.entries:
         seq = load_features(entry_path)
@@ -128,10 +134,19 @@ def load_dataset(manifest: DatasetManifest) -> list[LabeledSequence]:
             raise ShapeMismatchError(
                 f"{entry_path}: has {seq.num_features} features, dataset uses {feature_dim}"
             )
-        data.append(LabeledSequence(seq, label))
-    return data
+        yield LabeledSequence(seq, label)
 
 
-def labeled_frames(data: list[LabeledSequence]) -> list[tuple[np.ndarray, int]]:
-    """Flatten sequences into (frame vector, label) pairs for signature building."""
-    return [(frame, item.label) for item in data for frame in item.sequence.frames]
+def load_dataset(manifest: DatasetManifest) -> list[LabeledSequence]:
+    """Every entry in memory at once: the list of what iter_dataset yields."""
+    return list(iter_dataset(manifest))
+
+
+def labeled_frames(data: Iterable[LabeledSequence]) -> Iterator[tuple[np.ndarray, int]]:
+    """Lazily flatten sequences into (frame vector, label) pairs for signature building.
+
+    Frames come in sequence order, then frame order, and each sequence is
+    taken from data only when its first frame is asked for, so an
+    iter_dataset generator is read one file at a time.
+    """
+    return ((frame, item.label) for item in data for frame in item.sequence.frames)

@@ -17,7 +17,12 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convpool import _BLOCK_ELEMENTS, FilterBankSet, oacp_forward_details
+from .convpool import (
+    _BLOCK_ELEMENTS,
+    FilterBankSet,
+    oacp_forward_details,
+    param_count_perdim,
+)
 from .errors import DivergenceError, ParseError, ShapeMismatchError, StaleCacheError
 from .pooling import (
     PyramidConfig,
@@ -45,6 +50,10 @@ CHECKPOINT_VERSION = 2
 # Real geometries need a few dozen; padding one paper-scale (K=4096)
 # sequence to this many frames takes 128 MiB.
 MAX_MINIMUM_FRAMES = 4096
+
+# Largest parameter count ClassifierModel.from_spec will draw.  The
+# paper-scale model has about 2M parameters; 2**27 float64 values take 1 GiB.
+MAX_PARAMETERS = 2**27
 
 
 @dataclass(frozen=True)
@@ -199,9 +208,21 @@ class ClassifierModel:
 
         Filter banks are drawn before the head, so a given seed (an integer
         >= 0 or an np.random.SeedSequence) fixes every parameter of the model.
+        A model of more than MAX_PARAMETERS parameters is rejected with a
+        ValueError before anything is drawn.
         """
         num_features = positive_int(num_features, "num_features")
         num_classes = positive_int(num_classes, "num_classes")
+        pooled_len = spec.pooled_length(num_features)
+        # head weights and biases, plus the banks of an oacp model
+        total = num_classes * (pooled_len + 1)
+        if spec.kind == "oacp":
+            total += param_count_perdim(num_features, spec.interval, spec.n_filters)
+        if total > MAX_PARAMETERS:
+            raise ValueError(
+                f"the model would have {total} parameters, "
+                f"over the limit of {MAX_PARAMETERS}"
+            )
         rng = np.random.default_rng(seed_value(seed))
         banks = None
         if spec.kind == "oacp":
@@ -212,7 +233,6 @@ class ClassifierModel:
                 biases=np.zeros((num_features, n_filters)),
                 stride=spec.stride,
             )
-        pooled_len = spec.pooled_length(num_features)
         bound = math.sqrt(6.0 / (pooled_len + num_classes))
         return cls(
             spec,
@@ -417,7 +437,8 @@ def sgd_train(
     outer(b_head, pooled) a block of rows at a time, rounded as the dense
     update would be, and no dense head gradient is built.  Each array is
     checked for finiteness as it is updated; a non-finite parameter raises
-    DivergenceError once the whole step is applied.
+    DivergenceError once the whole step is applied.  An overflow on the way
+    prints no NumPy warning, since each one ends in that DivergenceError.
     """
     if not data:
         raise ValueError("training data is empty")
@@ -434,35 +455,38 @@ def sgd_train(
     rng = np.random.default_rng(cfg.seed)
     order = np.arange(len(data))
     history: list[EpochStats] = []
-    for epoch in range(cfg.epochs):
-        rng.shuffle(order)
-        total_loss = 0.0
-        correct = 0
-        for idx in order:
-            item = data[idx]
-            try:
-                # shapes were validated upfront, so a ValueError here means
-                # the numbers blew up (e.g. overflowing logits)
-                probs, cache = forward(model, item.sequence)
-                loss = instance_loss(probs, item.label)
-            except ValueError as exc:
-                raise DivergenceError(
-                    f"divergence at epoch {epoch}, instance {int(idx)}: {exc}"
-                ) from None
-            if not math.isfinite(loss):
-                raise DivergenceError(
-                    f"non-finite loss at epoch {epoch}, instance {int(idx)}"
-                )
-            total_loss += loss
-            if int(np.argmax(probs)) == item.label:
-                correct += 1
-            finite = _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
-            model.version += 1
-            if not finite:
-                raise DivergenceError(
-                    f"non-finite parameters after epoch {epoch}, instance {int(idx)}"
-                )
-        history.append(EpochStats(epoch, total_loss / len(data), correct / len(data)))
+    # an overflow ends in a DivergenceError below, not in a NumPy warning;
+    # entered once per run, since desk-scale steps are short
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            rng.shuffle(order)
+            total_loss = 0.0
+            correct = 0
+            for idx in order:
+                item = data[idx]
+                try:
+                    # shapes were validated upfront, so a ValueError here means
+                    # the numbers blew up (e.g. overflowing logits)
+                    probs, cache = forward(model, item.sequence)
+                    loss = instance_loss(probs, item.label)
+                except ValueError as exc:
+                    raise DivergenceError(
+                        f"divergence at epoch {epoch}, instance {int(idx)}: {exc}"
+                    ) from None
+                if not math.isfinite(loss):
+                    raise DivergenceError(
+                        f"non-finite loss at epoch {epoch}, instance {int(idx)}"
+                    )
+                total_loss += loss
+                if int(np.argmax(probs)) == item.label:
+                    correct += 1
+                finite = _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
+                model.version += 1
+                if not finite:
+                    raise DivergenceError(
+                        f"non-finite parameters after epoch {epoch}, instance {int(idx)}"
+                    )
+            history.append(EpochStats(epoch, total_loss / len(data), correct / len(data)))
     return model, history
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import tracemalloc
 from math import comb
 
 import numpy as np
@@ -202,3 +203,14 @@ def mean_separable_dataset(
             frames = offset + 0.1 * rng.standard_normal((num_frames, num_features))
             data.append(LabeledSequence(FeatureSequence(frames), label))
     return data
+
+
+def traced_peak_mib(call) -> float:
+    """Peak of the memory call() allocates, in MiB, as tracemalloc sees it."""
+    tracemalloc.start()
+    try:
+        call()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20

@@ -1,10 +1,14 @@
-"""The benchmark's tracer still reads the layers it counts from a traced training run."""
+"""The benchmark's tracer still reads the layers it counts from traced runs."""
 
+import contextlib
+import io
 from pathlib import Path
 
 import numpy as np
 
+import oacpool.cli
 import oacpool.model
+from oacpool.harness import save_features
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
 BENCH = Path(__file__).resolve().parent.parent / "bench"
@@ -37,3 +41,38 @@ def test_tracer_counts_a_tiny_oacp_run(monkeypatch):
     assert metrics["convpool.conv_responses.madds_per_inst"][0] == 180
     assert metrics["model.sgd_train.params_per_step"][0] == model.parameter_total()
     assert metrics["model.forward.calls"][0] == 2 * len(data)
+
+
+def test_tracer_counts_a_tiny_reduce_fit_and_apply(monkeypatch, tmp_path):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    rng = np.random.default_rng(42)
+    lines = ["classes=a,b"]
+    for i in range(4):
+        save_features(FeatureSequence(rng.standard_normal((5, 6))), tmp_path / f"seq_{i}.txt")
+        lines.append(f"seq_{i}.txt {i % 2}")
+    manifest = tmp_path / "data.manifest"
+    manifest.write_text("\n".join(lines) + "\n")
+    input_bytes = sum(p.stat().st_size for p in tmp_path.glob("seq_*.txt"))
+    partition = tmp_path / "partition.txt"
+    tracer = Tracer()
+    tracer.install(0)
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            # through the module, so the calls reach the installed wrappers
+            assert oacpool.cli.main([
+                "reduce", "--manifest", str(manifest), "--target-dim", "3",
+                "--partition-out", str(partition),
+            ]) == 0
+            assert oacpool.cli.main([
+                "reduce", "--manifest", str(manifest), "--apply", str(partition),
+                "--out-dir", str(tmp_path / "reduced"),
+            ]) == 0
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    # the fit and the apply each read every input once
+    assert metrics["harness.featfile.bytes_read_per_round"][0] == 2 * input_bytes
+    assert metrics["dimreduce.lloyd_kmeans.calls"][0] == 1
+    assert metrics["dimreduce.reduce_sequence.calls"][0] == 4

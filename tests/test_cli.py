@@ -7,11 +7,13 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from helpers import traced_peak_mib
+
 import oacpool
 from oacpool.cli import _spec_from_flags, build_parser, main
 from oacpool.dimreduce import load_partition
 from oacpool.harness import load_features, load_manifest, save_features
-from oacpool.model import POOLING_KINDS, PoolingSpec, load_model
+from oacpool.model import MAX_PARAMETERS, POOLING_KINDS, PoolingSpec, load_model
 from oacpool.sequences import FeatureSequence
 
 
@@ -127,16 +129,29 @@ class TestExitCodes:
         assert code == 2
         assert "error" in capsys.readouterr().err
 
+    def test_usage_error_on_a_model_over_the_parameter_limit(self, synth_dir, tmp_path, capsys):
+        # rejected before any parameter is drawn
+        code = run_cli(
+            "train", "--manifest", str(synth_dir / "train.manifest"),
+            "--filters", "1000000000", "--model-out", str(tmp_path / "m.json"),
+        )
+        assert code == 1
+        assert f"over the limit of {MAX_PARAMETERS}" in capsys.readouterr().err
+        assert not (tmp_path / "m.json").exists()
+
     def test_numerical_failure_on_training_divergence(self, synth_dir, tmp_path, capsys):
-        with np.errstate(over="ignore", invalid="ignore"):
-            code = run_cli(
-                "train", "--manifest", str(synth_dir / "train.manifest"),
-                "--pooling", "oacp", "--interval", "4", "--filters", "2",
-                "--lr", "1e200", "--epochs", "2", "--seed", "0",
-                "--sample-rate", "1", "--model-out", str(tmp_path / "m.json"),
-            )
+        # the overflow on the way is reported once, as the divergence, with
+        # no NumPy warning (pytest would raise one as an error)
+        code = run_cli(
+            "train", "--manifest", str(synth_dir / "train.manifest"),
+            "--pooling", "oacp", "--interval", "4", "--filters", "2",
+            "--lr", "1e200", "--epochs", "2", "--seed", "0",
+            "--sample-rate", "1", "--model-out", str(tmp_path / "m.json"),
+        )
         assert code == 3
-        assert "divergence" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert "divergence" in err
+        assert "RuntimeWarning" not in err
 
 
 class TestSynth:
@@ -443,6 +458,67 @@ class TestReduceCommand:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    # the inputs are read one at a time, but a bad last one still leaves no output
+    @pytest.mark.parametrize(
+        "content",
+        [b"T=2 K=6\n1 2 3 4 5 6\n1 2 3\n", b"T=1 K=5\n1 2 3 4 5\n"],
+        ids=["malformed", "other-k"],
+    )
+    def test_bad_last_input_writes_nothing(self, tmp_path, capsys, content):
+        manifest = self._manifest_with_dims(tmp_path)
+        (tmp_path / "bad.txt").write_bytes(content)
+        with open(manifest, "a", encoding="utf-8") as fh:
+            fh.write("bad.txt 1\n")
+        partition_path = tmp_path / "partition.txt"
+        partition_path.write_text("k=3 D=6 aggregation=sum\n" + "0\n1\n2\n" * 2)
+        out_dir = tmp_path / "reduced"
+        code = run_cli(
+            "reduce", "--manifest", str(manifest),
+            "--apply", str(partition_path), "--out-dir", str(out_dir),
+        )
+        assert code == 2
+        assert "bad.txt" in capsys.readouterr().err
+        assert not out_dir.exists()
+        fitted = tmp_path / "fitted.txt"
+        code = run_cli(
+            "reduce", "--manifest", str(manifest), "--target-dim", "3",
+            "--partition-out", str(fitted),
+        )
+        assert code == 2
+        assert "bad.txt" in capsys.readouterr().err
+        assert not fitted.exists()
+
+    def test_peak_memory_does_not_grow_with_the_manifest(self, tmp_path, capsys):
+        # fit and apply hold one (30, 1024) input (240 KiB) at a time and
+        # keep only the 16-wide outputs, so 32 inputs peak as 8 do
+        peaks = {}
+        for count in (8, 32):
+            rng = np.random.default_rng(60)
+            lines = ["classes=a,b,c,d"]
+            for i in range(count):
+                seq = FeatureSequence(rng.standard_normal((30, 1024)))
+                save_features(seq, tmp_path / f"seq_{i}.bin", binary=True)
+                lines.append(f"seq_{i}.bin {i % 4}")
+            manifest = tmp_path / f"data_{count}.manifest"
+            manifest.write_text("\n".join(lines) + "\n")
+            partition_path = tmp_path / f"partition_{count}.txt"
+            fit = [
+                "reduce", "--manifest", str(manifest), "--target-dim", "16",
+                "--partition-out", str(partition_path),
+            ]
+            apply = [
+                "reduce", "--manifest", str(manifest), "--apply", str(partition_path),
+                "--out-dir", str(tmp_path / f"reduced_{count}"),
+            ]
+            codes = []
+            peaks[count] = [
+                traced_peak_mib(lambda: codes.append(main(argv))) for argv in (fit, apply)
+            ]
+            assert codes == [0, 0]
+        for small, large in zip(peaks[8], peaks[32]):
+            assert large < 3
+            assert large - small < 0.5
 
     def test_fewer_distinct_dimensions_than_target(self, tmp_path, capsys):
         # seven dimensions with two distinct signatures, reduced to four groups

@@ -280,9 +280,8 @@ class TestSegmentArgmax:
         model.filter_banks = banks
         data = [LabeledSequence(seq, 0)]
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
-        with np.errstate(over="ignore", invalid="ignore"):
-            with pytest.raises(DivergenceError, match="epoch 0, instance 0"):
-                sgd_train(model, data, cfg)
+        with pytest.raises(DivergenceError, match="epoch 0, instance 0"):
+            sgd_train(model, data, cfg)
 
 
 class TestParameterCounts:

@@ -21,6 +21,7 @@ from oacpool.harness import (
     save_features,
     save_manifest,
 )
+from oacpool.harness.manifest import iter_dataset
 from oacpool.model import PoolingSpec, TrainConfig
 from oacpool.pooling import average_pool, max_pool
 from oacpool.sequences import FeatureSequence, LabeledSequence
@@ -290,10 +291,22 @@ class TestManifest:
         with pytest.raises(ShapeMismatchError):
             load_dataset(load_manifest(manifest_path))
 
+    def test_entries_are_read_one_at_a_time(self, tmp_path):
+        # the second entry has another width: the first one's frames still
+        # come out, and the mismatch is raised only when the second is read
+        save_features(FeatureSequence(np.ones((2, 2))), tmp_path / "a.txt")
+        save_features(FeatureSequence(np.ones((2, 3))), tmp_path / "b.txt")
+        manifest_path = tmp_path / "data.manifest"
+        manifest_path.write_text("classes=x,y\na.txt 0\nb.txt 1\n")
+        pairs = labeled_frames(iter_dataset(load_manifest(manifest_path)))
+        assert [label for _, label in (next(pairs), next(pairs))] == [0, 0]
+        with pytest.raises(ShapeMismatchError, match="b.txt: has 3 features, dataset uses 2"):
+            next(pairs)
+
     def test_labeled_frames_flattens(self, tmp_path):
         manifest = self._write_dataset(tmp_path)
         data = load_dataset(manifest)
-        pairs = labeled_frames(data)
+        pairs = list(labeled_frames(data))
         assert len(pairs) == sum(d.sequence.num_frames for d in data)
         assert pairs[0][1] == data[0].label
 
@@ -404,8 +417,7 @@ class TestRunComparison:
         test = mean_separable_dataset(3, 6, 3, seed=95)
         cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=94)
         methods = [PoolingSpec("average", sample_rate=1), PoolingSpec("max", sample_rate=1)]
-        with np.errstate(over="ignore", invalid="ignore"):
-            table = run_comparison(train, test, methods, cfg)
+        table = run_comparison(train, test, methods, cfg)
         assert [row.status for row in table.rows] == ["diverged", "diverged"]
         assert all(np.isnan(row.accuracy) for row in table.rows)
 

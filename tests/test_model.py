@@ -1,11 +1,15 @@
 import json
 import math
-import tracemalloc
 
 import numpy as np
 import pytest
 
-from helpers import dense_reference_gradients, dense_update_sgd, mean_separable_dataset
+from helpers import (
+    dense_reference_gradients,
+    dense_update_sgd,
+    mean_separable_dataset,
+    traced_peak_mib,
+)
 
 from oacpool.convpool import _BLOCK_ELEMENTS, FilterBankSet, param_count_perdim
 from oacpool.dimreduce import lloyd_kmeans
@@ -19,6 +23,7 @@ from oacpool.errors import (
 from oacpool.harness import prepare_dataset
 from oacpool.model import (
     MAX_MINIMUM_FRAMES,
+    MAX_PARAMETERS,
     POOLING_KINDS,
     ClassifierModel,
     PoolingSpec,
@@ -501,9 +506,8 @@ class TestSgdTrain:
         ]
         model = ClassifierModel.build("average", 3, 2, seed=30)
         cfg = TrainConfig(learning_rate=0.1, epochs=1, seed=0)
-        with np.errstate(over="ignore"):
-            with pytest.raises(DivergenceError, match=r"epoch \d+, instance \d+"):
-                sgd_train(model, data, cfg)
+        with pytest.raises(DivergenceError, match=r"epoch \d+, instance \d+"):
+            sgd_train(model, data, cfg)
 
     @pytest.mark.parametrize(
         "num_features, num_classes, n_filters, block_rows",
@@ -543,9 +547,8 @@ class TestSgdTrain:
         data = [LabeledSequence(FeatureSequence(frames), 3)]
         bank_biases = model.filter_banks.biases.copy()
         cfg = TrainConfig(learning_rate=1e10, epochs=1)
-        with np.errstate(over="ignore"):
-            with pytest.raises(DivergenceError, match=NON_FINITE_PARAMETERS):
-                sgd_train(model, data, cfg)
+        with pytest.raises(DivergenceError, match=NON_FINITE_PARAMETERS):
+            sgd_train(model, data, cfg)
         finite_rows = np.isfinite(model.w_head).all(axis=1)
         assert finite_rows.tolist() == [True, True, True, False, False]
         assert np.isfinite(model.filter_banks.weights).all()
@@ -564,9 +567,8 @@ class TestSgdTrain:
         frames = example.sequence.frames * 1e-200
         data = [LabeledSequence(FeatureSequence(frames), example.label)]
         cfg = TrainConfig(learning_rate=1e250, epochs=1)
-        with np.errstate(over="ignore"):
-            with pytest.raises(DivergenceError, match=NON_FINITE_PARAMETERS):
-                sgd_train(model, data, cfg)
+        with pytest.raises(DivergenceError, match=NON_FINITE_PARAMETERS):
+            sgd_train(model, data, cfg)
         assert not np.isfinite(model.filter_banks.biases).all()
         for param in model.parameters()[:3]:
             assert np.isfinite(param).all()
@@ -578,17 +580,6 @@ class TestSgdTrain:
         bad = [LabeledSequence(FeatureSequence(np.zeros((3, 3))), 2)]
         with pytest.raises(ValueError):
             sgd_train(model, bad, TrainConfig(learning_rate=0.1, epochs=1))
-
-
-def traced_peak_mib(call) -> float:
-    """Peak of the memory call() allocates, in MiB, as tracemalloc sees it."""
-    tracemalloc.start()
-    try:
-        call()
-        _, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    return peak / 2**20
 
 
 class TestPaperShapeMemory:
@@ -795,6 +786,26 @@ class TestSpecGeometry:
     def test_build_rejects_oversized_stride(self):
         with pytest.raises(ValueError, match="minimum_frames"):
             ClassifierModel.build("oacp", 4, 2, stride=10**30)
+
+    def test_build_rejects_a_model_over_the_parameter_limit(self):
+        # head 2 * (4 * 10**9 * 3 + 1), banks 4 * 10**9 * (8 + 1): rejected
+        # before anything is drawn
+        with pytest.raises(
+            ValueError, match=f"60000000002 parameters, over the limit of {MAX_PARAMETERS}"
+        ):
+            ClassifierModel.build("oacp", 4, 2, n_filters=10**9)
+        with pytest.raises(ValueError, match="2000000002 parameters"):
+            ClassifierModel.build("average", 10**9, 2)
+
+    @pytest.mark.parametrize("kind", POOLING_KINDS)
+    def test_parameter_limit_counts_every_parameter(self, monkeypatch, kind):
+        geometry = dict(interval=2, n_filters=2, pyramid=(1, 2))
+        total = ClassifierModel.build(kind, 3, 2, **geometry).parameter_total()
+        monkeypatch.setattr("oacpool.model.MAX_PARAMETERS", total)
+        ClassifierModel.build(kind, 3, 2, **geometry)
+        monkeypatch.setattr("oacpool.model.MAX_PARAMETERS", total - 1)
+        with pytest.raises(ValueError, match=f"{total} parameters"):
+            ClassifierModel.build(kind, 3, 2, **geometry)
 
 
 class TestCheckpoint:
