@@ -1,8 +1,9 @@
 """Command-line interface.
 
 Subcommands: synth, train, eval, compare, gradcheck, reduce.
-Exit codes: 0 success, 1 usage error, 2 data/parse error, 3 numerical
-failure (training divergence or a gradient check above threshold).
+Exit codes: 0 success, 1 usage error, 2 data/parse error or a file the
+OS refuses, 3 numerical failure (training divergence or a gradient check
+above threshold).
 """
 
 from __future__ import annotations
@@ -22,15 +23,7 @@ from .dimreduce import (
     reduce_sequence,
     save_partition,
 )
-from .errors import (
-    DivergenceError,
-    InvalidTargetError,
-    MissingClassError,
-    ParseError,
-    ShapeMismatchError,
-    SumOverflowError,
-    TooShortSequenceError,
-)
+from .errors import DataError, DivergenceError, ShapeMismatchError
 from .harness import (
     DatasetManifest,
     SyntheticSpec,
@@ -60,19 +53,6 @@ from .pooling import PyramidConfig
 from .sequences import FeatureSequence, LabeledSequence
 
 GRADCHECK_THRESHOLD = 1e-4
-
-_DATA_ERRORS = (
-    ParseError,
-    ShapeMismatchError,
-    TooShortSequenceError,
-    MissingClassError,
-    InvalidTargetError,
-    SumOverflowError,
-    FileNotFoundError,
-    IsADirectoryError,
-    NotADirectoryError,
-    PermissionError,
-)
 
 
 class _Parser(argparse.ArgumentParser):
@@ -308,12 +288,10 @@ def _cmd_gradcheck(args) -> int:
         seed=model_seed,
     )
     if args.t < model.spec.minimum_frames:
-        print(
-            f"oacpool gradcheck: error: --t {args.t} is too short for --interval "
-            f"{args.interval} with a 2-level pyramid (need t >= {model.spec.minimum_frames})",
-            file=sys.stderr,
+        raise ValueError(
+            f"--t {args.t} is too short for --interval {args.interval} "
+            f"with a 2-level pyramid (need t >= {model.spec.minimum_frames})"
         )
-        return 1
     rng = np.random.default_rng(data_seed)
     example = LabeledSequence(
         FeatureSequence(rng.standard_normal((args.t, args.k))),
@@ -334,20 +312,13 @@ def _cmd_reduce(args) -> int:
     fit_mode = args.target_dim is not None or args.partition_out is not None
     apply_mode = args.apply is not None or args.out_dir is not None
     if fit_mode == apply_mode:
-        print(
-            "oacpool reduce: error: use either --target-dim with --partition-out, "
-            "or --apply with --out-dir",
-            file=sys.stderr,
+        raise ValueError(
+            "use either --target-dim with --partition-out, or --apply with --out-dir"
         )
-        return 1
     manifest = load_manifest(args.manifest)
     if fit_mode:
         if args.target_dim is None or args.partition_out is None:
-            print(
-                "oacpool reduce: error: fitting needs both --target-dim and --partition-out",
-                file=sys.stderr,
-            )
-            return 1
+            raise ValueError("fitting needs both --target-dim and --partition-out")
         signatures = class_signatures(
             labeled_frames(iter_dataset(manifest)), manifest.num_classes
         )
@@ -359,11 +330,7 @@ def _cmd_reduce(args) -> int:
         )
         return 0
     if args.apply is None or args.out_dir is None:
-        print(
-            "oacpool reduce: error: applying needs both --apply and --out-dir",
-            file=sys.stderr,
-        )
-        return 1
+        raise ValueError("applying needs both --apply and --out-dir")
     partition = load_partition(args.apply)
     # each input is reduced as it is read and only the k-wide results are
     # kept; nothing is written until every input has been read
@@ -389,17 +356,13 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except _DATA_ERRORS as exc:
+    except (ValueError, OSError, DivergenceError) as exc:
+        # the exception type alone picks the exit code: bad data or a file
+        # the OS refuses exits 2, a numerical failure 3, any other bad value 1
         print(f"oacpool {args.command}: error: {exc}", file=sys.stderr)
-        return 2
-    except DivergenceError as exc:
-        print(f"oacpool {args.command}: error: {exc}", file=sys.stderr)
-        return 3
-    except ValueError as exc:
-        # data-file problems raise ParseError (exit 2) and numerical failures
-        # DivergenceError (exit 3); anything else is a bad argument value
-        print(f"oacpool {args.command}: error: {exc}", file=sys.stderr)
-        return 1
+        if isinstance(exc, (DataError, OSError)):
+            return 2
+        return 3 if isinstance(exc, DivergenceError) else 1
 
 
 if __name__ == "__main__":

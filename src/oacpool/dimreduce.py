@@ -202,18 +202,14 @@ def reduce(x, partition: ReductionPartition) -> np.ndarray:
 def reduce_sequence(seq: FeatureSequence, partition: ReductionPartition) -> FeatureSequence:
     """Apply reduce() to every frame; a T x D sequence becomes T x k.
 
-    One bincount over all frames: frame t's values land in bins
-    [k*t, k*t + k), each summed in ascending dimension order as reduce() does.
+    Only the k-wide rows are allocated, never a T x D array.
     """
-    num_frames, num_dims = seq.frames.shape
+    num_dims = seq.num_features
     if num_dims != partition.num_dims:
         raise ShapeMismatchError(
             f"frames of width {num_dims}, partition covers {partition.num_dims} dimensions"
         )
-    k = partition.k
-    bins = partition.assignment + k * np.arange(num_frames)[:, None]
-    sums = np.bincount(bins.ravel(), weights=seq.frames.ravel(), minlength=num_frames * k)
-    return FeatureSequence(sums.reshape(num_frames, k))
+    return FeatureSequence(np.stack([reduce(frame, partition) for frame in seq.frames]))
 
 
 def save_partition(partition: ReductionPartition, path) -> None:

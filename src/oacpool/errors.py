@@ -1,31 +1,47 @@
 """Exception types shared across the library.
 
-The CLI maps these onto process exit codes: data and parse problems exit
-with 2, numerical failures with 3 (see ``oacpool.cli``).
+The hierarchy decides the CLI's exit code (see ``oacpool.cli.main``)::
+
+    ValueError                  exit 1: a bad argument value
+        DataError               exit 2: the input data is at fault
+            ParseError
+            ShapeMismatchError
+            TooShortSequenceError
+            MissingClassError
+            InvalidTargetError
+            SumOverflowError
+    OSError                     exit 2: a file that cannot be read or written
+    RuntimeError
+        DivergenceError         exit 3: a numerical failure
+        StaleCacheError         (a programming error; never caught)
 """
 
 
-class ShapeMismatchError(ValueError):
+class DataError(ValueError):
+    """Input data that the library cannot use; the CLI exits 2 on it."""
+
+
+class ShapeMismatchError(DataError):
     """Inputs whose lengths or dimensionalities do not agree."""
 
 
-class TooShortSequenceError(ValueError):
+class TooShortSequenceError(DataError):
     """A sequence has fewer frames than the operation requires."""
 
 
-class ParseError(ValueError):
+class ParseError(DataError):
     """A data file (features, manifest, partition, checkpoint) is malformed."""
 
 
-class MissingClassError(ValueError):
+class MissingClassError(DataError):
     """A declared class has no training vectors."""
 
 
-class InvalidTargetError(ValueError):
+class InvalidTargetError(DataError):
     """A reduction target dimensionality the data cannot support."""
 
 
-class SumOverflowError(ValueError):
+class SumOverflowError(DataError):
     """Finite data values whose sum leaves the float64 range."""
 
 

@@ -91,8 +91,12 @@ def load_manifest(path) -> DatasetManifest:
             raise ParseError(
                 f"{path}: line {lineno}: label {label_text!r} is not an integer"
             ) from None
-        resolved = (path.parent / entry_path).resolve()
-        if not resolved.is_file():
+        try:
+            resolved = (path.parent / entry_path).resolve()
+            is_file = resolved.is_file()
+        except OSError as exc:
+            raise ParseError(f"{path}: line {lineno}: unusable path: {exc}") from None
+        if not is_file:
             raise ParseError(f"{path}: line {lineno}: no such feature file: {resolved}")
         entries.append((resolved, label))
     if class_names is None:

@@ -23,7 +23,13 @@ from .convpool import (
     oacp_forward_details,
     param_count_perdim,
 )
-from .errors import DivergenceError, ParseError, ShapeMismatchError, StaleCacheError
+from .errors import (
+    DivergenceError,
+    ParseError,
+    ShapeMismatchError,
+    StaleCacheError,
+    TooShortSequenceError,
+)
 from .pooling import (
     PyramidConfig,
     average_pool,
@@ -425,13 +431,42 @@ def _sgd_step(model: ClassifierModel, grads: Gradients, learning_rate: float) ->
     return finite
 
 
+def _check_instances(model: ClassifierModel, data: list[LabeledSequence], use: str) -> None:
+    """Reject data the model cannot take before any instance is worked on.
+
+    The data must be non-empty, and every instance needs a label below
+    num_classes, exactly num_features features and at least
+    spec.minimum_frames frames.
+    """
+    if not data:
+        raise ValueError(f"{use} data is empty")
+    minimum = model.spec.minimum_frames
+    for i, item in enumerate(data):
+        seq = item.sequence
+        if item.label >= model.num_classes:
+            raise ValueError(
+                f"instance {i} has label {item.label}, model has {model.num_classes} classes"
+            )
+        if seq.num_features != model.num_features:
+            raise ShapeMismatchError(
+                f"instance {i} has {seq.num_features} features, "
+                f"model expects {model.num_features}"
+            )
+        if seq.num_frames < minimum:
+            raise TooShortSequenceError(
+                f"instance {i} has {seq.num_frames} frames, model needs {minimum}"
+            )
+
+
 def sgd_train(
     model: ClassifierModel, data: list[LabeledSequence], cfg: TrainConfig
 ) -> tuple[ClassifierModel, list[EpochStats]]:
     """Plain per-instance SGD: theta <- theta - lr * grad after every instance.
 
-    Instance order is reshuffled each epoch by a generator seeded from
-    cfg.seed, so a given (seed, data order, cfg) is bit-deterministic.
+    Every instance is checked before the first update, so data the model
+    cannot take leaves it untouched.  Instance order is reshuffled each
+    epoch by a generator seeded from cfg.seed, so a given (seed, data
+    order, cfg) is bit-deterministic.
     History records each epoch's mean loss and online accuracy (prediction
     taken before the update).  The head weights take the rank-one update
     outer(b_head, pooled) a block of rows at a time, rounded as the dense
@@ -440,18 +475,7 @@ def sgd_train(
     DivergenceError once the whole step is applied.  An overflow on the way
     prints no NumPy warning, since each one ends in that DivergenceError.
     """
-    if not data:
-        raise ValueError("training data is empty")
-    for i, item in enumerate(data):
-        if item.label >= model.num_classes:
-            raise ValueError(
-                f"instance {i} has label {item.label}, model has {model.num_classes} classes"
-            )
-        if item.sequence.num_features != model.num_features:
-            raise ShapeMismatchError(
-                f"instance {i} has {item.sequence.num_features} features, "
-                f"model expects {model.num_features}"
-            )
+    _check_instances(model, data, "training")
     rng = np.random.default_rng(cfg.seed)
     order = np.arange(len(data))
     history: list[EpochStats] = []
@@ -465,8 +489,8 @@ def sgd_train(
             for idx in order:
                 item = data[idx]
                 try:
-                    # shapes were validated upfront, so a ValueError here means
-                    # the numbers blew up (e.g. overflowing logits)
+                    # the instances were checked up front, so the only ValueError
+                    # left is softmax's: the logits are no longer finite
                     probs, cache = forward(model, item.sequence)
                     loss = instance_loss(probs, item.label)
                 except ValueError as exc:
@@ -498,14 +522,9 @@ def evaluate(
     Prediction is argmax of the probabilities; exact ties go to the lowest
     class index.
     """
-    if not data:
-        raise ValueError("evaluation data is empty")
+    _check_instances(model, data, "evaluation")
     confusion = np.zeros((model.num_classes, model.num_classes), dtype=np.int64)
-    for i, item in enumerate(data):
-        if item.label >= model.num_classes:
-            raise ValueError(
-                f"instance {i} has label {item.label}, model has {model.num_classes} classes"
-            )
+    for item in data:
         probs, _ = forward(model, item.sequence)
         confusion[item.label, int(np.argmax(probs))] += 1
     accuracy = float(np.trace(confusion)) / len(data)

@@ -1,3 +1,4 @@
+import errno
 import json
 import os
 import subprocess
@@ -10,8 +11,10 @@ import pytest
 from helpers import traced_peak_mib
 
 import oacpool
+from oacpool import cli
 from oacpool.cli import _spec_from_flags, build_parser, main
 from oacpool.dimreduce import load_partition
+from oacpool.errors import DataError, DivergenceError
 from oacpool.harness import load_features, load_manifest, save_features
 from oacpool.model import MAX_PARAMETERS, POOLING_KINDS, PoolingSpec, load_model
 from oacpool.sequences import FeatureSequence
@@ -128,6 +131,26 @@ class TestExitCodes:
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
+
+    def test_data_error_on_an_out_path_that_is_a_file(self, tmp_path, capsys):
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run_cli("synth", "--task", "trend-pair", "--out", str(taken))
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oacpool synth: error: ") and err.count("\n") == 1
+
+    def test_data_error_on_a_path_component_the_os_refuses(self, tmp_path, capsys):
+        # a 300-byte component is longer than any file system allows
+        manifest = tmp_path / "data.manifest"
+        manifest.write_text(f"classes=a,b\n{'x' * 300}/seq.txt 0\n")
+        code = run_cli(
+            "train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.json")
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"oacpool train: error: {manifest}: line 2: ")
+        assert err.count("\n") == 1
 
     def test_usage_error_on_a_model_over_the_parameter_limit(self, synth_dir, tmp_path, capsys):
         # rejected before any parameter is drawn
@@ -389,6 +412,10 @@ class TestGradcheckCommand:
     def test_too_short_geometry_is_usage_error(self, capsys):
         code = run_cli("gradcheck", "--t", "2", "--interval", "2")
         assert code == 1
+        assert capsys.readouterr().err == (
+            "oacpool gradcheck: error: --t 2 is too short for --interval 2 "
+            "with a 2-level pyramid (need t >= 3)\n"
+        )
 
 
 class TestReduceCommand:
@@ -428,16 +455,40 @@ class TestReduceCommand:
 
     def test_mixed_modes_are_usage_errors(self, tmp_path, capsys):
         manifest = self._manifest_with_dims(tmp_path)
-        assert run_cli("reduce", "--manifest", str(manifest)) == 1
-        assert (
-            run_cli(
-                "reduce", "--manifest", str(manifest), "--target-dim", "2",
-                "--partition-out", str(tmp_path / "p.txt"),
-                "--apply", str(tmp_path / "p.txt"), "--out-dir", str(tmp_path / "r"),
-            )
-            == 1
+        either = "use either --target-dim with --partition-out, or --apply with --out-dir"
+        cases = [
+            ([], either),
+            (
+                [
+                    "--target-dim", "2", "--partition-out", str(tmp_path / "p.txt"),
+                    "--apply", str(tmp_path / "p.txt"), "--out-dir", str(tmp_path / "r"),
+                ],
+                either,
+            ),
+            (["--target-dim", "2"], "fitting needs both --target-dim and --partition-out"),
+            (["--out-dir", str(tmp_path / "r")], "applying needs both --apply and --out-dir"),
+        ]
+        for extra, message in cases:
+            assert run_cli("reduce", "--manifest", str(manifest), *extra) == 1
+            assert capsys.readouterr().err == f"oacpool reduce: error: {message}\n"
+
+    def test_out_dir_that_is_a_file_is_data_error(self, tmp_path, capsys):
+        manifest = self._manifest_with_dims(tmp_path)
+        partition_path = tmp_path / "partition.txt"
+        assert run_cli(
+            "reduce", "--manifest", str(manifest), "--target-dim", "3",
+            "--partition-out", str(partition_path),
+        ) == 0
+        capsys.readouterr()
+        taken = tmp_path / "taken"
+        taken.write_text("")
+        code = run_cli(
+            "reduce", "--manifest", str(manifest),
+            "--apply", str(partition_path), "--out-dir", str(taken),
         )
-        assert run_cli("reduce", "--manifest", str(manifest), "--target-dim", "2") == 1
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("oacpool reduce: error: ") and err.count("\n") == 1
 
     @pytest.mark.parametrize(
         "content",
@@ -567,6 +618,35 @@ class TestReduceCommand:
         err = capsys.readouterr().err
         assert "class 0" in err and "dimension 0" in err
         assert not (tmp_path / "p.txt").exists()
+
+
+def _subclasses(kind):
+    for sub in kind.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        *[
+            pytest.param(kind("bad data"), 2, id=kind.__name__)
+            for kind in (DataError, *_subclasses(DataError))
+        ],
+        pytest.param(
+            OSError(errno.ENAMETOOLONG, "File name too long", "x" * 300), 2, id="OSError"
+        ),
+        pytest.param(DivergenceError("divergence"), 3, id="DivergenceError"),
+        pytest.param(ValueError("bad value"), 1, id="ValueError"),
+    ],
+)
+def test_exit_code_follows_the_exception_type(monkeypatch, capsys, exc, code):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "_cmd_gradcheck", fail)
+    assert main(["gradcheck"]) == code
+    assert capsys.readouterr().err == f"oacpool gradcheck: error: {exc}\n"
 
 
 @pytest.mark.parametrize("kind", POOLING_KINDS)

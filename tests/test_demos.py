@@ -1,4 +1,4 @@
-"""Every demo script runs to completion against the package sources."""
+"""Every demo script runs to completion against the package sources, warning-free."""
 
 import os
 import subprocess
@@ -19,7 +19,7 @@ def test_demos_are_found():
 def test_demo_runs(demo, tmp_path):
     env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
     result = subprocess.run(
-        [sys.executable, str(demo)],
+        [sys.executable, "-W", "error", str(demo)],
         cwd=tmp_path,
         env=env,
         capture_output=True,
@@ -27,3 +27,4 @@ def test_demo_runs(demo, tmp_path):
         timeout=300,
     )
     assert result.returncode == 0, result.stderr
+    assert result.stderr == ""

@@ -7,6 +7,7 @@ from helpers import (
     adjusted_rand_index,
     brute_force_partition_optimum,
     canonical_labels,
+    traced_peak_mib,
     unblocked_lloyd_kmeans,
 )
 
@@ -298,6 +299,14 @@ class TestReduceSequence:
         partition = ReductionPartition(np.array([0, 1, 1]), 2)
         with pytest.raises(ShapeMismatchError):
             reduce_sequence(FeatureSequence(np.ones((2, 4))), partition)
+
+    def test_peak_memory_is_the_reduced_rows(self):
+        # a (30, 4096) input is 0.94 MiB; only its (30, 128) result is allocated
+        rng = np.random.default_rng(68)
+        assignment = np.concatenate([np.arange(128), rng.integers(0, 128, 4096 - 128)])
+        partition = ReductionPartition(rng.permutation(assignment), 128)
+        seq = FeatureSequence(rng.standard_normal((30, 4096)))
+        assert traced_peak_mib(lambda: reduce_sequence(seq, partition)) < 0.5
 
 
 class TestPartitionFile:

@@ -581,6 +581,16 @@ class TestSgdTrain:
         with pytest.raises(ValueError):
             sgd_train(model, bad, TrainConfig(learning_rate=0.1, epochs=1))
 
+    def test_short_last_instance_is_rejected_before_any_update(self):
+        # interval 4 with pyramid 1,2 needs 5 frames; the last instance has 3
+        model = tiny_oacp_model(seed=22, interval=4)
+        before = parameter_bytes(model)
+        data = [random_example(s, 10, 3, 2) for s in (0, 1)] + [random_example(2, 3, 3, 2)]
+        with pytest.raises(TooShortSequenceError, match="instance 2 has 3 frames, model needs 5"):
+            sgd_train(model, data, TrainConfig(learning_rate=0.1, epochs=1))
+        assert parameter_bytes(model) == before
+        assert model.version == 0
+
 
 class TestPaperShapeMemory:
     """tracemalloc bounds at the paper's shape: K=4096, T=30, 51 classes, default oacp.
@@ -621,6 +631,16 @@ class TestEvaluate:
         accuracy, confusion = evaluate(model, data)
         assert accuracy == 0.5
         assert confusion[:, 0].sum() == 20 and confusion[:, 1].sum() == 0
+
+    def test_rejects_unusable_instances_up_front(self):
+        model = tiny_oacp_model(seed=54)
+        ok = random_example(0, 6, 3, 2)
+        with pytest.raises(ShapeMismatchError, match="instance 1 has 4 features, model expects 3"):
+            evaluate(model, [ok, random_example(1, 6, 4, 2)])
+        with pytest.raises(TooShortSequenceError, match="instance 1 has 2 frames, model needs 3"):
+            evaluate(model, [ok, random_example(1, 2, 3, 2)])
+        with pytest.raises(ValueError, match="evaluation data is empty"):
+            evaluate(model, [])
 
     def test_confusion_counts_all_instances(self):
         model = tiny_oacp_model(seed=51)
