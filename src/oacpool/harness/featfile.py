@@ -88,6 +88,15 @@ def _parse_header(path, line: str) -> tuple[int, int]:
     return t, k
 
 
+def _numbered_rows(lines: list[str]) -> list[tuple[int, str]]:
+    """(line number, line) of every non-blank line after the header."""
+    return [
+        (lineno, line)
+        for lineno, line in enumerate(lines[1:], start=2)
+        if line.strip()
+    ]
+
+
 def _parse_rows(path, body, k: int) -> np.ndarray:
     """Parse one line at a time with float(), failing at the first bad line."""
     rows = []
@@ -107,20 +116,11 @@ def _parse_rows(path, body, k: int) -> np.ndarray:
     return np.array(rows, dtype=np.float64)
 
 
-def _load_text(path, raw: bytes) -> FeatureSequence:
-    try:
-        text = raw.decode("utf-8")
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: neither binary (no magic) nor utf-8 text: {exc}") from None
-    lines = text.splitlines()
+def _load_text(path, lines: list[str]) -> FeatureSequence:
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: empty feature file")
     t, k = _parse_header(path, lines[0])
-    body = [
-        (lineno, line)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
+    body = [line for line in lines[1:] if line.strip()]
     if len(body) != t:
         raise ParseError(
             f"{path}: header declares T={t} but found {len(body)} data rows"
@@ -131,16 +131,14 @@ def _load_text(path, raw: bytes) -> FeatureSequence:
     # parser, which accepts what float() accepts and names the first bad line.
     # comments=None keeps '#' an ordinary, rejected character.
     try:
-        frames = np.loadtxt(
-            [line for _, line in body], dtype=np.float64, comments=None, ndmin=2
-        )
+        frames = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         frames = None
     if frames is None or frames.shape != (t, k):
-        return FeatureSequence(_parse_rows(path, body, k))
+        return FeatureSequence(_parse_rows(path, _numbered_rows(lines), k))
     finite = np.isfinite(frames).all(axis=1)
     if not finite.all():
-        lineno = body[int(finite.argmin())][0]
+        lineno = _numbered_rows(lines)[int(finite.argmin())][0]
         raise ParseError(f"{path}: line {lineno}: non-finite value")
     return FeatureSequence(frames)
 
@@ -153,4 +151,12 @@ def load_features(path) -> FeatureSequence:
         raise ParseError(f"{path}: empty feature file")
     if raw[: len(MAGIC)] == MAGIC:
         return _load_binary(path, raw)
-    return _load_text(path, raw)
+    # let the bytes, then the text, go as soon as the next form is made
+    try:
+        text = raw.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: neither binary (no magic) nor utf-8 text: {exc}") from None
+    del raw
+    lines = text.splitlines()
+    del text
+    return _load_text(path, lines)

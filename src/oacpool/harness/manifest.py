@@ -10,7 +10,8 @@ Format (one manifest per split)::
 ``classes=`` is required; ``split=`` is optional.  Entry lines hold a path
 and a label separated by whitespace (the label is the last token).  Paths
 are resolved relative to the manifest's directory.  Blank lines and lines
-starting with '#' are ignored.
+starting with '#' are ignored.  Lines end at a newline (``\n``, ``\r\n`` or
+``\r``) and nowhere else, so a path may hold any other character.
 """
 
 from __future__ import annotations
@@ -58,7 +59,8 @@ def load_manifest(path) -> DatasetManifest:
     path = Path(path)
     try:
         with open(path, "r", encoding="utf-8") as fh:
-            lines = fh.read().splitlines()
+            # text mode has already turned \r\n and \r into \n
+            lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not utf-8 text: {exc}") from None
     class_names: tuple[str, ...] | None = None
@@ -110,15 +112,29 @@ def load_manifest(path) -> DatasetManifest:
 
 
 def save_manifest(manifest: DatasetManifest, path) -> None:
-    """Write a manifest; entry paths are stored relative to the manifest."""
+    """Write a manifest; entry paths are stored relative to the manifest.
+
+    An entry whose relative path would not read back as itself raises
+    ValueError naming it, before anything is written: one holding a line
+    break or NUL, with leading or trailing whitespace, or starting like a
+    comment or a header line.
+    """
     path = Path(path)
+    lines = []
+    for entry_path, label in manifest.entries:
+        rel = os.path.relpath(entry_path, path.parent)
+        if (
+            rel != rel.strip()
+            or any(ch in rel for ch in "\n\r\0")
+            or rel.startswith(("#", "classes=", "split="))
+        ):
+            raise ValueError(f"entry path {rel!r} would not read back from a manifest")
+        lines.append(f"{rel} {label}\n")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("classes=" + ",".join(manifest.class_names) + "\n")
         if manifest.split_tag:
             fh.write(f"split={manifest.split_tag}\n")
-        for entry_path, label in manifest.entries:
-            rel = os.path.relpath(entry_path, path.parent)
-            fh.write(f"{rel} {label}\n")
+        fh.writelines(lines)
 
 
 def iter_dataset(manifest: DatasetManifest) -> Iterator[LabeledSequence]:

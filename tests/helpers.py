@@ -9,7 +9,7 @@ from math import comb
 
 import numpy as np
 
-from oacpool.dimreduce import KMEANS_MAX_ITERS, _kmeans_pp_init
+from oacpool.dimreduce import KMEANS_MAX_ITERS
 from oacpool.model import backward, forward
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
@@ -81,17 +81,37 @@ def dense_update_sgd(model, data, cfg):
     return model
 
 
+def reference_kmeans_pp_init(points, k: int, rng: np.random.Generator) -> np.ndarray:
+    """k-means++ seeding that computes every point's exact distance to each new centroid."""
+    n = points.shape[0]
+    centroids = np.empty((k, points.shape[1]))
+    centroids[0] = points[int(rng.integers(n))]
+    d2 = ((points - centroids[0]) ** 2).sum(axis=1)
+    for j in range(1, k):
+        total = d2.sum()
+        if total > 0:
+            r = rng.random() * total
+            idx = min(int(np.searchsorted(np.cumsum(d2), r, side="right")), n - 1)
+        else:
+            idx = int(rng.integers(n))
+        centroids[j] = points[idx]
+        d2 = np.minimum(d2, ((points - centroids[j]) ** 2).sum(axis=1))
+    return centroids
+
+
 def unblocked_lloyd_kmeans(points, k: int, seed=0):
     """Lloyd's algorithm with the whole (n, k, c) distance array built at once.
 
     The same seeding, tie-breaking, empty-cluster reseeding and stopping
-    rule as dimreduce.lloyd_kmeans, which assigns each row block as it
-    computes its distances.  An empty cluster takes the point farthest from
-    its own centroid among clusters with at least two members.
+    rule as dimreduce.lloyd_kmeans, which screens the distances and computes
+    only the candidates' exactly.  Here every distance is exact, seeding
+    included, and each centroid is the mean of a boolean mask's rows.  An
+    empty cluster takes the point farthest from its own centroid among
+    clusters with at least two members.
     """
     points = np.asarray(points, dtype=np.float64)
     n = points.shape[0]
-    centroids = _kmeans_pp_init(points, k, np.random.default_rng(seed))
+    centroids = reference_kmeans_pp_init(points, k, np.random.default_rng(seed))
     previous = None
     objectives = []
     point_idx = np.arange(n)

@@ -8,14 +8,25 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import traced_peak_mib
+from helpers import traced_peak_mib, unblocked_lloyd_kmeans
 
 import oacpool
 from oacpool import cli
 from oacpool.cli import _spec_from_flags, build_parser, main
-from oacpool.dimreduce import load_partition
+from oacpool.dimreduce import (
+    ReductionPartition,
+    class_signatures,
+    load_partition,
+    save_partition,
+)
 from oacpool.errors import DataError, DivergenceError
-from oacpool.harness import load_features, load_manifest, save_features
+from oacpool.harness import (
+    labeled_frames,
+    load_dataset,
+    load_features,
+    load_manifest,
+    save_features,
+)
 from oacpool.model import MAX_PARAMETERS, POOLING_KINDS, PoolingSpec, load_model
 from oacpool.sequences import FeatureSequence
 
@@ -452,6 +463,33 @@ class TestReduceCommand:
         assert reduced.class_names == ("a", "b")
         seq = load_features(reduced.entries[0][0])
         assert seq.num_features == 3 and seq.num_frames == 5
+
+    def test_fit_on_tied_signatures_matches_the_exact_oracle(self, tmp_path, capsys):
+        # integer frames, repeated within each sequence, whose 40 dimensions
+        # copy 8 columns: at most 8 distinct signatures for 12 groups, so
+        # distances tie and clusters come up empty and get reseeded
+        rng = np.random.default_rng(56)
+        columns = rng.integers(0, 8, 40)
+        lines = ["classes=a,b,c"]
+        for i in range(9):
+            frames = rng.integers(0, 3, (2, 8))[rng.integers(0, 2, 6)][:, columns]
+            save_features(FeatureSequence(frames.astype(np.float64)), tmp_path / f"s{i}.txt")
+            lines.append(f"s{i}.txt {i % 3}")
+        manifest = tmp_path / "data.manifest"
+        manifest.write_text("\n".join(lines) + "\n")
+        for seed in range(4):
+            fitted = tmp_path / f"fitted_{seed}.txt"
+            code = run_cli(
+                "reduce", "--manifest", str(manifest), "--target-dim", "12",
+                "--seed", str(seed), "--partition-out", str(fitted),
+            )
+            assert code == 0
+            data = load_dataset(load_manifest(manifest))
+            signatures = class_signatures(labeled_frames(data), 3)
+            assignment, _, _ = unblocked_lloyd_kmeans(signatures, 12, seed=seed)
+            oracle = tmp_path / f"oracle_{seed}.txt"
+            save_partition(ReductionPartition(assignment, 12), oracle)
+            assert fitted.read_bytes() == oracle.read_bytes()
 
     def test_mixed_modes_are_usage_errors(self, tmp_path, capsys):
         manifest = self._manifest_with_dims(tmp_path)

@@ -5,12 +5,14 @@ import pytest
 
 from helpers import (
     adjusted_rand_index,
+    reference_kmeans_pp_init,
     brute_force_partition_optimum,
     canonical_labels,
     traced_peak_mib,
     unblocked_lloyd_kmeans,
 )
 
+from oacpool import dimreduce
 from oacpool.dimreduce import (
     ReductionPartition,
     class_signatures,
@@ -142,6 +144,74 @@ class TestLloydKmeans:
             copy = np.ascontiguousarray(view)
             for a, b in zip(lloyd_kmeans(view, k, seed=case), lloyd_kmeans(copy, k, seed=case)):
                 assert a.tobytes() == b.tobytes(), (case, n, k, c)
+
+    @staticmethod
+    def screen_cases():
+        """(points, k, seed): plain, far-offset and integer-tied fits of up to 60 classes."""
+        rng = np.random.default_rng(63)
+        for case in range(30):
+            n = int(rng.integers(2, 90))
+            c = int(rng.integers(1, 61))
+            points = rng.standard_normal((n, c))
+            if case % 3 == 1:
+                points += 10.0 ** rng.uniform(6, 8)
+            elif case % 3 == 2:
+                points = np.round(3 * points)[rng.integers(0, n // 2 + 1, n)]
+            yield points, int(rng.integers(1, min(n, 16) + 1)), case
+
+    def test_estimates_off_by_half_their_bound_give_the_same_bytes(self, monkeypatch):
+        # another BLAS may sum x·c in another order; moving every estimate by
+        # up to half its error bound, either way, stands in for it
+        rng = np.random.default_rng(62)
+        screen = dimreduce._screen
+
+        def shifted(*args):
+            estimates, bound = screen(*args)
+            shape = estimates.shape
+            extreme = rng.choice([-0.5, 0.5], shape)
+            shift = np.where(rng.random(shape) < 0.5, extreme, rng.uniform(-0.5, 0.5, shape))
+            return estimates + shift * bound[:, None], bound
+
+        monkeypatch.setattr(dimreduce, "_screen", shifted)
+        for points, k, seed in self.screen_cases():
+            got = lloyd_kmeans(points, k, seed=seed)
+            for a, b in zip(got, unblocked_lloyd_kmeans(points, k, seed=seed)):
+                assert a.tobytes() == b.tobytes(), seed
+
+    def test_exact_estimates_with_a_zero_bound_give_the_same_bytes(self, monkeypatch):
+        # the exact row sums less ‖x‖², with no error at all, are a screen
+        # of zero width: each row's nearest centroids lie on its threshold
+        # and must stay candidates.  Integer points keep the seeding's
+        # ‖x‖² + h equal to the row sum.
+        def exact(points, norms, scaled, c_squares):
+            exact = ((points[:, None, :] + scaled[None, :, :] / 2) ** 2).sum(axis=2)
+            squares = np.einsum("ij,ij->i", points, points)
+            return exact - squares[:, None], np.zeros(len(points))
+
+        monkeypatch.setattr(dimreduce, "_screen", exact)
+        rng = np.random.default_rng(61)
+        for seed in range(20):
+            n = int(rng.integers(2, 60))
+            points = rng.integers(-3, 4, (n // 2 + 1, int(rng.integers(1, 61))))
+            points = points[rng.integers(0, n // 2 + 1, n)].astype(np.float64)
+            k = int(rng.integers(1, min(n, 16) + 1))
+            got = lloyd_kmeans(points, k, seed=seed)
+            for a, b in zip(got, unblocked_lloyd_kmeans(points, k, seed=seed)):
+                assert a.tobytes() == b.tobytes(), seed
+
+    def test_seeding_rescores_points_whose_bound_overflows(self):
+        # x and y lie 1.7976931348623155e308 apart squared, a finite row
+        # sum, but the screen's ‖x‖² + h overflows to inf.  Seeded with the
+        # first point, which x is infinitely far from, y comes next, and x
+        # must then get its exact distance to y.
+        x, y = 2.7266420580806127e153, -1.0681165871861983e154
+        points = np.array([[y - 1e150], [x], [y]])
+        for seed in (11, 14):  # seeds whose first draw is the first point
+            with np.errstate(over="ignore", invalid="ignore"):
+                got = dimreduce._kmeans_pp_init(points, 3, np.random.default_rng(seed))
+                want = reference_kmeans_pp_init(points, 3, np.random.default_rng(seed))
+            assert got[0] == points[0]
+            assert got.tobytes() == want.tobytes(), seed
 
     def test_memory_stays_bounded_at_the_benchmark_shape(self):
         # D=4096 signatures of 51 classes into 128 groups: one (D, k, c)

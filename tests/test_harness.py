@@ -1,10 +1,11 @@
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
-from helpers import mean_separable_dataset
+from helpers import mean_separable_dataset, traced_peak_mib
 
 from oacpool.convpool import param_count_perdim
 from oacpool.errors import ParseError, ShapeMismatchError
@@ -189,6 +190,18 @@ class TestFeatureFiles:
         with pytest.raises(ParseError):
             load_features(path)
 
+    def test_text_load_holds_about_one_copy_of_the_file(self, tmp_path):
+        # a (30, 4096) file of 19-character values is 2.3 MiB of text for a
+        # 0.94 MiB array; the bytes, the text and the lines never coexist
+        seq = FeatureSequence(np.random.default_rng(79).standard_normal((30, 4096)))
+        path = tmp_path / "seq.txt"
+        save_features(seq, path)
+        size_mib = path.stat().st_size / 2**20
+        loaded = []
+        peak = traced_peak_mib(lambda: loaded.append(load_features(path)))
+        assert loaded[0].frames.tobytes() == seq.frames.tobytes()
+        assert peak < 2.5 * size_mib
+
     def test_truncated_binary_rejected(self, tmp_path):
         seq = FeatureSequence(np.ones((3, 2)))
         path = tmp_path / "seq.bin"
@@ -239,6 +252,24 @@ class TestManifest:
         loaded = load_manifest(path)
         data = load_dataset(loaded)
         assert len(data) == 4
+
+    @pytest.mark.parametrize("name", ["a\u0085b.txt", "a\u2028b.txt"])
+    def test_names_holding_unicode_line_breaks_round_trip(self, tmp_path, name):
+        seq_path = tmp_path / name
+        save_features(FeatureSequence(np.ones((2, 2))), seq_path)
+        path = tmp_path / "data.manifest"
+        save_manifest(DatasetManifest([(seq_path, 0)], ("a",)), path)
+        assert load_manifest(path).entries == [(seq_path.resolve(), 0)]
+
+    @pytest.mark.parametrize(
+        "name", ["#a.txt", "a\nb.txt", "a\rb.txt", " a.txt", "a.txt ", "classes=a.txt"]
+    )
+    def test_names_that_would_not_read_back_are_refused(self, tmp_path, name):
+        path = tmp_path / "data.manifest"
+        manifest = DatasetManifest([(tmp_path / name, 0)], ("a",))
+        with pytest.raises(ValueError, match=re.escape(repr(name))):
+            save_manifest(manifest, path)
+        assert not path.exists()
 
     def test_missing_classes_line(self, tmp_path):
         path = tmp_path / "bad.manifest"
