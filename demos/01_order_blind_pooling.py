@@ -46,8 +46,9 @@ print("average invariant under shuffle:",
 
 banks = FilterBankSet([[[-1.0, 1.0]]], [[0.0]])  # one dimension, one filter
 cfg = PyramidConfig((1,))
-print("responses on rising :", oacp_forward_details(rising, banks, cfg).responses[:, 0, 0])
-print("responses on falling:", oacp_forward_details(falling, banks, cfg).responses[:, 0, 0])
+for name, seq in (("rising :", rising), ("falling:", falling)):
+    pre = oacp_forward_details(seq, banks, cfg).pre_activation
+    print("responses on", name, np.maximum(pre, 0.0)[:, 0, 0])
 
 #%%
 # Pool those responses and the two signals get different fixed-length

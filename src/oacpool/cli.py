@@ -178,6 +178,16 @@ def build_parser() -> _Parser:
     return parser
 
 
+def _write_dataset(path: Path, named_items, class_names, split_tag) -> None:
+    """Save each (file name, LabeledSequence) beside the manifest path, then the manifest."""
+    path.parent.mkdir(parents=True, exist_ok=True)
+    entries = []
+    for name, item in named_items:
+        save_features(item.sequence, path.parent / name)
+        entries.append((path.parent / name, item.label))
+    save_manifest(DatasetManifest(entries, class_names, split_tag), path)
+
+
 def _cmd_synth(args) -> int:
     spec = SyntheticSpec(
         task_kind=args.task,
@@ -190,17 +200,14 @@ def _cmd_synth(args) -> int:
     )
     train, test = gen_synthetic(spec)
     out = Path(args.out)
-    out.mkdir(parents=True, exist_ok=True)
     for split, data in (("train", train), ("test", test)):
-        entries = []
+        named = []
         counters = [0] * spec.num_classes
         for item in data:
             name = f"{split}_{spec.class_names[item.label]}_{counters[item.label]:04d}.txt"
+            named.append((name, item))
             counters[item.label] += 1
-            save_features(item.sequence, out / name)
-            entries.append((out / name, item.label))
-        manifest = DatasetManifest(entries, spec.class_names, split_tag=split)
-        save_manifest(manifest, out / f"{split}.manifest")
+        _write_dataset(out / f"{split}.manifest", named, spec.class_names, split)
     print(
         f"wrote {len(train)} train and {len(test)} test sequences "
         f"({args.task}, T={args.t}, K={args.k}) to {out}"
@@ -334,20 +341,13 @@ def _cmd_reduce(args) -> int:
     partition = load_partition(args.apply)
     # each input is reduced as it is read and only the k-wide results are
     # kept; nothing is written until every input has been read
-    reduced = [reduce_sequence(item.sequence, partition) for item in iter_dataset(manifest)]
-    out_dir = Path(args.out_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    entries = []
-    for (path, label), seq in zip(manifest.entries, reduced):
-        save_features(seq, out_dir / path.name)
-        entries.append((out_dir / path.name, label))
-    reduced_manifest = DatasetManifest(entries, manifest.class_names, manifest.split_tag)
-    manifest_name = Path(args.manifest).name
-    save_manifest(reduced_manifest, out_dir / manifest_name)
-    print(
-        f"reduced {len(entries)} sequences to {partition.k} dimensions; "
-        f"wrote {out_dir / manifest_name}"
-    )
+    reduced = [
+        (path.name, LabeledSequence(reduce_sequence(item.sequence, partition), item.label))
+        for (path, _), item in zip(manifest.entries, iter_dataset(manifest))
+    ]
+    path = Path(args.out_dir) / Path(args.manifest).name
+    _write_dataset(path, reduced, manifest.class_names, manifest.split_tag)
+    print(f"reduced {len(reduced)} sequences to {partition.k} dimensions; wrote {path}")
     return 0
 
 

@@ -1,10 +1,10 @@
 """Per-dimension 1D convolutional filter banks over the temporal axis.
 
 Each feature dimension gets its own bank of n_filters length-l filters.
-The bank slides along that dimension's 1D signal, a ReLU is applied, and
-the response sequence is aggregated with temporal pyramid pooling.  This
-keeps the parameter count at l*K*n + K*n instead of the l*K*n + n of a
-single joint convolution over all K dimensions with n >> n_filters.
+The bank slides along that dimension's 1D signal, and the ReLU'd responses
+are max-pooled over a temporal pyramid (the monotone ReLU is applied to the
+maxima).  This keeps the parameter count at l*K*n + K*n instead of the
+l*K*n + n of a single joint convolution over all K dimensions with n >> n_filters.
 """
 
 from __future__ import annotations
@@ -110,14 +110,13 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
 class OacpForward(NamedTuple):
     """Everything the forward pass produces that backpropagation needs.
 
-    pooled, pre_activation, responses and segment_argmax are contiguous,
-    the last three with K innermost; windows is a strided view of the input
-    frames.
+    pooled, pre_activation and segment_argmax are contiguous, the last two
+    with K innermost; windows is a strided view of the input frames.  No
+    array holds the ReLU'd responses, np.maximum(pre_activation, 0.0).
     """
 
-    pooled: np.ndarray          # (K * n_filters * M,)
+    pooled: np.ndarray          # (K * n_filters * M,), post-ReLU
     pre_activation: np.ndarray  # (T_out, n_filters, K)
-    responses: np.ndarray       # (T_out, n_filters, K), post-ReLU
     windows: np.ndarray         # (T_out, K, interval) view of the input frames
     segment_argmax: np.ndarray  # (M, n_filters, K) absolute response-row indices
 
@@ -136,37 +135,38 @@ def _row_weights(length: int) -> np.ndarray:
 def oacp_forward_details(
     seq: FeatureSequence, banks: FilterBankSet, cfg: PyramidConfig
 ) -> OacpForward:
-    """Convolve every dimension, ReLU, pyramid-pool the responses, concatenate.
+    """Convolve every dimension, pyramid-pool, ReLU the maxima, concatenate.
 
     The pooled layout is dimension k outermost, then level, then segment,
-    then filter channel; length K * n_filters * M.  The maxima are
-    segment_maxima over the (T_out, n_filters, K) responses.  Each segment
-    [a, b)'s argmax is the first row equal to its maximum, found as b minus
-    the largest of the weights [b-a, ..., 1] over the equal rows; when a
-    maximum is NaN, NaN rows count as equal too, so a segment holding a NaN
-    takes its first NaN row, as np.argmax does.
+    then filter channel; length K * n_filters * M.  The pre-activations'
+    segment_maxima are ReLU'd in place, bitwise the maxima of the ReLU'd
+    responses, since the ReLU is monotone and the conv never yields -0.0.
+    Segment [a, b)'s argmax, the first row holding its maximal ReLU'd
+    response, is b minus the largest of the weights [b-a, ..., 1] over the
+    rows at or above the maximum, or over all rows if the ReLU zeroes it; a
+    segment with a NaN maximum takes its first NaN row, as np.argmax does.
     """
     if seq.num_features != banks.num_dims:
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} dimensions but the bank set has {banks.num_dims}"
         )
     pre = conv_responses(seq.frames, banks)
-    responses = np.maximum(pre, 0.0)
     windows = sliding_window_view(seq.frames, banks.interval, axis=0)[:: banks.stride]
-    ranges = segment_ranges(responses.shape[0], cfg)
-    maxima = segment_maxima(responses, ranges)
+    ranges = segment_ranges(pre.shape[0], cfg)
+    maxima = segment_maxima(pre, ranges)
     any_nan = np.isnan(maxima).any()
+    floor = np.where(maxima <= 0.0, -np.inf, maxima)
     argmax = np.empty(maxima.shape, dtype=np.intp)
     for m, (a, b) in enumerate(ranges):
-        seg = responses[a:b]
-        hits = seg == maxima[m]
+        hits = pre[a:b] >= floor[m]
         if any_nan:
-            hits |= np.isnan(seg)
+            hits |= np.isnan(pre[a:b])
         argmax[m] = b
         argmax[m] -= (hits.view(np.uint8) * _row_weights(b - a)).max(axis=0)
+    np.maximum(maxima, 0.0, out=maxima)
     # (M, n, K) -> dimension-major: k outermost, then (level, segment), then channel
     pooled = maxima.transpose(2, 0, 1).ravel()
-    return OacpForward(pooled, pre, responses, windows, argmax)
+    return OacpForward(pooled, pre, windows, argmax)
 
 
 def param_count_joint(num_dims: int, interval: int, n_filters: int) -> int:

@@ -22,7 +22,7 @@ from .errors import (
     ShapeMismatchError,
     SumOverflowError,
 )
-from .pooling import seed_value
+from .pooling import positive_int, seed_value
 from .sequences import FeatureSequence
 
 # Lloyd rounds before lloyd_kmeans stops even if assignments still move.
@@ -40,6 +40,7 @@ class ReductionPartition:
         assignment = np.array(self.assignment, dtype=np.int64)
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a nonempty 1-D array")
+        object.__setattr__(self, "k", positive_int(self.k, "k", minimum=-np.inf))
         if not 1 <= self.k <= assignment.size:
             raise ValueError(f"k must be in [1, {assignment.size}], got {self.k}")
         if assignment.min() < 0 or assignment.max() >= self.k:
@@ -270,6 +271,7 @@ def lloyd_kmeans(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray, np.nda
     if not np.isfinite(points).all():
         raise ValueError("points contain NaN or infinite values")
     n = points.shape[0]
+    k = positive_int(k, "k", minimum=-np.inf)  # out of range is an InvalidTargetError
     if not 1 <= k <= n:
         raise InvalidTargetError(f"k must be in [1, {n}], got {k}")
     rng = np.random.default_rng(seed_value(seed))

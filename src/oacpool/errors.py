@@ -46,7 +46,7 @@ class SumOverflowError(DataError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced a non-finite loss or non-finite parameters."""
+    """Training produced non-finite logits or parameters."""
 
 
 class StaleCacheError(RuntimeError):

@@ -114,11 +114,18 @@ def load_manifest(path) -> DatasetManifest:
 def save_manifest(manifest: DatasetManifest, path) -> None:
     """Write a manifest; entry paths are stored relative to the manifest.
 
-    An entry whose relative path would not read back as itself raises
-    ValueError naming it, before anything is written: one holding a line
-    break or NUL, with leading or trailing whitespace, or starting like a
-    comment or a header line.
+    A value that would not read back as itself raises ValueError naming it,
+    before anything is written: an empty class name or one holding a comma,
+    a line break in a class name or the split tag, trailing whitespace on the
+    last class name or the tag, or an entry path holding a line break or NUL,
+    with leading or trailing whitespace, or starting like a comment or header.
     """
+    for name in manifest.class_names:
+        if not name or any(ch in name for ch in ",\n\r"):
+            raise ValueError(f"class name {name!r} would not read back from a manifest")
+    for what, value in ("class name", manifest.class_names[-1]), ("split tag", manifest.split_tag):
+        if value != value.rstrip() or any(ch in value for ch in "\n\r"):
+            raise ValueError(f"{what} {value!r} would not read back from a manifest")
     path = Path(path)
     lines = []
     for entry_path, label in manifest.entries:

@@ -330,7 +330,7 @@ def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, F
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} features, model expects {model.num_features}"
         )
-    extras = {}
+    details = ()
     kind, pyramid = model.spec.kind, model.spec.pyramid
     if kind == "average":
         pooled = average_pool(seq)
@@ -339,15 +339,10 @@ def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, F
     elif kind == "pyramid":
         pooled = temporal_pyramid_pool(seq, pyramid)
     else:
-        details = oacp_forward_details(seq, model.filter_banks, pyramid)
-        pooled = details.pooled
-        extras = dict(
-            pre_activation=details.pre_activation,
-            windows=details.windows,
-            segment_argmax=details.segment_argmax,
-        )
+        # pre_activation, windows, segment_argmax: ForwardCache's last three fields
+        pooled, *details = oacp_forward_details(seq, model.filter_banks, pyramid)
     probs = softmax(model.w_head @ pooled + model.b_head)
-    return probs, ForwardCache(model.version, pooled, probs, **extras)
+    return probs, ForwardCache(model.version, pooled, probs, *details)
 
 
 def instance_loss(probs, label: int) -> float:
@@ -497,10 +492,6 @@ def sgd_train(
                     raise DivergenceError(
                         f"divergence at epoch {epoch}, instance {int(idx)}: {exc}"
                     ) from None
-                if not math.isfinite(loss):
-                    raise DivergenceError(
-                        f"non-finite loss at epoch {epoch}, instance {int(idx)}"
-                    )
                 total_loss += loss
                 if int(np.argmax(probs)) == item.label:
                     correct += 1

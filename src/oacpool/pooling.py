@@ -19,7 +19,7 @@ def positive_int(value, name: str, minimum: int = 1) -> int:
     """value as a Python int if it is an integer >= minimum (NumPy integers included).
 
     Floats, even whole ones, and booleans are a ValueError naming the setting.
-    minimum is 1 unless a setting allows 0 (a seed) or needs more.
+    minimum is 1 unless a setting allows 0 (a seed), needs more, or has none (-inf).
     """
     if isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")

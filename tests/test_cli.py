@@ -464,6 +464,19 @@ class TestReduceCommand:
         seq = load_features(reduced.entries[0][0])
         assert seq.num_features == 3 and seq.num_frames == 5
 
+    def test_apply_keeps_class_names_with_inner_spaces(self, tmp_path, capsys):
+        manifest = self._manifest_with_dims(tmp_path)
+        manifest.write_text(manifest.read_text().replace("classes=a,b", "classes=a, b,c"))
+        partition_path = tmp_path / "partition.txt"
+        partition_path.write_text("k=3 D=6 aggregation=sum\n" + "0\n1\n2\n" * 2)
+        out_dir = tmp_path / "reduced"
+        code = run_cli(
+            "reduce", "--manifest", str(manifest),
+            "--apply", str(partition_path), "--out-dir", str(out_dir),
+        )
+        assert code == 0
+        assert load_manifest(out_dir / "data.manifest").class_names == ("a", " b", "c")
+
     def test_fit_on_tied_signatures_matches_the_exact_oracle(self, tmp_path, capsys):
         # integer frames, repeated within each sequence, whose 40 dimensions
         # copy 8 columns: at most 8 distinct signatures for 12 groups, so

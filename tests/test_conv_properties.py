@@ -44,10 +44,11 @@ def check_against_oracles(frames, banks, cfg):
         want = conv_oracle(frames[:, k], banks.weights[k], banks.biases[k], banks.stride)
         assert responses[:, :, k].tobytes() == want.tobytes()
     details = oacp_forward_details(FeatureSequence(frames), banks, cfg)
-    ranges = segment_ranges(details.responses.shape[0], cfg)
-    maxima = np.stack([details.responses[a:b].max(axis=0) for a, b in ranges])
+    responses = np.maximum(details.pre_activation, 0.0)
+    ranges = segment_ranges(responses.shape[0], cfg)
+    maxima = np.stack([responses[a:b].max(axis=0) for a, b in ranges])
     assert details.pooled.tobytes() == maxima.transpose(2, 0, 1).ravel().tobytes()
-    want = np.stack([a + details.responses[a:b].argmax(axis=0) for a, b in ranges])
+    want = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
     got = details.segment_argmax
     assert got.shape == want.shape and got.dtype == want.dtype
     assert got.tobytes() == want.tobytes()

@@ -26,7 +26,8 @@ def one_dim_bank(weights, biases, stride=1):
 def one_dim_responses(signal, banks):
     """Post-ReLU responses (T_out, n_filters) of a one-dimension bank set on a 1D signal."""
     seq = FeatureSequence(np.asarray(signal, dtype=np.float64)[:, None])
-    return oacp_forward_details(seq, banks, PyramidConfig((1,))).responses[:, :, 0]
+    details = oacp_forward_details(seq, banks, PyramidConfig((1,)))
+    return np.maximum(details.pre_activation, 0.0)[:, :, 0]
 
 
 class TestFilterBankTypes:
@@ -253,12 +254,12 @@ class TestSegmentArgmax:
         identity = FilterBankSet(np.ones((4, 1, 1)), np.zeros((4, 1)))
         cfg = PyramidConfig(levels)
         details = oacp_forward_details(FeatureSequence(frames), identity, cfg)
-        argmax, maxima = numpy_segment_pooling(details.responses, cfg)
+        argmax, maxima = numpy_segment_pooling(np.maximum(details.pre_activation, 0.0), cfg)
         assert details.segment_argmax.tobytes() == argmax.tobytes()
         assert details.pooled.tobytes() == maxima.transpose(2, 0, 1).ravel().tobytes()
         assert details.segment_argmax[0, 0, 0] == num_frames - 5
         assert details.segment_argmax[0, 0, 1] == 0
-        for buffer in (details.pre_activation, details.responses, details.segment_argmax):
+        for buffer in (details.pre_activation, details.segment_argmax):
             assert buffer.flags.c_contiguous
 
     def test_overflow_to_nan_takes_the_first_nan_as_argmax(self):
@@ -266,8 +267,9 @@ class TestSegmentArgmax:
         cfg = PyramidConfig((1, 2))
         with np.errstate(over="ignore", invalid="ignore"):
             details = oacp_forward_details(seq, banks, cfg)
-        argmax, maxima = numpy_segment_pooling(details.responses, cfg)
-        assert np.isnan(details.responses).any() and np.isinf(details.responses).any()
+        responses = np.maximum(details.pre_activation, 0.0)
+        argmax, maxima = numpy_segment_pooling(responses, cfg)
+        assert np.isnan(responses).any() and np.isinf(responses).any()
         assert details.segment_argmax.tobytes() == argmax.tobytes()
         assert np.array_equal(
             details.pooled, maxima.transpose(2, 0, 1).ravel(), equal_nan=True

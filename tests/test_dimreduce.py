@@ -117,6 +117,14 @@ class TestLloydKmeans:
         with pytest.raises(InvalidTargetError):
             lloyd_kmeans(points, 0)
 
+    def test_rejects_non_integer_k_and_keeps_range_errors(self):
+        points = np.zeros((4, 2))
+        for k in (True, 2.0):
+            with pytest.raises(ValueError, match="k must be an integer"):
+                lloyd_kmeans(points, k)
+        with pytest.raises(InvalidTargetError, match="k must be in"):
+            lloyd_kmeans(points, -1)
+
     @pytest.mark.parametrize(
         "n, k, c",
         [
@@ -279,6 +287,17 @@ class TestKmeansPartition:
         ]
         assert np.mean(scores) >= 0.9
 
+    @pytest.mark.parametrize("k", [True, 2.0], ids=["True", "2.0"])
+    def test_rejects_non_integer_k(self, k):
+        sig = np.random.default_rng(77).standard_normal((6, 2))
+        with pytest.raises(ValueError, match="k must be an integer"):
+            kmeans_partition(sig, k)
+
+    def test_numpy_integer_k_becomes_int(self):
+        sig = np.random.default_rng(78).standard_normal((6, 2))
+        partition = kmeans_partition(sig, np.int64(3))
+        assert type(partition.k) is int and partition.k == 3
+
     def test_rejects_target_above_dimensionality(self):
         sig = np.zeros((2, 4)).T
         with pytest.raises(InvalidTargetError):
@@ -299,6 +318,15 @@ class TestReductionPartition:
     def test_rejects_out_of_range_assignment(self):
         with pytest.raises(ValueError):
             ReductionPartition(np.array([0, 3]), 2)
+
+    @pytest.mark.parametrize("k", [True, 1.0], ids=["True", "1.0"])
+    def test_rejects_non_integer_k(self, k):
+        with pytest.raises(ValueError, match="k must be an integer"):
+            ReductionPartition([0, 0, 0], k)
+
+    def test_numpy_integer_k_becomes_int(self):
+        partition = ReductionPartition([0, 1], np.int64(2))
+        assert type(partition.k) is int and partition.k == 2
 
     def test_rejects_more_groups_than_dimensions(self):
         with pytest.raises(ValueError, match="k must be in"):

@@ -271,6 +271,39 @@ class TestManifest:
             save_manifest(manifest, path)
         assert not path.exists()
 
+    @pytest.mark.parametrize(
+        "class_names, split_tag, value",
+        [
+            (("a,b", "c"), "", "a,b"),
+            (("a", ""), "", ""),
+            (("a\nb", "c"), "", "a\nb"),
+            (("a", "b\rc"), "", "b\rc"),
+            (("a", "b "), "", "b "),
+            (("a",), "a\nb", "a\nb"),
+            (("a",), "a ", "a "),
+        ],
+        ids=["comma", "empty", "newline", "return", "trailing-space", "tag-newline", "tag-space"],
+    )
+    def test_class_names_and_tags_that_would_not_read_back_are_refused(
+        self, tmp_path, class_names, split_tag, value
+    ):
+        seq_path = tmp_path / "seq.txt"
+        path = tmp_path / "data.manifest"
+        manifest = DatasetManifest([(seq_path, 0)], class_names, split_tag)
+        with pytest.raises(ValueError, match=re.escape(repr(value))):
+            save_manifest(manifest, path)
+        assert not path.exists()
+
+    def test_class_names_and_tags_a_manifest_can_hold_round_trip(self, tmp_path):
+        seq_path = tmp_path / "seq.txt"
+        save_features(FeatureSequence(np.ones((2, 2))), seq_path)
+        path = tmp_path / "data.manifest"
+        class_names = (" a", " b", "c d", "e\u2028f", "g")
+        save_manifest(DatasetManifest([(seq_path, 4)], class_names, " x y"), path)
+        loaded = load_manifest(path)
+        assert loaded.class_names == class_names
+        assert loaded.split_tag == " x y"
+
     def test_missing_classes_line(self, tmp_path):
         path = tmp_path / "bad.manifest"
         path.write_text("a.txt 0\n")

@@ -11,7 +11,13 @@ from helpers import (
     traced_peak_mib,
 )
 
-from oacpool.convpool import _BLOCK_ELEMENTS, FilterBankSet, param_count_perdim
+import oacpool.model
+from oacpool.convpool import (
+    _BLOCK_ELEMENTS,
+    FilterBankSet,
+    oacp_forward_details,
+    param_count_perdim,
+)
 from oacpool.dimreduce import lloyd_kmeans
 from oacpool.errors import (
     DivergenceError,
@@ -274,6 +280,22 @@ class TestForward:
         model = ClassifierModel.build("average", 3, 2)
         with pytest.raises(ShapeMismatchError):
             forward(model, FeatureSequence(np.zeros((4, 5))))
+
+    def test_cache_holds_the_oacp_arrays_themselves(self, monkeypatch):
+        returned = []
+
+        def recording(*args):
+            returned.append(oacp_forward_details(*args))
+            return returned[-1]
+
+        monkeypatch.setattr(oacpool.model, "oacp_forward_details", recording)
+        model = tiny_oacp_model(seed=44)
+        _, cache = forward(model, random_example(44, 6, 3, 2).sequence)
+        (details,) = returned
+        assert cache.pooled is details.pooled
+        assert cache.pre_activation is details.pre_activation
+        assert cache.windows is details.windows
+        assert cache.segment_argmax is details.segment_argmax
 
 
 class TestInstanceLoss:
@@ -598,8 +620,9 @@ class TestPaperShapeMemory:
     A training step peaks near 7.2 MiB: the conv buffers, the routed
     windows of the bank gradient, and one row of the head update; no
     (num_classes, pooled_length) head gradient is built.  An evaluated
-    instance needs about 5.4 MiB.  The bounds catch a per-step temporary
-    coming back.
+    instance needs about 3.6 MiB: the 2.2 MiB conv accumulator, its block
+    buffer and the (M, n, K) maxima; no ReLU'd copy of the responses is
+    built.  The bounds catch a per-step temporary coming back.
     """
 
     @pytest.fixture(scope="class")
@@ -615,7 +638,7 @@ class TestPaperShapeMemory:
 
     def test_evaluated_instance(self, paper_case):
         model, data = paper_case
-        assert traced_peak_mib(lambda: evaluate(model, data)) < 8
+        assert traced_peak_mib(lambda: evaluate(model, data)) < 4
 
 
 class TestEvaluate:

@@ -6,6 +6,7 @@ import pytest
 
 import oacpool
 import oacpool.harness
+from oacpool.convpool import OacpForward
 
 PUBLIC_NAMES = {
     oacpool: [
@@ -106,6 +107,16 @@ def test_classifier_model_fields_are_pinned():
         "filter_banks",
         "version",
     ]
+
+
+def test_oacp_forward_fields_are_pinned():
+    # what backward reads, plus the pre-activations; no ReLU'd copy
+    assert OacpForward._fields == (
+        "pooled",
+        "pre_activation",
+        "windows",
+        "segment_argmax",
+    )
 
 
 def test_reduction_partition_fields_are_pinned():
