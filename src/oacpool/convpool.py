@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
+from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatchError, TooShortSequenceError
 from .pooling import PyramidConfig, positive_int, segment_maxima, segment_ranges
@@ -83,25 +83,27 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
     bit-for-bit regardless of BLAS backend and each dimension's responses
     equal those of a one-dimension bank set on that dimension alone.  The
     sums accumulate a block of output rows at a time, with the K dimensions
-    innermost.
+    innermost; tap i of a block reads frames[t*stride + i] as a strided
+    slice of frames.
     """
     num_frames = frames.shape[0]
-    interval = banks.interval
+    interval, stride = banks.interval, banks.stride
     if num_frames < interval:
         raise TooShortSequenceError(
             f"sequence has {num_frames} frames but the filters need {interval}"
         )
-    windows = sliding_window_view(frames, interval, axis=0)[:: banks.stride]
     taps = np.ascontiguousarray(banks.weights.transpose(2, 1, 0))  # (l, n, K)
-    acc = np.zeros((windows.shape[0], banks.n_filters, banks.num_dims))
+    t_out = (num_frames - interval) // stride + 1
+    acc = np.zeros((t_out, banks.n_filters, banks.num_dims))
     rows = max(1, _BLOCK_ELEMENTS // (banks.n_filters * banks.num_dims))
     term = np.empty_like(acc[:rows])
-    for start in range(0, acc.shape[0], rows):
+    for start in range(0, t_out, rows):
         block = acc[start : start + rows]
-        block_windows = windows[start : start + rows, None]
         block_term = term[: block.shape[0]]
         for i in range(interval):
-            np.multiply(block_windows[..., i], taps[i], out=block_term)
+            first = start * stride + i
+            block_frames = frames[first : first + block.shape[0] * stride : stride, None]
+            np.multiply(block_frames, taps[i], out=block_term)
             block += block_term
     acc += banks.biases.T
     return acc
@@ -150,8 +152,16 @@ def oacp_forward_details(
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} dimensions but the bank set has {banks.num_dims}"
         )
-    pre = conv_responses(seq.frames, banks)
-    windows = sliding_window_view(seq.frames, banks.interval, axis=0)[:: banks.stride]
+    frames = seq.frames
+    pre = conv_responses(frames, banks)
+    # read-only (T_out, K, interval) view: windows[t, k, i] = frames[t*stride + i, k]
+    row_step, dim_step = frames.strides
+    windows = as_strided(
+        frames,
+        shape=(pre.shape[0], banks.num_dims, banks.interval),
+        strides=(row_step * banks.stride, dim_step, row_step),
+        writeable=False,
+    )
     ranges = segment_ranges(pre.shape[0], cfg)
     maxima = segment_maxima(pre, ranges)
     any_nan = np.isnan(maxima).any()

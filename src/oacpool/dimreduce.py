@@ -309,6 +309,7 @@ def lloyd_kmeans(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray, np.nda
 
 def kmeans_partition(signatures, k: int, seed=0) -> ReductionPartition:
     """Cluster the rows of the (D, c) signatures into k summed groups; deterministic given seed."""
+    k = positive_int(k, "k", minimum=-np.inf)  # out of range is an InvalidTargetError
     num_dims = len(signatures)
     if not 1 <= k <= num_dims:
         raise InvalidTargetError(f"target dimensionality must be in [1, {num_dims}], got {k}")

@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,25 +325,35 @@ def softmax(z) -> np.ndarray:
     return shifted / shifted.sum()
 
 
+def _pool(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, Sequence]:
+    """The pooled vector of seq and, for oacp, the forward arrays backward() reads."""
+    kind, pyramid = model.spec.kind, model.spec.pyramid
+    if kind == "average":
+        return average_pool(seq), ()
+    if kind == "max":
+        return max_pool(seq), ()
+    if kind == "pyramid":
+        return temporal_pyramid_pool(seq, pyramid), ()
+    # pre_activation, windows, segment_argmax: ForwardCache's last three fields
+    pooled, *details = oacp_forward_details(seq, model.filter_banks, pyramid)
+    return pooled, details
+
+
+def _head(
+    model: ClassifierModel, pooled: np.ndarray, details: Sequence = ()
+) -> tuple[np.ndarray, ForwardCache]:
+    """Class probabilities of a pooled vector plus the state backward() needs."""
+    probs = softmax(model.w_head @ pooled + model.b_head)
+    return probs, ForwardCache(model.version, pooled, probs, *details)
+
+
 def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, ForwardCache]:
     """Class probabilities for one sequence plus the state backward() needs."""
     if seq.num_features != model.num_features:
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} features, model expects {model.num_features}"
         )
-    details = ()
-    kind, pyramid = model.spec.kind, model.spec.pyramid
-    if kind == "average":
-        pooled = average_pool(seq)
-    elif kind == "max":
-        pooled = max_pool(seq)
-    elif kind == "pyramid":
-        pooled = temporal_pyramid_pool(seq, pyramid)
-    else:
-        # pre_activation, windows, segment_argmax: ForwardCache's last three fields
-        pooled, *details = oacp_forward_details(seq, model.filter_banks, pyramid)
-    probs = softmax(model.w_head @ pooled + model.b_head)
-    return probs, ForwardCache(model.version, pooled, probs, *details)
+    return _head(model, *_pool(model, seq))
 
 
 def instance_loss(probs, label: int) -> float:
@@ -459,8 +470,13 @@ def sgd_train(
     """Plain per-instance SGD: theta <- theta - lr * grad after every instance.
 
     Every instance is checked before the first update, so data the model
-    cannot take leaves it untouched.  Instance order is reshuffled each
-    epoch by a generator seeded from cfg.seed, so a given (seed, data
+    cannot take leaves it untouched.  A model without filter banks
+    (average, max or pyramid pooling) has nothing to learn before its head,
+    so each instance is pooled once, before the first epoch, into a
+    read-only vector that every epoch's step reuses; the vectors are the
+    arrays forward() would compute, so the result is the same bytes.  An
+    oacp model runs forward() on every step.  Instance order is reshuffled
+    each epoch by a generator seeded from cfg.seed, so a given (seed, data
     order, cfg) is bit-deterministic.
     History records each epoch's mean loss and online accuracy (prediction
     taken before the update).  The head weights take the rank-one update
@@ -477,6 +493,11 @@ def sgd_train(
     # an overflow ends in a DivergenceError below, not in a NumPy warning;
     # entered once per run, since desk-scale steps are short
     with np.errstate(over="ignore", invalid="ignore"):
+        pooled = None
+        if model.filter_banks is None:
+            pooled = [_pool(model, item.sequence)[0] for item in data]
+            for vector in pooled:
+                vector.flags.writeable = False
         for epoch in range(cfg.epochs):
             rng.shuffle(order)
             total_loss = 0.0
@@ -486,7 +507,10 @@ def sgd_train(
                 try:
                     # the instances were checked up front, so the only ValueError
                     # left is softmax's: the logits are no longer finite
-                    probs, cache = forward(model, item.sequence)
+                    if pooled is None:
+                        probs, cache = forward(model, item.sequence)
+                    else:
+                        probs, cache = _head(model, pooled[idx])
                     loss = instance_loss(probs, item.label)
                 except ValueError as exc:
                     raise DivergenceError(

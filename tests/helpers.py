@@ -10,7 +10,7 @@ from math import comb
 import numpy as np
 
 from oacpool.dimreduce import KMEANS_MAX_ITERS
-from oacpool.model import backward, forward
+from oacpool.model import _sgd_step, backward, forward
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
 
@@ -53,6 +53,25 @@ def dense_reference_gradients(model, cache, label: int):
     d_resp *= pre > 0
     bank_w = np.einsum("tjk,tki->kji", d_resp, cache.windows)
     return (*head, bank_w, d_resp.sum(axis=0).T)
+
+
+def per_step_sgd(model, data, cfg):
+    """sgd_train's instance loop with a full forward on every step.
+
+    The same per-epoch default_rng(cfg.seed) shuffle, then forward,
+    backward and _sgd_step for each instance, whatever the pooling kind.
+    No divergence checks; returns the model.
+    """
+    rng = np.random.default_rng(cfg.seed)
+    order = np.arange(len(data))
+    for _ in range(cfg.epochs):
+        rng.shuffle(order)
+        for idx in order:
+            item = data[idx]
+            _, cache = forward(model, item.sequence)
+            _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
+            model.version += 1
+    return model
 
 
 def dense_update_sgd(model, data, cfg):

@@ -43,6 +43,31 @@ def test_tracer_counts_a_tiny_oacp_run(monkeypatch):
     assert metrics["model.forward.calls"][0] == 2 * len(data)
 
 
+def test_tracer_sees_average_pooling_once_per_instance(monkeypatch):
+    monkeypatch.syspath_prepend(str(BENCH))
+    from tracing import Tracer
+
+    rng = np.random.default_rng(43)
+    data = [
+        LabeledSequence(FeatureSequence(rng.standard_normal((6, 3))), label)
+        for label in (0, 1, 0, 1, 1)
+    ]
+    model = oacpool.model.ClassifierModel.build("average", 3, 2, seed=43)
+    tracer = Tracer()
+    tracer.install(0)
+    try:
+        # through the module, so the calls reach the installed wrappers
+        oacpool.model.sgd_train(model, data, oacpool.model.TrainConfig(0.1, 3, seed=43))
+        oacpool.model.evaluate(model, data)
+    finally:
+        tracer.uninstall()
+    metrics = tracer.metrics()
+    # training pools each instance once for all three epochs; evaluate once more
+    assert metrics["pooling.average_pool.calls"][0] == 2 * len(data)
+    assert metrics["model.backward.calls"][0] == 3 * len(data)
+    assert metrics["model.sgd_train.params_per_step"][0] == model.parameter_total()
+
+
 def test_tracer_counts_a_tiny_reduce_fit_and_apply(monkeypatch, tmp_path):
     monkeypatch.syspath_prepend(str(BENCH))
     from tracing import Tracer

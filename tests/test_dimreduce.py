@@ -293,6 +293,20 @@ class TestKmeansPartition:
         with pytest.raises(ValueError, match="k must be an integer"):
             kmeans_partition(sig, k)
 
+    @pytest.mark.parametrize("k", ["3", None], ids=["str", "None"])
+    def test_rejects_k_that_is_not_a_number(self, k):
+        sig = np.random.default_rng(77).standard_normal((6, 2))
+        with pytest.raises(ValueError, match="k must be an integer") as raised:
+            kmeans_partition(sig, k)
+        assert not isinstance(raised.value, InvalidTargetError)
+
+    @pytest.mark.parametrize("k", [0, 7])
+    def test_out_of_range_k_keeps_its_target_error(self, k):
+        sig = np.random.default_rng(77).standard_normal((6, 2))
+        message = rf"target dimensionality must be in \[1, 6\], got {k}$"
+        with pytest.raises(InvalidTargetError, match=message):
+            kmeans_partition(sig, k)
+
     def test_numpy_integer_k_becomes_int(self):
         sig = np.random.default_rng(78).standard_normal((6, 2))
         partition = kmeans_partition(sig, np.int64(3))

@@ -8,6 +8,7 @@ from helpers import (
     dense_reference_gradients,
     dense_update_sgd,
     mean_separable_dataset,
+    per_step_sgd,
     traced_peak_mib,
 )
 
@@ -612,6 +613,75 @@ class TestSgdTrain:
             sgd_train(model, data, TrainConfig(learning_rate=0.1, epochs=1))
         assert parameter_bytes(model) == before
         assert model.version == 0
+
+
+POOL_FUNCTIONS = {
+    "average": "average_pool",
+    "max": "max_pool",
+    "pyramid": "temporal_pyramid_pool",
+}
+
+
+def counting(monkeypatch, name):
+    """Wrap oacpool.model's global name; return the list of each call's positional args."""
+    calls = []
+    original = getattr(oacpool.model, name)
+
+    def wrapper(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oacpool.model, name, wrapper)
+    return calls
+
+
+class TestPoolingHoist:
+    """Parameter-free pooling runs once per instance, before the first epoch."""
+
+    @staticmethod
+    def build(kind, seed):
+        if kind == "oacp":
+            return tiny_oacp_model(seed=seed)
+        return ClassifierModel.build(kind, 3, 2, pyramid=(1, 2), seed=seed)
+
+    @pytest.mark.parametrize("kind", sorted(POOL_FUNCTIONS))
+    def test_baselines_pool_each_instance_once(self, monkeypatch, kind):
+        calls = {name: counting(monkeypatch, name) for name in POOL_FUNCTIONS.values()}
+        data = [random_example(s, 6, 3, 2) for s in range(5)]
+        sgd_train(self.build(kind, 31), data, TrainConfig(learning_rate=0.1, epochs=3, seed=4))
+        for name, made in calls.items():
+            expected = len(data) if name == POOL_FUNCTIONS[kind] else 0
+            assert len(made) == expected, name
+        pooled_sequences = [args[0] for args in calls[POOL_FUNCTIONS[kind]]]
+        assert pooled_sequences == [item.sequence for item in data]
+
+    def test_oacp_runs_forward_on_every_step(self, monkeypatch):
+        calls = counting(monkeypatch, "forward")
+        data = [random_example(s, 6, 3, 2) for s in range(5)]
+        sgd_train(self.build("oacp", 32), data, TrainConfig(learning_rate=0.1, epochs=3, seed=4))
+        assert len(calls) == 3 * len(data)
+
+    @pytest.mark.parametrize("kind", POOLING_KINDS)
+    def test_parameters_match_the_per_step_loop(self, kind):
+        data = [random_example(s, 7, 3, 2) for s in range(6)]
+        cfg = TrainConfig(learning_rate=0.2, epochs=3, seed=5)
+        hoisted, _ = sgd_train(self.build(kind, 33), data, cfg)
+        reference = per_step_sgd(self.build(kind, 33), data, cfg)
+        for got, want in zip(hoisted.parameters(), reference.parameters(), strict=True):
+            assert got.tobytes() == want.tobytes()
+        assert hoisted.version == reference.version == 3 * len(data)
+
+    @pytest.mark.parametrize("kind", sorted(POOL_FUNCTIONS))
+    def test_hoisted_vectors_are_read_only(self, monkeypatch, kind):
+        calls = counting(monkeypatch, "backward")
+        data = [random_example(s, 6, 3, 2) for s in range(3)]
+        sgd_train(self.build(kind, 34), data, TrainConfig(learning_rate=0.1, epochs=2, seed=6))
+        assert len(calls) == 2 * len(data)
+        for _, cache, _ in calls:
+            with pytest.raises(ValueError, match="read-only"):
+                cache.pooled[0] = 0.0
+            with pytest.raises(ValueError, match="read-only"):
+                cache.pooled *= 2.0
 
 
 class TestPaperShapeMemory:
