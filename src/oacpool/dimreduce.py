@@ -69,8 +69,7 @@ def class_signatures(data, num_classes: int) -> np.ndarray:
     every class sum must be finite: the first (class, dimension) whose sum
     is not raises SumOverflowError.
     """
-    if num_classes < 1:
-        raise ValueError(f"num_classes must be >= 1, got {num_classes}")
+    num_classes = positive_int(num_classes, "num_classes")
     sums = None
     counts = np.zeros(num_classes, dtype=np.int64)
     # a sum that overflows is reported below, naming its class and dimension

@@ -24,13 +24,17 @@ from pathlib import Path
 import numpy as np
 
 from ..errors import ParseError, ShapeMismatchError
-from ..sequences import LabeledSequence
+from ..sequences import LabeledSequence, positive_int
 from .featfile import load_features
 
 
 @dataclass
 class DatasetManifest:
-    """Entries of (resolved path, label) plus class names and a split tag."""
+    """Entries of (resolved path, label) plus class names and a split tag.
+
+    Each label is an integer in [0, number of classes), stored as int:
+    NumPy integers are accepted, and booleans and floats are a ValueError.
+    """
 
     entries: list[tuple[Path, int]]
     class_names: tuple[str, ...]
@@ -43,8 +47,11 @@ class DatasetManifest:
         for i, name in enumerate(self.class_names):
             if name in self.class_names[:i]:
                 raise ValueError(f"duplicate class name {name!r}")
+        self.entries = [
+            (path, positive_int(label, "label", minimum=0)) for path, label in self.entries
+        ]
         for path, label in self.entries:
-            if not 0 <= label < len(self.class_names):
+            if label >= len(self.class_names):
                 raise ValueError(
                     f"label {label} out of range for {len(self.class_names)} classes ({path})"
                 )

@@ -1,34 +1,75 @@
 """Synthetic datasets where frame order is the only discriminative signal.
 
-All three tasks construct classes whose per-dimension value multisets agree,
-so average and max pooling see identical feature distributions and only an
-order-aware method can separate the classes.
+Each of a split's n draws is one (T, K) matrix, and class c of a draw is that
+matrix with its rows in the task's fixed time order c.  trend-pair draws a
+rising ramp plus noise and permuted-pair per-dimension sorted uniforms, each
+in identity and reversed order; multiclass-trend draws the ramp in rise-fall
+order (even frames up, then odd frames down), its reversal and identity.
+
+The classes of a draw thus share every per-dimension value multiset, so
+average and max pooling give them byte-equal vectors and score exactly
+chance.  That holds at sample rate 1 only: keeping every r-th frame of two
+orders of a draw keeps different frames.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable, NamedTuple
 
 import numpy as np
 
 from ..pooling import positive_int
 from ..sequences import FeatureSequence, LabeledSequence
 
-TASK_KINDS = ("trend-pair", "permuted-pair", "multiclass-trend")
 
-_CLASS_NAMES = {
-    "trend-pair": ("rising", "falling"),
-    "permuted-pair": ("forward", "reversed"),
-    "multiclass-trend": ("rise-fall", "fall-rise", "monotone"),
+def _ramp_draw(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+    t = spec.num_frames
+    ramp = np.arange(t) / (t - 1)  # frame t carries value t/(T-1)
+    return ramp[:, None] + rng.normal(0.0, spec.noise_sigma, (t, spec.num_features))
+
+
+def _sorted_draw(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
+    return np.sort(rng.uniform(0.0, 1.0, (spec.num_frames, spec.num_features)), axis=0)
+
+
+def _pair_orders(t: int) -> list[np.ndarray]:
+    identity = np.arange(t)
+    return [identity, identity[::-1]]
+
+
+def _rise_fall_orders(t: int) -> list[np.ndarray]:
+    rise_fall = np.concatenate([np.arange(0, t, 2), np.arange(1, t, 2)[::-1]])
+    return [rise_fall, rise_fall[::-1], np.arange(t)]
+
+
+class _Task(NamedTuple):
+    """Class c of a draw is draw(spec, rng)[orders(num_frames)[c]], named class_names[c]."""
+
+    class_names: tuple[str, ...]
+    draw: Callable[[SyntheticSpec, np.random.Generator], np.ndarray]
+    orders: Callable[[int], list[np.ndarray]]
+    min_frames: int  # the fewest frames at which the orders all differ
+
+
+_TASKS = {
+    "trend-pair": _Task(("rising", "falling"), _ramp_draw, _pair_orders, 2),
+    "permuted-pair": _Task(("forward", "reversed"), _sorted_draw, _pair_orders, 2),
+    "multiclass-trend": _Task(
+        ("rise-fall", "fall-rise", "monotone"), _ramp_draw, _rise_fall_orders, 3
+    ),
 }
+
+TASK_KINDS = tuple(_TASKS)
 
 
 @dataclass(frozen=True)
 class SyntheticSpec:
     """Parameters of a synthetic dataset; deterministic given seed (an integer >= 0).
 
-    The counts are integers >= 1 (num_frames >= 2); noise_sigma is finite and >= 0.
+    The counts are integers >= 1 (num_frames >= 2, and >= 3 for
+    multiclass-trend); noise_sigma is finite and >= 0.
     """
 
     task_kind: str
@@ -42,8 +83,10 @@ class SyntheticSpec:
     def __post_init__(self):
         if self.task_kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.task_kind!r}")
+        min_frames = _TASKS[self.task_kind].min_frames
         for name, minimum in (
-            ("n_train", 1), ("n_test", 1), ("num_frames", 2), ("num_features", 1), ("seed", 0)
+            ("n_train", 1), ("n_test", 1), ("num_frames", min_frames),
+            ("num_features", 1), ("seed", 0),
         ):
             object.__setattr__(self, name, positive_int(getattr(self, name), name, minimum))
         if not 0 <= self.noise_sigma < math.inf:
@@ -51,58 +94,34 @@ class SyntheticSpec:
 
     @property
     def class_names(self) -> tuple[str, ...]:
-        return _CLASS_NAMES[self.task_kind]
+        return _TASKS[self.task_kind].class_names
 
     @property
     def num_classes(self) -> int:
         return len(self.class_names)
 
 
-def _trend_prototypes(spec: SyntheticSpec) -> list[np.ndarray]:
-    t = spec.num_frames
-    ramp = np.arange(t) / (t - 1)  # frame t carries value t/(T-1)
-    if spec.task_kind == "trend-pair":
-        shapes = [ramp, ramp[::-1]]
-    else:  # multiclass-trend
-        rise_fall = np.concatenate([ramp[0::2], ramp[1::2][::-1]])
-        shapes = [rise_fall, rise_fall[::-1], ramp]
-    return [np.tile(shape[:, None], (1, spec.num_features)) for shape in shapes]
-
-
-def _trend_split(spec: SyntheticSpec, rng: np.random.Generator, n: int):
-    out = []
-    for label, proto in enumerate(_trend_prototypes(spec)):
-        for _ in range(n):
-            noise = rng.normal(0.0, spec.noise_sigma, proto.shape)
-            out.append(LabeledSequence(FeatureSequence(proto + noise), label))
-    return out
-
-
-def _permuted_split(spec: SyntheticSpec, rng: np.random.Generator, n: int):
-    # Paired draws: both classes get the exact same per-dimension multiset,
-    # class 0 in ascending order and class 1 fully reversed.
-    forward = []
-    reverse = []
-    shape = (spec.num_frames, spec.num_features)
-    for _ in range(n):
-        values = np.sort(rng.uniform(0.0, 1.0, shape), axis=0)
-        forward.append(LabeledSequence(FeatureSequence(values), 0))
-        reverse.append(LabeledSequence(FeatureSequence(values[::-1]), 1))
-    return forward + reverse
+def _split(spec: SyntheticSpec, rng: np.random.Generator, n: int) -> list[LabeledSequence]:
+    task = _TASKS[spec.task_kind]
+    draws = [task.draw(spec, rng) for _ in range(n)]
+    return [
+        LabeledSequence(FeatureSequence(values[order]), label)
+        for label, order in enumerate(task.orders(spec.num_frames))
+        for values in draws
+    ]
 
 
 def gen_synthetic(spec: SyntheticSpec):
     """Build (train, test) lists of labeled sequences.
 
-    Within each split the instances are ordered class 0 first.  Train and
-    test are independent draws from one seeded stream (train consumed
-    first); with noise_sigma 0 the trend tasks collapse to their prototypes.
+    A split of n per class holds n draws, and instance i of class c is draw
+    i in the task's order c (see the module docstring), so average and max
+    pooling are exactly order-blind at sample rate 1.  Within each split the
+    instances are ordered class 0 first.  Train and test are independent
+    draws from one seeded stream (train consumed first); with noise_sigma 0
+    every trend draw is the bare ramp.
     """
     rng = np.random.default_rng(spec.seed)
-    if spec.task_kind == "permuted-pair":
-        train = _permuted_split(spec, rng, spec.n_train)
-        test = _permuted_split(spec, rng, spec.n_test)
-    else:
-        train = _trend_split(spec, rng, spec.n_train)
-        test = _trend_split(spec, rng, spec.n_test)
+    train = _split(spec, rng, spec.n_train)
+    test = _split(spec, rng, spec.n_test)
     return train, test

@@ -6,30 +6,12 @@ convolutional path, on per-dimension filter response sequences.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import TooShortSequenceError
-from .sequences import FeatureSequence
-
-
-def positive_int(value, name: str, minimum: int = 1) -> int:
-    """value as a Python int if it is an integer >= minimum (NumPy integers included).
-
-    Floats, even whole ones, and booleans are a ValueError naming the setting.
-    minimum is 1 unless a setting allows 0 (a seed), needs more, or has none (-inf).
-    """
-    if isinstance(value, bool):
-        raise ValueError(f"{name} must be an integer, got {value!r}")
-    try:
-        value = operator.index(value)
-    except TypeError:
-        raise ValueError(f"{name} must be an integer, got {value!r}") from None
-    if value < minimum:
-        raise ValueError(f"{name} must be >= {minimum}, got {value}")
-    return value
+from .sequences import FeatureSequence, positive_int
 
 
 def seed_value(seed):

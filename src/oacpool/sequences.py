@@ -7,9 +7,27 @@ functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
+
+
+def positive_int(value, name: str, minimum: int = 1) -> int:
+    """value as a Python int if it is an integer >= minimum (NumPy integers included).
+
+    Floats, even whole ones, and booleans are a ValueError naming the setting.
+    minimum is 1 unless a setting allows 0 (a seed), needs more, or has none (-inf).
+    """
+    if isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
+    if value < minimum:
+        raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
 
 
 def _validated_frames(values) -> np.ndarray:
@@ -73,15 +91,13 @@ class LabeledSequence:
 
 def sample_frames(seq: FeatureSequence, rate: int) -> FeatureSequence:
     """Keep frames 0, rate, 2*rate, ...; the result has ceil(T / rate) frames."""
-    if rate < 1:
-        raise ValueError(f"sampling rate must be >= 1, got {rate}")
+    rate = positive_int(rate, "sampling rate")
     return FeatureSequence(seq.frames[::rate])
 
 
 def replicate_pad(seq: FeatureSequence, min_frames: int) -> FeatureSequence:
     """Extend a sequence to at least min_frames by repeating its last frame."""
-    if min_frames < 1:
-        raise ValueError(f"min_frames must be >= 1, got {min_frames}")
+    min_frames = positive_int(min_frames, "min_frames")
     if seq.num_frames >= min_frames:
         return seq
     pad = np.tile(seq.frames[-1], (min_frames - seq.num_frames, 1))

@@ -99,8 +99,9 @@ def test_order_awareness_separation():
     ]
     table = run_comparison(train, test, methods, EXPERIMENT_CFG)
     by_method = {row.method: row for row in table.rows}
-    assert by_method["average"].accuracy <= 0.60
-    assert by_method["max"].accuracy <= 0.60
+    # each pair shares one draw, so the pooled vectors agree: exactly chance
+    assert by_method["average"].accuracy == 0.5
+    assert by_method["max"].accuracy == 0.5
     assert by_method["oacp"].accuracy >= 0.95
     assert EXPERIMENT_CFG.epochs <= 200
     elapsed = time.perf_counter() - started

@@ -101,6 +101,12 @@ class TestExitCodes:
         assert run_cli("gradcheck", "--eps", "1.0") == 1
         capsys.readouterr()
 
+    def test_usage_error_on_a_multiclass_trend_of_two_frames(self, tmp_path, capsys):
+        out = tmp_path / "d"
+        assert run_cli("synth", "--task", "multiclass-trend", "--t", "2", "--out", str(out)) == 1
+        assert "num_frames must be >= 3, got 2" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_data_error_on_missing_manifest(self, tmp_path, capsys):
         code = run_cli(
             "train", "--manifest", str(tmp_path / "none.manifest"),

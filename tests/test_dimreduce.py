@@ -71,6 +71,15 @@ class TestClassSignatures:
         with pytest.raises(SumOverflowError, match="class 1 .*dimension 2"):
             class_signatures(data, 2)
 
+    @pytest.mark.parametrize("num_classes", [True, 2.5, 2.0, "2", None])
+    def test_rejects_a_class_count_that_is_not_an_integer_by_name(self, num_classes):
+        with pytest.raises(ValueError, match="num_classes must be an integer"):
+            class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], 1)], num_classes)
+
+    def test_rejects_a_class_count_below_one(self):
+        with pytest.raises(ValueError, match="num_classes must be >= 1, got 0"):
+            class_signatures([([1.0], 0)], 0)
+
     def test_signature_columns(self):
         sig = class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], 1)], 2)
         assert sig.shape == (2, 2) and sig.flags.c_contiguous

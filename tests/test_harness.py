@@ -69,6 +69,13 @@ class TestSyntheticSpec:
         with pytest.raises(ValueError, match=match):
             SyntheticSpec("trend-pair", **kwargs)
 
+    def test_multiclass_trend_needs_three_frames(self):
+        # at T=2 the rise-fall and monotone orders are both [0, 1]
+        with pytest.raises(ValueError, match="num_frames must be >= 3, got 2"):
+            SyntheticSpec("multiclass-trend", num_frames=2)
+        assert SyntheticSpec("multiclass-trend", num_frames=3).num_frames == 3
+        assert SyntheticSpec("trend-pair", num_frames=2).num_frames == 2
+
     def test_numpy_integers_become_ints(self):
         spec = SyntheticSpec(
             "trend-pair", n_train=np.int64(2), n_test=np.int32(1), num_frames=np.int64(5),
@@ -335,6 +342,21 @@ class TestManifest:
         with pytest.raises(ParseError):
             load_manifest(path)
 
+    @pytest.mark.parametrize("label", [True, 1.0, "1", None, -1])
+    def test_labels_that_would_not_read_back_are_refused(self, tmp_path, label):
+        with pytest.raises(ValueError, match="label must be"):
+            DatasetManifest([(tmp_path / "seq.txt", label)], ("a", "b"))
+
+    def test_numpy_integer_labels_are_stored_as_int(self, tmp_path):
+        seq_path = tmp_path / "seq.txt"
+        save_features(FeatureSequence(np.ones((2, 2))), seq_path)
+        manifest = DatasetManifest([(seq_path, np.int64(1)), (seq_path, np.uint8(0))], ("a", "b"))
+        assert [type(label) for _, label in manifest.entries] == [int, int]
+        path = tmp_path / "data.manifest"
+        save_manifest(manifest, path)
+        assert path.read_text().splitlines()[1:] == ["seq.txt 1", "seq.txt 0"]
+        assert [label for _, label in load_manifest(path).entries] == [1, 0]
+
     def test_duplicate_class_names(self, tmp_path):
         seq_path = tmp_path / "seq.txt"
         save_features(FeatureSequence(np.ones((2, 2))), seq_path)
@@ -453,8 +475,8 @@ class TestRunComparison:
         cfg = TrainConfig(learning_rate=0.1, epochs=30, seed=2024)
         rows = run_comparison(train, test, methods, cfg).rows
         accuracy = {row.method: row.accuracy for row in rows}
-        assert accuracy["average"] <= 0.45  # three classes, chance is 1/3
-        assert accuracy["max"] <= 0.45
+        assert accuracy["average"] == 1 / 3  # pooled features identical by construction
+        assert accuracy["max"] == 1 / 3
         assert accuracy["oacp"] >= 0.85
 
     def test_permuted_pair_end_to_end(self):

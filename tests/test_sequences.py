@@ -82,6 +82,15 @@ class TestSampleFrames:
         with pytest.raises(ValueError):
             sample_frames(FeatureSequence([[0.0]]), 0)
 
+    @pytest.mark.parametrize("rate", [True, 2.5, 2.0, "2", None])
+    def test_rejects_a_rate_that_is_not_an_integer_by_name(self, rate):
+        with pytest.raises(ValueError, match="sampling rate must be an integer"):
+            sample_frames(FeatureSequence(np.zeros((4, 2))), rate)
+
+    def test_numpy_integer_rate(self):
+        seq = FeatureSequence(np.arange(6.0)[:, None])
+        assert sample_frames(seq, np.int64(2)) == sample_frames(seq, 2)
+
     def test_composition_of_rates(self):
         rng = np.random.default_rng(1)
         for _ in range(20):
@@ -104,3 +113,16 @@ class TestReplicatePad:
     def test_noop_when_long_enough(self):
         seq = FeatureSequence(np.zeros((4, 2)))
         assert replicate_pad(seq, 3) is seq
+
+    @pytest.mark.parametrize("min_frames", [True, 2.5, 3.0, "3", None])
+    def test_rejects_a_count_that_is_not_an_integer_by_name(self, min_frames):
+        with pytest.raises(ValueError, match="min_frames must be an integer"):
+            replicate_pad(FeatureSequence(np.zeros((2, 2))), min_frames)
+
+    def test_rejects_a_count_below_one(self):
+        with pytest.raises(ValueError, match="min_frames must be >= 1, got 0"):
+            replicate_pad(FeatureSequence(np.zeros((2, 2))), 0)
+
+    def test_numpy_integer_count(self):
+        seq = FeatureSequence([[1.0], [2.0]])
+        assert replicate_pad(seq, np.int32(4)) == replicate_pad(seq, 4)
