@@ -3,8 +3,9 @@ File formats round trip losslessly
 ==================================
 
 Feature sequences travel as diffable text (or compact binary with 'OACP'
-magic bytes), datasets as plain-text manifests, trained models as
-self-describing JSON checkpoints.  Every format round-trips bit-exactly,
+magic bytes), datasets as plain-text manifests, trained models as binary
+checkpoints: a JSON header naming the geometry, then the raw float64
+parameters.  Every format round-trips bit-exactly,
 which is what makes seeded experiments reproducible byte for byte.
 """
 
@@ -57,15 +58,20 @@ print(manifest_path.read_text())
 print("classes:", load_manifest(manifest_path).class_names)
 
 #%%
-# Model checkpoints carry a format tag, every shape, the ingestion setting
-# (sampling rate), and all parameters.
+# Model checkpoints start with magic 'OACM' and version byte 3, then a
+# JSON header holding the model's spec (kind, sizes, geometry and the
+# sampling rate), then every parameter as raw little-endian float64.
 
 model = ClassifierModel.build(
     "oacp", num_features=2, num_classes=2, interval=2, n_filters=1,
     pyramid=(1, 2), sample_rate=5, seed=9,
 )
-ckpt = workdir / "model.json"
+ckpt = workdir / "model.oacm"
 save_model(model, ckpt)
+raw = ckpt.read_bytes()
+header_end = 9 + int.from_bytes(raw[5:9], "little")
+print("checkpoint header:", raw[:5], raw[9:header_end].decode())
+print("parameter bytes:", len(raw) - header_end, "=", model.parameter_total(), "x 8")
 loaded = load_model(ckpt)
 same = all(
     a.tobytes() == b.tobytes()

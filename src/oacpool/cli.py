@@ -2,8 +2,8 @@
 
 Subcommands: synth, train, eval, compare, gradcheck, reduce.
 Exit codes: 0 success, 1 usage error, 2 data/parse error or a file the
-OS refuses, 3 numerical failure (training divergence or a gradient check
-above threshold).
+OS refuses, 3 numerical failure (divergence in training or evaluation, or
+a gradient check above threshold).
 """
 
 from __future__ import annotations

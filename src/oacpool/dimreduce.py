@@ -333,14 +333,20 @@ def reduce(x, partition: ReductionPartition) -> np.ndarray:
 def reduce_sequence(seq: FeatureSequence, partition: ReductionPartition) -> FeatureSequence:
     """Apply reduce() to every frame; a T x D sequence becomes T x k.
 
-    Only the k-wide rows are allocated, never a T x D array.
+    Only the k-wide rows are allocated, never a T x D array.  The first
+    (frame, group) whose sum is not finite raises SumOverflowError.
     """
     num_dims = seq.num_features
     if num_dims != partition.num_dims:
         raise ShapeMismatchError(
             f"frames of width {num_dims}, partition covers {partition.num_dims} dimensions"
         )
-    return FeatureSequence(np.stack([reduce(frame, partition) for frame in seq.frames]))
+    reduced = np.stack([reduce(frame, partition) for frame in seq.frames])
+    finite = np.isfinite(reduced)
+    if not finite.all():
+        frame, group = np.unravel_index(int(finite.argmin()), reduced.shape)
+        raise SumOverflowError(f"frame {frame} sums to a non-finite value in group {group}")
+    return FeatureSequence(reduced)
 
 
 def save_partition(partition: ReductionPartition, path) -> None:

@@ -46,7 +46,7 @@ class SumOverflowError(DataError):
 
 
 class DivergenceError(RuntimeError):
-    """Training produced non-finite logits or parameters."""
+    """Training or evaluation produced non-finite logits, or training non-finite parameters."""
 
 
 class StaleCacheError(RuntimeError):

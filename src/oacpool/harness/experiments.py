@@ -96,11 +96,11 @@ def run_comparison(
 ) -> ResultTable:
     """Train and evaluate each method with the same seed and data.
 
-    A method whose training diverges is tagged in its row; the remaining
-    methods still run.  Row order follows the methods argument.  Pass the
-    class count a manifest declares as num_classes; without it the count
-    is one more than the largest label in either split, which is too few
-    when no instance has the last class.
+    A method whose training or evaluation diverges is tagged in its row;
+    the remaining methods still run.  Row order follows the methods
+    argument.  Pass the class count a manifest declares as num_classes;
+    without it the count is one more than the largest label in either
+    split, which is too few when no instance has the last class.
     """
     if not train or not test:
         raise ValueError("train and test data must be nonempty")

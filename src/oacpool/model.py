@@ -13,6 +13,7 @@ from __future__ import annotations
 import copy
 import json
 import math
+import struct
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 
@@ -22,7 +23,6 @@ from .convpool import (
     _BLOCK_ELEMENTS,
     FilterBankSet,
     oacp_forward_details,
-    param_count_perdim,
 )
 from .errors import (
     DivergenceError,
@@ -50,8 +50,11 @@ LOG_EPS = 1e-15
 # Magnitude of the seeded noise grad_check adds to the parameters first.
 GRAD_CHECK_NUDGE = 1e-2
 
-CHECKPOINT_FORMAT = "oacpool-model"
-CHECKPOINT_VERSION = 2
+# A checkpoint starts with the magic, a version byte and a little-endian
+# uint32 header length; the JSON header and the float64 parameters follow.
+CHECKPOINT_MAGIC = b"OACM"
+CHECKPOINT_VERSION = 3
+_PREAMBLE = struct.Struct("<4sBI")
 
 # Largest minimum_frames a geometry may demand, in frames after sampling.
 # Real geometries need a few dozen; padding one paper-scale (K=4096)
@@ -77,8 +80,8 @@ class PoolingSpec:
     one-tap, one-filter conv pooling over a one-level pyramid, so each
     formula below has one expression for every kind, and equal geometries
     compare equal.  A model holds its geometry as ClassifierModel.spec, and
-    every length and frame count derives from here; parameter counts come
-    from the arrays a model holds (ClassifierModel.parameter_total).  A
+    every length and frame count derives from here, and every parameter
+    shape from _parameter_shapes(spec, num_features, num_classes).  A
     geometry whose minimum_frames exceeds MAX_MINIMUM_FRAMES is rejected.
     """
 
@@ -144,6 +147,16 @@ class TrainConfig:
         self.seed = positive_int(self.seed, "seed", minimum=0)
 
 
+def _parameter_shapes(
+    spec: PoolingSpec, num_features: int, num_classes: int
+) -> list[tuple[int, ...]]:
+    """Shapes of a model's parameters in ClassifierModel.parameters() order."""
+    shapes = [(num_classes, spec.pooled_length(num_features)), (num_classes,)]
+    if spec.kind == "oacp":
+        shapes += [(num_features, spec.n_filters, spec.interval), (num_features, spec.n_filters)]
+    return shapes
+
+
 @dataclass
 class EpochStats:
     epoch: int
@@ -174,31 +187,24 @@ class ClassifierModel:
         self.num_features = positive_int(self.num_features, "num_features")
         self.num_classes = positive_int(self.num_classes, "num_classes")
         spec, banks = self.spec, self.filter_banks
+        shapes = _parameter_shapes(spec, self.num_features, self.num_classes)
         if spec.kind == "oacp":
             if banks is None:
                 raise ValueError("oacp pooling needs a FilterBankSet")
-            if banks.num_dims != self.num_features:
+            actual = (banks.weights.shape, banks.stride)
+            if actual != (shapes[2], spec.stride):
                 raise ShapeMismatchError(
-                    f"bank set covers {banks.num_dims} dimensions, "
-                    f"model expects {self.num_features}"
-                )
-            actual = (banks.interval, banks.n_filters, banks.stride)
-            expected = (spec.interval, spec.n_filters, spec.stride)
-            if actual != expected:
-                raise ShapeMismatchError(
-                    f"bank set has (interval, n_filters, stride) {actual}, spec has {expected}"
+                    f"bank set has (weights shape, stride) {actual}, "
+                    f"spec and num_features give {(shapes[2], spec.stride)}"
                 )
         elif banks is not None:
             raise ValueError(f"{spec.kind} pooling takes no filter banks")
         self.w_head = np.array(self.w_head, dtype=np.float64, order="C")
         self.b_head = np.array(self.b_head, dtype=np.float64, order="C")
-        expected = (self.num_classes, self.pooled_length)
-        if self.w_head.shape != expected:
-            raise ShapeMismatchError(f"w_head shape {self.w_head.shape}, expected {expected}")
-        if self.b_head.shape != (self.num_classes,):
-            raise ShapeMismatchError(
-                f"b_head shape {self.b_head.shape}, expected ({self.num_classes},)"
-            )
+        for name, shape in zip(("w_head", "b_head"), shapes):
+            actual = getattr(self, name).shape
+            if actual != shape:
+                raise ShapeMismatchError(f"{name} shape {actual}, expected {shape}")
         if not (np.isfinite(self.w_head).all() and np.isfinite(self.b_head).all()):
             raise ValueError("head parameters contain NaN or infinite values")
 
@@ -220,11 +226,8 @@ class ClassifierModel:
         """
         num_features = positive_int(num_features, "num_features")
         num_classes = positive_int(num_classes, "num_classes")
-        pooled_len = spec.pooled_length(num_features)
-        # head weights and biases, plus the banks of an oacp model
-        total = num_classes * (pooled_len + 1)
-        if spec.kind == "oacp":
-            total += param_count_perdim(num_features, spec.interval, spec.n_filters)
+        shapes = _parameter_shapes(spec, num_features, num_classes)
+        total = sum(map(math.prod, shapes))
         if total > MAX_PARAMETERS:
             raise ValueError(
                 f"the model would have {total} parameters, "
@@ -233,20 +236,19 @@ class ClassifierModel:
         rng = np.random.default_rng(seed_value(seed))
         banks = None
         if spec.kind == "oacp":
-            interval, n_filters = spec.interval, spec.n_filters
-            bound = math.sqrt(6.0 / (interval + n_filters))
+            bound = math.sqrt(6.0 / (spec.interval + spec.n_filters))
             banks = FilterBankSet(
-                weights=rng.uniform(-bound, bound, (num_features, n_filters, interval)),
-                biases=np.zeros((num_features, n_filters)),
+                weights=rng.uniform(-bound, bound, shapes[2]),
+                biases=np.zeros(shapes[3]),
                 stride=spec.stride,
             )
-        bound = math.sqrt(6.0 / (pooled_len + num_classes))
+        bound = math.sqrt(6.0 / sum(shapes[0]))  # fan-out plus fan-in
         return cls(
             spec,
             num_features,
             num_classes,
-            w_head=rng.uniform(-bound, bound, (num_classes, pooled_len)),
-            b_head=np.zeros(num_classes),
+            w_head=rng.uniform(-bound, bound, shapes[0]),
+            b_head=np.zeros(shapes[1]),
             filter_banks=banks,
         )
 
@@ -535,13 +537,19 @@ def evaluate(
     """Accuracy and a (true, predicted) confusion count matrix.
 
     Prediction is argmax of the probabilities; exact ties go to the lowest
-    class index.
+    class index.  Non-finite logits raise DivergenceError naming the
+    instance, with no NumPy warning on the way.
     """
     _check_instances(model, data, "evaluation")
     confusion = np.zeros((model.num_classes, model.num_classes), dtype=np.int64)
-    for item in data:
-        probs, _ = forward(model, item.sequence)
-        confusion[item.label, int(np.argmax(probs))] += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, item in enumerate(data):
+            try:
+                # the instances were checked up front: only softmax's can raise
+                probs, _ = forward(model, item.sequence)
+            except ValueError as exc:
+                raise DivergenceError(f"evaluation of instance {i}: {exc}") from None
+            confusion[item.label, int(np.argmax(probs))] += 1
     accuracy = float(np.trace(confusion)) / len(data)
     return accuracy, confusion
 
@@ -593,92 +601,75 @@ def grad_check(
     return worst
 
 
-def _geometry_fields(model: ClassifierModel) -> dict:
-    """Checkpoint fields describing the model's shape; null where a kind has none."""
+def _header(model: ClassifierModel) -> dict:
+    """The checkpoint header: the model's sizes and the spec it holds in memory."""
     spec = model.spec
-    banks = spec.kind == "oacp"
-    pyramid = spec.kind in ("pyramid", "oacp")
     return {
-        "pooled_length": model.pooled_length,
-        "pyramid": list(spec.pyramid.segments_per_level) if pyramid else None,
-        "interval": spec.interval if banks else None,
-        "stride": spec.stride if banks else None,
-        "n_filters": spec.n_filters if banks else None,
+        "pooling_kind": spec.kind,
+        "num_features": model.num_features,
+        "num_classes": model.num_classes,
+        "interval": spec.interval,
+        "stride": spec.stride,
+        "n_filters": spec.n_filters,
+        "pyramid": list(spec.pyramid.segments_per_level),
         "sample_rate": spec.sample_rate,
-        "effective_receptive_field": spec.receptive_field if banks else None,
     }
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    """Write a self-describing JSON checkpoint; round-trips bit-exactly."""
-    doc = {
-        "format": CHECKPOINT_FORMAT,
-        "format_version": CHECKPOINT_VERSION,
-        "pooling_kind": model.spec.kind,
-        "num_features": model.num_features,
-        "num_classes": model.num_classes,
-        **_geometry_fields(model),
-        "w_head": model.w_head.tolist(),
-        "b_head": model.b_head.tolist(),
-        "bank_weights": model.filter_banks.weights.tolist() if model.filter_banks else None,
-        "bank_biases": model.filter_banks.biases.tolist() if model.filter_banks else None,
-    }
-    with open(path, "w", encoding="utf-8") as fh:
-        json.dump(doc, fh)
-        fh.write("\n")
+    """Write a checkpoint: the JSON header, then the raw parameters; round-trips bit-exactly."""
+    header = json.dumps(_header(model)).encode("utf-8")
+    with open(path, "wb") as fh:
+        fh.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header)) + header)
+        for param in model.parameters():
+            param.astype("<f8", copy=False).tofile(fh)
 
 
 def load_model(path) -> ClassifierModel:
-    """Read a checkpoint written by save_model.
+    """Read a checkpoint written by save_model; anything else is a ParseError.
 
-    The model's spec takes interval and n_filters from the bank arrays and
-    the other settings from their fields; num_features, num_classes,
-    sample_rate, stride and the pyramid entries must be JSON integers.
-    Every geometry field must agree with what the parameter shapes and
-    settings imply; a mismatch is a ParseError.  A version 1 checkpoint
-    loads only if its normalize field is false.
+    The header must hold exactly the fields save_model writes, with the
+    values of the model built from it: JSON integers (not ``2.0`` or
+    ``true``), and the no-op values of the settings a kind does not read.
+    The payload must hold exactly the parameters that geometry implies.
     """
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-            raise ParseError(f"{path}: not a valid checkpoint: {exc}") from None
-    if not isinstance(doc, dict) or doc.get("format") != CHECKPOINT_FORMAT:
-        raise ParseError(f"{path}: not a {CHECKPOINT_FORMAT} checkpoint")
-    version = doc.get("format_version")
-    if version == 1:
-        if doc.get("normalize") is not False:
-            raise ParseError(f"{path}: version 1 checkpoint must have normalize false")
-    elif version != CHECKPOINT_VERSION:
-        raise ParseError(f"{path}: unsupported checkpoint version {version!r}")
+    with open(path, "rb") as fh:
+        raw = fh.read()
     try:
-        banks = None
-        geometry = {}
-        if doc["bank_weights"] is not None:
-            banks = FilterBankSet(
-                weights=doc["bank_weights"],
-                biases=doc["bank_biases"],
-                stride=doc["stride"],
-            )
-            geometry.update(
-                interval=banks.interval, stride=banks.stride, n_filters=banks.n_filters
-            )
-        if doc["pyramid"]:
-            geometry["pyramid"] = [positive_int(m, "pyramid") for m in doc["pyramid"]]
-        spec = PoolingSpec(doc["pooling_kind"], sample_rate=doc["sample_rate"], **geometry)
-        model = ClassifierModel(
-            spec,
-            num_features=doc["num_features"],
-            num_classes=doc["num_classes"],
-            w_head=np.asarray(doc["w_head"], dtype=np.float64),
-            b_head=np.asarray(doc["b_head"], dtype=np.float64),
-            filter_banks=banks,
-        )
-    except (KeyError, TypeError, ValueError) as exc:
+        if raw[: len(CHECKPOINT_MAGIC)] != CHECKPOINT_MAGIC:
+            raise ValueError("not a checkpoint (JSON checkpoints no longer load)")
+        if len(raw) < _PREAMBLE.size:
+            raise ValueError("truncated checkpoint header")
+        _, version, length = _PREAMBLE.unpack_from(raw)
+        if version != CHECKPOINT_VERSION:
+            raise ValueError(f"unsupported checkpoint version {version}")
+        end = _PREAMBLE.size + length
+        if end > len(raw):
+            raise ValueError(f"a header of {length} bytes runs past the end of the file")
+        header = json.loads(raw[_PREAMBLE.size : end].decode("utf-8"))
+        if not isinstance(header, dict):
+            raise ValueError("the header is not a JSON object")
+        settings = ("interval", "stride", "n_filters", "pyramid", "sample_rate")
+        spec = PoolingSpec(header["pooling_kind"], *(header[key] for key in settings))
+        num_features = positive_int(header["num_features"], "num_features")
+        num_classes = positive_int(header["num_classes"], "num_classes")
+        shapes = _parameter_shapes(spec, num_features, num_classes)
+        sizes = [math.prod(shape) for shape in shapes]
+        if len(raw) - end != 8 * sum(sizes):
+            raise ValueError(f"the payload does not hold the {sum(sizes)} parameters of {header}")
+        values = np.split(np.frombuffer(raw, "<f8", offset=end), np.cumsum(sizes)[:-1])
+        w_head, b_head, *bank = map(np.reshape, values, shapes)
+        banks = FilterBankSet(*bank, stride=spec.stride) if bank else None
+        model = ClassifierModel(spec, num_features, num_classes, w_head, b_head, banks)
+        expected = _header(model)
+        extra = sorted(header.keys() - expected.keys())
+        if extra:
+            raise ValueError(f"unknown header field {extra[0]!r}")
+        for key, value in expected.items():
+            if header[key] != value:
+                raise ValueError(f"{key} {header[key]!r} does not match the model's {value!r}")
+    except KeyError as exc:
+        raise ParseError(f"{path}: the checkpoint header has no {exc} field") from None
+    except (TypeError, ValueError, RecursionError) as exc:  # RecursionError: deep JSON
         raise ParseError(f"{path}: malformed checkpoint: {exc}") from None
-    for key, value in _geometry_fields(model).items():
-        if doc.get(key) != value:
-            raise ParseError(
-                f"{path}: {key} {doc.get(key)!r} does not match the model's {value!r}"
-            )
     return model

@@ -32,7 +32,7 @@ class PyramidConfig:
     segments_per_level: tuple[int, ...]
 
     def __post_init__(self):
-        segs = tuple(positive_int(m, "segment count") for m in self.segments_per_level)
+        segs = tuple(positive_int(m, "pyramid") for m in self.segments_per_level)
         if len(segs) < 1:
             raise ValueError("a pyramid needs at least one level")
         if segs[0] != 1:

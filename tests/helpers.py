@@ -3,7 +3,9 @@
 from __future__ import annotations
 
 import itertools
+import json
 import math
+import struct
 import tracemalloc
 from math import comb
 
@@ -253,3 +255,40 @@ def traced_peak_mib(call) -> float:
     finally:
         tracemalloc.stop()
     return peak / 2**20
+
+
+def edit_checkpoint(path, drop=(), **edits) -> None:
+    """Rewrite a checkpoint's JSON header in place: set edits, delete the keys in drop."""
+    raw = path.read_bytes()
+    (length,) = struct.unpack_from("<I", raw, 5)
+    header = json.loads(raw[9 : 9 + length])
+    header.update(edits)
+    for key in drop:
+        del header[key]
+    text = json.dumps(header).encode("utf-8")
+    path.write_bytes(raw[:5] + struct.pack("<I", len(text)) + text + raw[9 + length :])
+
+
+def json_v2_checkpoint(model) -> dict:
+    """The JSON document a format 2 checkpoint of model held (before format 3)."""
+    spec, banks = model.spec, model.filter_banks
+    return {
+        "format": "oacpool-model",
+        "format_version": 2,
+        "pooling_kind": spec.kind,
+        "num_features": model.num_features,
+        "num_classes": model.num_classes,
+        "pooled_length": model.pooled_length,
+        "pyramid": (
+            list(spec.pyramid.segments_per_level) if spec.kind in ("pyramid", "oacp") else None
+        ),
+        "interval": spec.interval if banks else None,
+        "stride": spec.stride if banks else None,
+        "n_filters": spec.n_filters if banks else None,
+        "sample_rate": spec.sample_rate,
+        "effective_receptive_field": spec.receptive_field if banks else None,
+        "w_head": model.w_head.tolist(),
+        "b_head": model.b_head.tolist(),
+        "bank_weights": banks.weights.tolist() if banks else None,
+        "bank_biases": banks.biases.tolist() if banks else None,
+    }

@@ -8,7 +8,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from helpers import traced_peak_mib, unblocked_lloyd_kmeans
+from helpers import (
+    edit_checkpoint,
+    json_v2_checkpoint,
+    traced_peak_mib,
+    unblocked_lloyd_kmeans,
+)
 
 import oacpool
 from oacpool import cli
@@ -71,7 +76,7 @@ class TestExitCodes:
         with pytest.raises(SystemExit) as err:
             run_cli(
                 "train", "--manifest", str(synth_dir / "train.manifest"),
-                "--model-out", str(tmp_path / "m.json"), "--lr", lr,
+                "--model-out", str(tmp_path / "m.oacm"), "--lr", lr,
             )
         assert err.value.code == 1
         assert "must be finite" in capsys.readouterr().err
@@ -110,7 +115,7 @@ class TestExitCodes:
     def test_data_error_on_missing_manifest(self, tmp_path, capsys):
         code = run_cli(
             "train", "--manifest", str(tmp_path / "none.manifest"),
-            "--model-out", str(tmp_path / "m.json"),
+            "--model-out", str(tmp_path / "m.oacm"),
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -121,7 +126,7 @@ class TestExitCodes:
         manifest = tmp_path / "data.manifest"
         manifest.write_text(f"classes=a,b\n{bad.name} 0\n")
         code = run_cli(
-            "train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.json")
+            "train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.oacm")
         )
         assert code == 2
         assert "line 3" in capsys.readouterr().err
@@ -135,7 +140,7 @@ class TestExitCodes:
         manifest = tmp_path / "data.manifest"
         manifest.write_bytes(content)
         code = run_cli(
-            "train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.json")
+            "train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.oacm")
         )
         assert code == 2
         assert "error" in capsys.readouterr().err
@@ -162,7 +167,7 @@ class TestExitCodes:
         manifest = tmp_path / "data.manifest"
         manifest.write_text(f"classes=a,b\n{'x' * 300}/seq.txt 0\n")
         code = run_cli(
-            "train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.json")
+            "train", "--manifest", str(manifest), "--model-out", str(tmp_path / "m.oacm")
         )
         assert code == 2
         err = capsys.readouterr().err
@@ -173,11 +178,11 @@ class TestExitCodes:
         # rejected before any parameter is drawn
         code = run_cli(
             "train", "--manifest", str(synth_dir / "train.manifest"),
-            "--filters", "1000000000", "--model-out", str(tmp_path / "m.json"),
+            "--filters", "1000000000", "--model-out", str(tmp_path / "m.oacm"),
         )
         assert code == 1
         assert f"over the limit of {MAX_PARAMETERS}" in capsys.readouterr().err
-        assert not (tmp_path / "m.json").exists()
+        assert not (tmp_path / "m.oacm").exists()
 
     def test_numerical_failure_on_training_divergence(self, synth_dir, tmp_path, capsys):
         # the overflow on the way is reported once, as the divergence, with
@@ -186,12 +191,31 @@ class TestExitCodes:
             "train", "--manifest", str(synth_dir / "train.manifest"),
             "--pooling", "oacp", "--interval", "4", "--filters", "2",
             "--lr", "1e200", "--epochs", "2", "--seed", "0",
-            "--sample-rate", "1", "--model-out", str(tmp_path / "m.json"),
+            "--sample-rate", "1", "--model-out", str(tmp_path / "m.oacm"),
         )
         assert code == 3
         err = capsys.readouterr().err
         assert "divergence" in err
         assert "RuntimeWarning" not in err
+
+    def test_numerical_failure_on_overflowing_evaluation(self, synth_dir, tmp_path, capsys):
+        # finite features whose average overflows: one message naming the
+        # instance, no NumPy warning (pytest would raise one as an error)
+        model_path = tmp_path / "m.oacm"
+        code = run_cli(
+            "train", "--manifest", str(synth_dir / "train.manifest"),
+            "--pooling", "average", "--epochs", "1", "--model-out", str(model_path),
+        )
+        assert code == 0
+        save_features(FeatureSequence(np.full((30, 4), 1e308)), tmp_path / "big.txt")
+        manifest = tmp_path / "big.manifest"
+        manifest.write_text("classes=a,b\nbig.txt 0\n")
+        capsys.readouterr()
+        code = run_cli("eval", "--manifest", str(manifest), "--model", str(model_path))
+        assert code == 3
+        err = capsys.readouterr().err
+        assert err.startswith("oacpool eval: error: evaluation of instance 0: ")
+        assert err.count("\n") == 1
 
 
 class TestSynth:
@@ -216,7 +240,7 @@ class TestSynth:
 
 class TestTrainEval:
     def test_full_cycle(self, synth_dir, tmp_path, capsys):
-        model_path = tmp_path / "model.json"
+        model_path = tmp_path / "model.oacm"
         code = run_cli(
             "train", "--manifest", str(synth_dir / "train.manifest"),
             "--pooling", "oacp", "--interval", "8", "--stride", "1",
@@ -244,7 +268,7 @@ class TestTrainEval:
 
     def test_eval_applies_model_sampling(self, synth_dir, tmp_path, capsys):
         # trained with sampling 5: eval must reproduce it from the checkpoint
-        model_path = tmp_path / "model.json"
+        model_path = tmp_path / "model.oacm"
         code = run_cli(
             "train", "--manifest", str(synth_dir / "train.manifest"),
             "--pooling", "max", "--sample-rate", "5", "--epochs", "2",
@@ -261,21 +285,20 @@ class TestTrainEval:
 
     @staticmethod
     def _trained_checkpoint(synth_dir, tmp_path, pooling="oacp", **edits):
-        """Train a small model, then apply edits to its checkpoint document."""
-        model_path = tmp_path / "model.json"
+        """Train a small model, then apply edits to its checkpoint header."""
+        model_path = tmp_path / "model.oacm"
         code = run_cli(
             "train", "--manifest", str(synth_dir / "train.manifest"),
             "--pooling", pooling, "--interval", "4", "--sample-rate", "1",
             "--epochs", "1", "--model-out", str(model_path),
         )
         assert code == 0
-        doc = json.loads(model_path.read_text())
-        doc.update(edits)
-        model_path.write_text(json.dumps(doc))
+        edit_checkpoint(model_path, **edits)
         return model_path
 
     def test_eval_rejects_checkpoint_with_tampered_geometry(self, synth_dir, tmp_path, capsys):
-        model_path = self._trained_checkpoint(synth_dir, tmp_path, interval=5)
+        # an average model holds interval 1, whatever --interval said
+        model_path = self._trained_checkpoint(synth_dir, tmp_path, "average", interval=5)
         capsys.readouterr()
         code = run_cli(
             "eval", "--manifest", str(synth_dir / "test.manifest"),
@@ -323,27 +346,20 @@ class TestTrainEval:
         err = capsys.readouterr().err
         assert "minimum_frames" in err and err.count("\n") == 1
 
-    @pytest.mark.parametrize("normalize", [False, True])
-    def test_eval_reads_version_1_checkpoint_only_without_normalize(
-        self, synth_dir, tmp_path, capsys, normalize
-    ):
-        eval_args = ("eval", "--manifest", str(synth_dir / "test.manifest"), "--confusion")
+    def test_eval_rejects_a_json_checkpoint(self, synth_dir, tmp_path, capsys):
         model_path = self._trained_checkpoint(synth_dir, tmp_path)
+        json_path = tmp_path / "model.json"
+        json_path.write_text(json.dumps(json_v2_checkpoint(load_model(model_path))))
         capsys.readouterr()
-        assert run_cli(*eval_args, "--model", str(model_path)) == 0
-        expected = capsys.readouterr().out
-        doc = json.loads(model_path.read_text())
-        doc.update(format_version=1, normalize=normalize)
-        model_path.write_text(json.dumps(doc))
-        code = run_cli(*eval_args, "--model", str(model_path))
-        out, err = capsys.readouterr()
-        if normalize:
-            assert code == 2 and "normalize" in err
-        else:
-            assert code == 0 and out == expected
+        code = run_cli(
+            "eval", "--manifest", str(synth_dir / "test.manifest"),
+            "--model", str(json_path),
+        )
+        assert code == 2
+        assert "JSON checkpoints no longer load" in capsys.readouterr().err
 
     def test_train_rejects_oversized_stride(self, synth_dir, tmp_path, capsys, monkeypatch):
-        model_path = tmp_path / "model.json"
+        model_path = tmp_path / "model.oacm"
         self._refuse_padding(monkeypatch)
         code = run_cli(
             "train", "--manifest", str(synth_dir / "train.manifest"),
@@ -675,6 +691,22 @@ class TestReduceCommand:
         err = capsys.readouterr().err
         assert "class 0" in err and "dimension 0" in err
         assert not (tmp_path / "p.txt").exists()
+
+
+    def test_apply_of_an_overflowing_group_is_data_error(self, tmp_path, capsys):
+        # every value is finite, but frame 1's sum in group 0 is not
+        save_features(FeatureSequence([[1.0, 1.0, 1.0], [1.0, 1e308, 1e308]]), tmp_path / "s.txt")
+        manifest = tmp_path / "data.manifest"
+        manifest.write_text("classes=a\ns.txt 0\n")
+        save_partition(ReductionPartition(np.array([1, 0, 0]), 2), tmp_path / "p.txt")
+        code = run_cli(
+            "reduce", "--manifest", str(manifest), "--apply", str(tmp_path / "p.txt"),
+            "--out-dir", str(tmp_path / "reduced"),
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert "frame 1 sums to a non-finite value in group 0" in err
+        assert not (tmp_path / "reduced").exists()
 
 
 def _subclasses(kind):

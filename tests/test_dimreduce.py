@@ -421,6 +421,13 @@ class TestReduceSequence:
         with pytest.raises(ShapeMismatchError):
             reduce_sequence(FeatureSequence(np.ones((2, 4))), partition)
 
+    def test_overflowing_group_sum_names_frame_and_group(self):
+        # every value is finite, but frame 1's group 0 sum is not
+        partition = ReductionPartition(np.array([1, 0, 0]), 2)
+        seq = FeatureSequence([[1.0, 1.0, 1.0], [1.0, 1e308, 1e308]])
+        with pytest.raises(SumOverflowError, match="frame 1 sums .* in group 0"):
+            reduce_sequence(seq, partition)
+
     def test_peak_memory_is_the_reduced_rows(self):
         # a (30, 4096) input is 0.94 MiB; only its (30, 128) result is allocated
         rng = np.random.default_rng(68)

@@ -7,6 +7,8 @@ import pytest
 from helpers import (
     dense_reference_gradients,
     dense_update_sgd,
+    edit_checkpoint,
+    json_v2_checkpoint,
     mean_separable_dataset,
     per_step_sgd,
     traced_peak_mib,
@@ -73,12 +75,10 @@ def parameter_bytes(model):
     return b"".join(p.tobytes() for p in model.parameters())
 
 
-def save_edited(model, path, **edits):
-    """Save model as a checkpoint, then overwrite top-level fields with edits."""
+def save_edited(model, path, drop=(), **edits):
+    """Save model as a checkpoint, then set header fields to edits and delete those in drop."""
     save_model(model, path)
-    doc = json.loads(path.read_text())
-    doc.update(edits)
-    path.write_text(json.dumps(doc))
+    edit_checkpoint(path, drop, **edits)
 
 
 class TestSoftmax:
@@ -930,53 +930,69 @@ class TestCheckpoint:
     )
     def test_roundtrip_is_bit_exact(self, kind, geometry, tmp_path):
         model = ClassifierModel.build(kind, 4, 3, sample_rate=5, seed=60, **geometry)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.oacm"
         save_model(model, path)
         loaded = load_model(path)
         assert loaded.spec == model.spec
         assert loaded.spec.sample_rate == 5
         assert parameter_bytes(loaded) == parameter_bytes(model)
 
-    def test_writes_version_2_without_normalize(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_model(tiny_oacp_model(seed=68), path)
-        doc = json.loads(path.read_text())
-        assert doc["format_version"] == 2
-        assert "normalize" not in doc
-
-    @pytest.mark.parametrize("kind", ["average", "max", "pyramid", "oacp"])
-    def test_loads_version_1_with_normalize_false(self, kind, tmp_path):
-        model = ClassifierModel.build(
-            kind, 4, 3, interval=2, n_filters=2, pyramid=(1, 2), sample_rate=5, seed=69
-        )
-        path = tmp_path / "model.json"
-        save_edited(model, path, format_version=1, normalize=False)
-        loaded = load_model(path)
-        assert loaded.spec == model.spec
-        assert parameter_bytes(loaded) == parameter_bytes(model)
-
     @pytest.mark.parametrize(
-        "fields", [{"normalize": True}, {"normalize": 0}, {}], ids=["true", "zero", "missing"]
+        "kind,geometry",
+        [("oacp", dict(interval=2, n_filters=2, pyramid=[1, 2])), ("average", {})],
+        ids=["oacp", "average"],
     )
-    def test_rejects_version_1_unless_normalize_false(self, fields, tmp_path):
-        path = tmp_path / "model.json"
-        save_edited(tiny_oacp_model(seed=70), path, format_version=1, **fields)
-        with pytest.raises(ParseError, match="normalize"):
-            load_model(path)
+    def test_writes_version_3_header_and_raw_parameters(self, kind, geometry, tmp_path):
+        model = ClassifierModel.build(
+            kind, 3, 2, interval=2, n_filters=2, pyramid=(1, 2), seed=68
+        )
+        path = tmp_path / "model.oacm"
+        save_model(model, path)
+        raw = path.read_bytes()
+        assert raw[:5] == b"OACM\x03"
+        length = int.from_bytes(raw[5:9], "little")
+        # the in-memory spec: settings a kind does not read hold their no-op values
+        assert json.loads(raw[9 : 9 + length]) == {
+            "pooling_kind": kind,
+            "num_features": 3,
+            "num_classes": 2,
+            **dict(interval=1, stride=1, n_filters=1, pyramid=[1]),
+            **geometry,
+            "sample_rate": 1,
+        }
+        payload = np.frombuffer(raw, dtype="<f8", offset=9 + length)
+        assert payload.tobytes() == b"".join(
+            p.astype("<f8").tobytes() for p in model.parameters()
+        )
 
     def test_rejects_unknown_version(self, tmp_path):
-        path = tmp_path / "model.json"
-        save_edited(tiny_oacp_model(seed=71), path, format_version=3)
-        with pytest.raises(ParseError, match="version 3"):
+        path = tmp_path / "model.oacm"
+        save_model(tiny_oacp_model(seed=71), path)
+        raw = bytearray(path.read_bytes())
+        raw[4] = 2
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="version 2"):
             load_model(path)
 
     def test_loaded_model_predicts_identically(self, tmp_path):
         model = tiny_oacp_model(seed=61)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.oacm"
         save_model(model, path)
         loaded = load_model(path)
         seq = random_example(62, 6, 3, 2).sequence
         assert forward(model, seq)[0].tobytes() == forward(loaded, seq)[0].tobytes()
+
+    def test_loaded_model_trains_like_the_saved_one(self, tmp_path):
+        # the loaded arrays are writable, and training them gives the same bytes
+        model = tiny_oacp_model(seed=73)
+        path = tmp_path / "model.oacm"
+        save_model(model, path)
+        loaded = load_model(path)
+        data = [random_example(74 + i, 6, 3, 2) for i in range(4)]
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=3)
+        sgd_train(model, data, cfg)
+        sgd_train(loaded, data, cfg)
+        assert parameter_bytes(loaded) == parameter_bytes(model)
 
     def test_rejects_garbage_and_foreign_files(self, tmp_path):
         bad = tmp_path / "bad.json"
@@ -993,15 +1009,80 @@ class TestCheckpoint:
         bad.write_bytes(b'{"format": "\xff"}\n')
         with pytest.raises(ParseError):
             load_model(bad)
+        header = b'{"pooling_kind": "\xff"}'
+        bad.write_bytes(b"OACM\x03" + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(ParseError, match="utf-8"):
+            load_model(bad)
+
+    def test_rejects_a_json_checkpoint(self, tmp_path):
+        # a version 2 checkpoint no longer loads
+        path = tmp_path / "model.json"
+        path.write_text(json.dumps(json_v2_checkpoint(tiny_oacp_model(seed=75))))
+        with pytest.raises(ParseError, match="JSON checkpoints no longer load"):
+            load_model(path)
+
+    def test_rejects_a_truncated_header(self, tmp_path):
+        path = tmp_path / "model.oacm"
+        save_model(tiny_oacp_model(seed=76), path)
+        raw = path.read_bytes()
+        for size in range(9):
+            path.write_bytes(raw[:size])
+            with pytest.raises(ParseError, match="truncated" if size >= 4 else "not a"):
+                load_model(path)
+
+    def test_rejects_a_header_length_past_the_end(self, tmp_path):
+        path = tmp_path / "model.oacm"
+        save_model(tiny_oacp_model(seed=77), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:5] + (len(raw) - 8).to_bytes(4, "little") + raw[9:])
+        with pytest.raises(ParseError, match="runs past the end"):
+            load_model(path)
+
+    def test_rejects_a_deeply_nested_header(self, tmp_path):
+        path = tmp_path / "model.oacm"
+        header = b"[" * 100_000
+        path.write_bytes(b"OACM\x03" + len(header).to_bytes(4, "little") + header)
+        with pytest.raises(ParseError, match="recursion"):
+            load_model(path)
+
+    @pytest.mark.parametrize("edit", ["short", "long"])
+    def test_rejects_a_payload_off_by_one_double(self, edit, tmp_path):
+        path = tmp_path / "model.oacm"
+        save_model(tiny_oacp_model(seed=78), path)
+        raw = path.read_bytes()
+        path.write_bytes(raw[:-8] if edit == "short" else raw + raw[-8:])
+        with pytest.raises(ParseError, match="payload"):
+            load_model(path)
+
+    @pytest.mark.parametrize(
+        "edits,drop,key",
+        [({"normalize": False}, (), "normalize"), ({}, ("stride",), "stride")],
+        ids=["extra", "missing"],
+    )
+    def test_rejects_an_extra_or_a_missing_header_key(self, edits, drop, key, tmp_path):
+        path = tmp_path / "model.oacm"
+        save_edited(tiny_oacp_model(seed=79), path, drop, **edits)
+        with pytest.raises(ParseError, match=key):
+            load_model(path)
+
+    @pytest.mark.parametrize("position", [0, -1], ids=["head-weight", "bank-bias"])
+    def test_rejects_a_nan_in_the_payload(self, position, tmp_path):
+        path = tmp_path / "model.oacm"
+        save_model(tiny_oacp_model(seed=80), path)
+        raw = bytearray(path.read_bytes())
+        length = int.from_bytes(raw[5:9], "little")
+        offset = 9 + length if position == 0 else len(raw) - 8
+        raw[offset : offset + 8] = np.array([np.nan]).astype("<f8").tobytes()
+        path.write_bytes(raw)
+        with pytest.raises(ParseError, match="NaN"):
+            load_model(path)
 
     def test_rejects_tampered_pooled_length(self, tmp_path):
+        # a derived field of the JSON formats; format 3 has no such field
         model = tiny_oacp_model(seed=63)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        doc = json.loads(path.read_text())
-        doc["pooled_length"] += 1
-        path.write_text(json.dumps(doc))
-        with pytest.raises(ParseError):
+        path = tmp_path / "model.oacm"
+        save_edited(model, path, pooled_length=model.pooled_length)
+        with pytest.raises(ParseError, match="unknown header field 'pooled_length'"):
             load_model(path)
 
     @pytest.mark.parametrize(
@@ -1011,7 +1092,7 @@ class TestCheckpoint:
             ("oacp", "n_filters", 5),
             ("oacp", "effective_receptive_field", 99),
             ("average", "interval", 8),
-            ("max", "stride", 1),
+            ("max", "stride", 2),
             ("pyramid", "n_filters", 3),
             ("average", "effective_receptive_field", 1),
             ("max", "pyramid", [1, 2]),
@@ -1019,11 +1100,8 @@ class TestCheckpoint:
     )
     def test_rejects_tampered_geometry(self, kind, key, value, tmp_path):
         model = ClassifierModel.build(kind, 3, 2, interval=2, n_filters=2, seed=65)
-        path = tmp_path / "model.json"
-        save_model(model, path)
-        doc = json.loads(path.read_text())
-        doc[key] = value
-        path.write_text(json.dumps(doc))
+        path = tmp_path / "model.oacm"
+        save_edited(model, path, **{key: value})
         with pytest.raises(ParseError, match=key):
             load_model(path)
 
@@ -1042,13 +1120,13 @@ class TestCheckpoint:
     )
     def test_rejects_non_integer_fields(self, kind, key, value, tmp_path):
         model = ClassifierModel.build(kind, 3, 2, interval=2, n_filters=2, seed=72)
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.oacm"
         save_edited(model, path, **{key: value})
         with pytest.raises(ParseError, match=f"{key} must be an integer"):
             load_model(path)
 
     def test_rejects_oversized_geometry(self, tmp_path):
-        path = tmp_path / "model.json"
+        path = tmp_path / "model.oacm"
         save_edited(tiny_oacp_model(seed=66), path, stride=10**30)
         with pytest.raises(ParseError, match="minimum_frames"):
             load_model(path)

@@ -45,6 +45,9 @@ TOKENS = st.sampled_from(
         b"aggregation=mean",
         b"classes=",
         b"s" * 300,  # longer than any file system allows a path component
+        b"OACM",  # the checkpoint magic
+        b"\xff\xff\xff\xff",  # a header length past the end of any file
+        b"\xff" * 8,  # a NaN bit pattern, non-finite at most alignments
     ]
 )
 FUZZ = settings(derandomize=True, deadline=None, max_examples=300)
@@ -100,14 +103,15 @@ def partition_dir(tmp_path_factory):
 def checkpoint_dir(tmp_path_factory):
     directory = tmp_path_factory.mktemp("checkpoint")
     model = ClassifierModel.build("oacp", 2, 2, interval=2, n_filters=1, seed=0)
-    save_model(model, directory / "valid.json")
+    save_model(model, directory / "valid.oacm")
     return directory
 
 
-def fuzz(reader, valid_path, fuzz_path, data) -> None:
+def fuzz(reader, valid_path, fuzz_path, data, start=0) -> None:
+    """Edit the bytes of a valid file from offset start on, then read the result."""
     valid = valid_path.read_bytes()
-    content = mutate(valid, data.draw(edits(len(valid))))
-    fuzz_path.write_bytes(content)
+    tail = mutate(valid[start:], data.draw(edits(len(valid) - start)))
+    fuzz_path.write_bytes(valid[:start] + tail)
     try:
         reader(fuzz_path)
     except ParseError:
@@ -129,4 +133,13 @@ def test_partition_reader(partition_dir, data):
 @FUZZ
 @given(st.data())
 def test_checkpoint_reader(checkpoint_dir, data):
-    fuzz(load_model, checkpoint_dir / "valid.json", checkpoint_dir / "fuzz.json", data)
+    fuzz(load_model, checkpoint_dir / "valid.oacm", checkpoint_dir / "fuzz.oacm", data)
+
+
+@FUZZ
+@given(st.data())
+def test_checkpoint_payload(checkpoint_dir, data):
+    # the edits confined to the parameters, behind the intact header
+    valid = (checkpoint_dir / "valid.oacm").read_bytes()
+    start = 9 + int.from_bytes(valid[5:9], "little")
+    fuzz(load_model, checkpoint_dir / "valid.oacm", checkpoint_dir / "fuzz.oacm", data, start)
