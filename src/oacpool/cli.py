@@ -1,16 +1,15 @@
-"""Command-line interface.
+"""Command-line interface: synth, train, eval, compare, gradcheck, reduce.
 
-Subcommands: synth, train, eval, compare, gradcheck, reduce.
-Exit codes: 0 success, 1 usage error, 2 data/parse error or a file the
-OS refuses, 3 numerical failure (divergence in training or evaluation, or
-a gradient check above threshold).
+Flags are only parsed here; the library records validate their values, and
+each command builds its records before it opens a file.  Exit codes: 0
+success, 1 usage error, 2 data/parse error or a file the OS refuses, 3
+numerical failure (divergence in training or evaluation, or a gradient
+check above threshold).
 """
 
 from __future__ import annotations
 
 import argparse
-import functools
-import math
 import sys
 from pathlib import Path
 
@@ -49,8 +48,8 @@ from .model import (
     save_model,
     sgd_train,
 )
-from .pooling import PyramidConfig
-from .sequences import FeatureSequence, LabeledSequence
+from .pooling import seed_value
+from .sequences import FeatureSequence, LabeledSequence, positive_int
 
 GRADCHECK_THRESHOLD = 1e-4
 
@@ -63,62 +62,27 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
-def _positive_int(text: str, minimum: int = 1) -> int:
-    try:
-        value = int(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not an integer: {text!r}") from None
-    if value < minimum:
-        raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
-    return value
-
-
-_seed = functools.partial(_positive_int, minimum=0)
-
-
-def _nonneg_float(text: str) -> float:
-    try:
-        value = float(text)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a number: {text!r}") from None
-    if not 0 <= value < math.inf:
-        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
-    return value
-
-
-def _pyramid(text: str) -> PyramidConfig:
-    try:
-        segments = tuple(int(p) for p in text.split(","))
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"not a comma-separated int list: {text!r}") from None
-    try:
-        return PyramidConfig(segments)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
+def _int_list(text: str) -> list[int]:
+    return [int(p) for p in text.split(",")]
 
 
 def _methods(text: str) -> list[str]:
     kinds = [m.strip() for m in text.split(",") if m.strip()]
     if not kinds:
-        raise argparse.ArgumentTypeError("empty method list")
-    for kind in kinds:
-        if kind not in POOLING_KINDS:
-            raise argparse.ArgumentTypeError(
-                f"unknown method {kind!r}, expected one of {','.join(POOLING_KINDS)}"
-            )
+        raise ValueError(f"methods must name at least one pooling kind, got {text!r}")
     return kinds
 
 
 def _add_shared_training_flags(sub) -> None:
     # the geometry defaults are PoolingSpec's field defaults (its class attributes)
-    sub.add_argument("--interval", type=_positive_int, default=PoolingSpec.interval)
-    sub.add_argument("--stride", type=_positive_int, default=PoolingSpec.stride)
-    sub.add_argument("--filters", type=_positive_int, default=PoolingSpec.n_filters)
-    sub.add_argument("--pyramid", type=_pyramid, default=PoolingSpec.pyramid)
-    sub.add_argument("--lr", type=_nonneg_float, default=0.1)
-    sub.add_argument("--epochs", type=_positive_int, default=50)
-    sub.add_argument("--seed", type=_seed, default=0)
-    sub.add_argument("--sample-rate", type=_positive_int, default=PoolingSpec.sample_rate)
+    sub.add_argument("--interval", type=int, default=PoolingSpec.interval)
+    sub.add_argument("--stride", type=int, default=PoolingSpec.stride)
+    sub.add_argument("--filters", type=int, default=PoolingSpec.n_filters)
+    sub.add_argument("--pyramid", type=_int_list, default=PoolingSpec.pyramid)
+    sub.add_argument("--lr", type=float, default=0.1)
+    sub.add_argument("--epochs", type=int, default=50)
+    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--sample-rate", type=int, default=PoolingSpec.sample_rate)
 
 
 def build_parser() -> _Parser:
@@ -127,12 +91,12 @@ def build_parser() -> _Parser:
 
     synth = subs.add_parser("synth", help="generate a synthetic order-only dataset")
     synth.add_argument("--task", choices=TASK_KINDS, required=True)
-    synth.add_argument("--t", type=_positive_int, default=40)
-    synth.add_argument("--k", type=_positive_int, default=16)
-    synth.add_argument("--n-train", type=_positive_int, default=200)
-    synth.add_argument("--n-test", type=_positive_int, default=100)
-    synth.add_argument("--noise", type=_nonneg_float, default=0.1)
-    synth.add_argument("--seed", type=_seed, default=0)
+    synth.add_argument("--t", type=int, default=40)
+    synth.add_argument("--k", type=int, default=16)
+    synth.add_argument("--n-train", type=int, default=200)
+    synth.add_argument("--n-test", type=int, default=100)
+    synth.add_argument("--noise", type=float, default=0.1)
+    synth.add_argument("--seed", type=int, default=0)
     synth.add_argument("--out", required=True)
     synth.set_defaults(func=_cmd_synth)
 
@@ -152,24 +116,24 @@ def build_parser() -> _Parser:
     compare = subs.add_parser("compare", help="train several pooling methods and print a CSV table")
     compare.add_argument("--train-manifest", required=True)
     compare.add_argument("--test-manifest", required=True)
-    compare.add_argument("--methods", type=_methods, required=True)
+    compare.add_argument("--methods", required=True)
     _add_shared_training_flags(compare)
     compare.set_defaults(func=_cmd_compare)
 
     gradcheck = subs.add_parser("gradcheck", help="finite-difference gradient verification")
-    gradcheck.add_argument("--k", type=_positive_int, default=3)
-    gradcheck.add_argument("--t", type=_positive_int, default=6)
-    gradcheck.add_argument("--interval", type=_positive_int, default=2)
-    gradcheck.add_argument("--filters", type=_positive_int, default=2)
-    gradcheck.add_argument("--classes", type=_positive_int, default=3)
-    gradcheck.add_argument("--seed", type=_seed, default=0)
+    gradcheck.add_argument("--k", type=int, default=3)
+    gradcheck.add_argument("--t", type=int, default=6)
+    gradcheck.add_argument("--interval", type=int, default=2)
+    gradcheck.add_argument("--filters", type=int, default=2)
+    gradcheck.add_argument("--classes", type=int, default=3)
+    gradcheck.add_argument("--seed", type=int, default=0)
     gradcheck.add_argument("--eps", type=float, default=1e-5)
     gradcheck.set_defaults(func=_cmd_gradcheck)
 
     reduce_cmd = subs.add_parser("reduce", help="fit or apply a dimensionality-reduction partition")
     reduce_cmd.add_argument("--manifest", required=True)
-    reduce_cmd.add_argument("--target-dim", type=_positive_int)
-    reduce_cmd.add_argument("--seed", type=_seed, default=0)
+    reduce_cmd.add_argument("--target-dim", type=int)
+    reduce_cmd.add_argument("--seed", type=int, default=0)
     reduce_cmd.add_argument("--partition-out")
     reduce_cmd.add_argument("--apply", metavar="PARTITION")
     reduce_cmd.add_argument("--out-dir")
@@ -231,14 +195,14 @@ def _train_cfg(args) -> TrainConfig:
 
 
 def _cmd_train(args) -> int:
+    spec, cfg = _spec_from_flags(args, args.pooling), _train_cfg(args)
     manifest = load_manifest(args.manifest)
     data = load_dataset(manifest)
-    spec = _spec_from_flags(args, args.pooling)
     prepared = prepare_dataset(data, spec)
     model = ClassifierModel.from_spec(
         spec, prepared[0].sequence.num_features, manifest.num_classes, seed=args.seed
     )
-    model, history = sgd_train(model, prepared, _train_cfg(args))
+    model, history = sgd_train(model, prepared, cfg)
     for stats in history:
         print(f"epoch {stats.epoch}: loss={stats.mean_loss:.6f} acc={stats.accuracy:.4f}")
     save_model(model, args.model_out)
@@ -264,6 +228,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    methods = [_spec_from_flags(args, kind) for kind in _methods(args.methods)]
+    cfg = _train_cfg(args)
     train_manifest = load_manifest(args.train_manifest)
     test_manifest = load_manifest(args.test_manifest)
     if test_manifest.num_classes != train_manifest.num_classes:
@@ -273,9 +239,8 @@ def _cmd_compare(args) -> int:
         )
     train_data = load_dataset(train_manifest)
     test_data = load_dataset(test_manifest)
-    methods = [_spec_from_flags(args, kind) for kind in args.methods]
     table = run_comparison(
-        train_data, test_data, methods, _train_cfg(args),
+        train_data, test_data, methods, cfg,
         num_classes=train_manifest.num_classes,
     )
     sys.stdout.write(table.to_csv())
@@ -283,7 +248,7 @@ def _cmd_compare(args) -> int:
 
 
 def _cmd_gradcheck(args) -> int:
-    model_seed, data_seed, noise_seed = np.random.SeedSequence(args.seed).spawn(3)
+    model_seed, data_seed, noise_seed = np.random.SeedSequence(seed_value(args.seed)).spawn(3)
     model = ClassifierModel.build(
         "oacp",
         num_features=args.k,
@@ -316,12 +281,15 @@ def _cmd_gradcheck(args) -> int:
 
 
 def _cmd_reduce(args) -> int:
+    seed = seed_value(args.seed)
     fit_mode = args.target_dim is not None or args.partition_out is not None
     apply_mode = args.apply is not None or args.out_dir is not None
     if fit_mode == apply_mode:
         raise ValueError(
             "use either --target-dim with --partition-out, or --apply with --out-dir"
         )
+    if args.target_dim is not None:  # only a fit sets it
+        positive_int(args.target_dim, "target_dim")
     manifest = load_manifest(args.manifest)
     if fit_mode:
         if args.target_dim is None or args.partition_out is None:
@@ -329,7 +297,7 @@ def _cmd_reduce(args) -> int:
         signatures = class_signatures(
             labeled_frames(iter_dataset(manifest)), manifest.num_classes
         )
-        partition = kmeans_partition(signatures, args.target_dim, seed=args.seed)
+        partition = kmeans_partition(signatures, args.target_dim, seed=seed)
         save_partition(partition, args.partition_out)
         print(
             f"partitioned {partition.num_dims} dimensions into {partition.k} groups; "
@@ -352,8 +320,7 @@ def _cmd_reduce(args) -> int:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.func(args)
     except (ValueError, OSError, DivergenceError) as exc:

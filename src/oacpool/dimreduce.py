@@ -37,9 +37,12 @@ class ReductionPartition:
     k: int
 
     def __post_init__(self):
-        assignment = np.array(self.assignment, dtype=np.int64)
+        assignment = np.asarray(self.assignment)
         if assignment.ndim != 1 or assignment.size == 0:
             raise ValueError("assignment must be a nonempty 1-D array")
+        if not np.issubdtype(assignment.dtype, np.integer):  # bool is not an integer dtype
+            raise ValueError(f"group indices must be integers, got dtype {assignment.dtype}")
+        assignment = np.array(assignment, dtype=np.int64)
         object.__setattr__(self, "k", positive_int(self.k, "k", minimum=-np.inf))
         if not 1 <= self.k <= assignment.size:
             raise ValueError(f"k must be in [1, {assignment.size}], got {self.k}")
@@ -78,8 +81,8 @@ def class_signatures(data, num_classes: int) -> np.ndarray:
             vector = np.asarray(vector, dtype=np.float64)
             if vector.ndim != 1:
                 raise ValueError(f"expected 1-D vectors, got shape {vector.shape}")
-            label = int(label)
-            if not 0 <= label < num_classes:
+            label = positive_int(label, "label", minimum=0)
+            if label >= num_classes:
                 raise ValueError(f"label {label} out of range for {num_classes} classes")
             if sums is None:
                 sums = np.zeros((num_classes, vector.shape[0]))

@@ -63,23 +63,26 @@ class TestExitCodes:
             run_cli("synth", "--task", "trend-pair")
         assert err.value.code == 1
 
-    def test_usage_error_on_bad_pyramid(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli(
-                "train", "--manifest", "x", "--model-out", "y", "--pyramid", "2,1"
-            )
-        assert err.value.code == 1
+    def test_usage_error_on_bad_pyramid(self, tmp_path, capsys):
+        assert run_cli(
+            "train", "--manifest", str(tmp_path / "x"), "--model-out", str(tmp_path / "y"),
+            "--pyramid", "2,1",
+        ) == 1
+        assert capsys.readouterr().err == (
+            "oacpool train: error: level 1 must have exactly one segment, got 2\n"
+        )
 
     # a non-finite rate is a usage error, not a training divergence (exit 3)
     @pytest.mark.parametrize("lr", ["nan", "inf", "1e400"])
     def test_usage_error_on_non_finite_learning_rate(self, synth_dir, tmp_path, capsys, lr):
-        with pytest.raises(SystemExit) as err:
-            run_cli(
-                "train", "--manifest", str(synth_dir / "train.manifest"),
-                "--model-out", str(tmp_path / "m.oacm"), "--lr", lr,
-            )
-        assert err.value.code == 1
-        assert "must be finite" in capsys.readouterr().err
+        assert run_cli(
+            "train", "--manifest", str(synth_dir / "train.manifest"),
+            "--model-out", str(tmp_path / "m.oacm"), "--lr", lr,
+        ) == 1
+        assert capsys.readouterr().err.startswith(
+            "oacpool train: error: learning_rate must be finite"
+        )
+        assert not (tmp_path / "m.oacm").exists()
 
     @pytest.mark.parametrize(
         "command",
@@ -93,10 +96,10 @@ class TestExitCodes:
         ids=["synth", "train", "compare", "gradcheck", "reduce"],
     )
     def test_usage_error_on_negative_seed(self, capsys, command):
-        with pytest.raises(SystemExit) as err:
-            run_cli(*command, "--seed", "-1")
-        assert err.value.code == 1
-        assert "argument --seed: must be >= 0, got -1" in capsys.readouterr().err
+        assert run_cli(*command, "--seed", "-1") == 1
+        assert capsys.readouterr().err == (
+            f"oacpool {command[0]}: error: seed must be >= 0, got -1\n"
+        )
 
     def test_usage_error_on_invalid_config_values(self, tmp_path, capsys):
         # values that pass flag parsing but violate config invariants
@@ -422,13 +425,14 @@ class TestCompare:
         assert code == 2
         assert "test manifest declares 2" in capsys.readouterr().err
 
-    def test_rejects_unknown_method(self):
-        with pytest.raises(SystemExit) as err:
-            run_cli(
-                "compare", "--train-manifest", "a", "--test-manifest", "b",
-                "--methods", "average,fancy",
-            )
-        assert err.value.code == 1
+    def test_rejects_unknown_method(self, tmp_path, capsys):
+        assert run_cli(
+            "compare", "--train-manifest", str(tmp_path / "a"),
+            "--test-manifest", str(tmp_path / "b"), "--methods", "average,fancy",
+        ) == 1
+        assert capsys.readouterr().err == (
+            "oacpool compare: error: unknown pooling kind 'fancy'\n"
+        )
 
 
 class TestGradcheckCommand:
@@ -749,16 +753,89 @@ def test_bare_geometry_flags_give_the_default_spec(kind):
         assert _spec_from_flags(parser.parse_args(argv), kind) == PoolingSpec(kind)
 
 
-def test_module_entry_point_runs():
+# Each subcommand with its input paths (IN, which does not exist) and its
+# output path (OUT, which must not be created), then each range-checked flag
+# with a bad value and the record field its message names.
+_IO_FLAGS = {
+    "synth": ["--task", "trend-pair", "--out", "OUT"],
+    "train": ["--manifest", "IN", "--model-out", "OUT"],
+    "compare": ["--train-manifest", "IN", "--test-manifest", "IN", "--methods", "oacp"],
+    "gradcheck": [],
+    "reduce": ["--manifest", "IN", "--target-dim", "2", "--partition-out", "OUT"],
+}
+_SHARED_BAD_FLAGS = [
+    ("--interval", "0", "interval"),
+    ("--stride", "0", "stride"),
+    ("--filters", "0", "n_filters"),
+    ("--pyramid", "1,0", "pyramid"),
+    ("--lr", "-0.5", "learning_rate"),
+    ("--epochs", "0", "epochs"),
+    ("--seed", "-1", "seed"),
+    ("--sample-rate", "0", "sample_rate"),
+]
+_BAD_FLAGS = [
+    ("synth", "--t", "1", "num_frames"),
+    ("synth", "--k", "0", "num_features"),
+    ("synth", "--n-train", "0", "n_train"),
+    ("synth", "--n-test", "0", "n_test"),
+    ("synth", "--noise", "-0.5", "noise_sigma"),
+    ("synth", "--seed", "-1", "seed"),
+    *[("train", *bad) for bad in _SHARED_BAD_FLAGS],
+    *[("compare", *bad) for bad in _SHARED_BAD_FLAGS],
+    ("compare", "--methods", ",", "methods"),
+    ("gradcheck", "--k", "0", "num_features"),
+    ("gradcheck", "--t", "0", "--t"),
+    ("gradcheck", "--interval", "0", "interval"),
+    ("gradcheck", "--filters", "0", "n_filters"),
+    ("gradcheck", "--classes", "0", "num_classes"),
+    ("gradcheck", "--seed", "-1", "seed"),
+    ("reduce", "--target-dim", "0", "target_dim"),
+    ("reduce", "--seed", "-1", "seed"),
+]
+
+
+@pytest.mark.parametrize(
+    "command, flag, value, field", _BAD_FLAGS, ids=[" ".join(c[:3]) for c in _BAD_FLAGS]
+)
+def test_a_bad_flag_value_fails_before_any_file_is_read(
+    tmp_path, capsys, command, flag, value, field
+):
+    paths = {"IN": str(tmp_path / "missing.manifest"), "OUT": str(tmp_path / "out")}
+    argv = [paths.get(arg, arg) for arg in _IO_FLAGS[command]]
+    # a missing input read first would exit 2, not 1
+    assert run_cli(command, *argv, flag, value) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith(f"oacpool {command}: error: {field} ")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert list(tmp_path.iterdir()) == []
+
+
+def _run_module(*argv, cwd=None):
     # the child interpreter does not see pytest's sys.path, so hand it the
     # directory this oacpool was imported from
     src = str(Path(oacpool.__file__).resolve().parents[1])
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
-    proc = subprocess.run(
-        [sys.executable, "-m", "oacpool", "gradcheck", "--t", "6", "--interval", "2"],
+    return subprocess.run(
+        [sys.executable, "-m", "oacpool", *argv],
         capture_output=True,
         text=True,
+        cwd=cwd,
         env={**os.environ, "PYTHONPATH": path},
     )
+
+
+def test_module_entry_point_runs():
+    proc = _run_module("gradcheck", "--t", "6", "--interval", "2")
     assert proc.returncode == 0
     assert proc.stdout.startswith("max_relative_error=")
+
+
+def test_module_entry_point_exits_1_on_a_bad_flag_value(tmp_path):
+    # the shell exit code is main's return value, not an argparse SystemExit
+    proc = _run_module(
+        "train", "--manifest", "missing", "--model-out", "m", "--filters", "0", cwd=tmp_path
+    )
+    assert proc.returncode == 1
+    assert proc.stderr == "oacpool train: error: n_filters must be >= 1, got 0\n"
+    assert list(tmp_path.iterdir()) == []

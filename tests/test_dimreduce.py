@@ -80,6 +80,11 @@ class TestClassSignatures:
         with pytest.raises(ValueError, match="num_classes must be >= 1, got 0"):
             class_signatures([([1.0], 0)], 0)
 
+    @pytest.mark.parametrize("label", [1.7, True, "1"], ids=["1.7", "True", "str"])
+    def test_rejects_a_label_that_is_not_an_integer_by_name(self, label):
+        with pytest.raises(ValueError, match="label must be an integer"):
+            class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], label)], 2)
+
     def test_signature_columns(self):
         sig = class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], 1)], 2)
         assert sig.shape == (2, 2) and sig.flags.c_contiguous
@@ -350,6 +355,14 @@ class TestReductionPartition:
     def test_numpy_integer_k_becomes_int(self):
         partition = ReductionPartition([0, 1], np.int64(2))
         assert type(partition.k) is int and partition.k == 2
+
+    @pytest.mark.parametrize(
+        "assignment", [[0, 1.7, 1], [True, False], np.array([0.0, 1.0])],
+        ids=["1.7", "bool", "whole-floats"],
+    )
+    def test_rejects_group_indices_that_are_not_integers(self, assignment):
+        with pytest.raises(ValueError, match="group indices must be integers"):
+            ReductionPartition(assignment, 2)
 
     def test_rejects_more_groups_than_dimensions(self):
         with pytest.raises(ValueError, match="k must be in"):
