@@ -288,12 +288,14 @@ def _cmd_reduce(args) -> int:
         raise ValueError(
             "use either --target-dim with --partition-out, or --apply with --out-dir"
         )
+    if fit_mode and (args.target_dim is None or args.partition_out is None):
+        raise ValueError("fitting needs both --target-dim and --partition-out")
+    if apply_mode and (args.apply is None or args.out_dir is None):
+        raise ValueError("applying needs both --apply and --out-dir")
     if args.target_dim is not None:  # only a fit sets it
         positive_int(args.target_dim, "target_dim")
     manifest = load_manifest(args.manifest)
     if fit_mode:
-        if args.target_dim is None or args.partition_out is None:
-            raise ValueError("fitting needs both --target-dim and --partition-out")
         signatures = class_signatures(
             labeled_frames(iter_dataset(manifest)), manifest.num_classes
         )
@@ -304,8 +306,6 @@ def _cmd_reduce(args) -> int:
             f"wrote {args.partition_out}"
         )
         return 0
-    if args.apply is None or args.out_dir is None:
-        raise ValueError("applying needs both --apply and --out-dir")
     partition = load_partition(args.apply)
     # each input is reduced as it is read and only the k-wide results are
     # kept; nothing is written until every input has been read

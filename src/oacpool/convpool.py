@@ -10,14 +10,14 @@ l*K*n + n of a single joint convolution over all K dimensions with n >> n_filter
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
 
 from .errors import ShapeMismatchError, TooShortSequenceError
-from .pooling import PyramidConfig, positive_int, segment_maxima, segment_ranges
+from .pooling import PyramidConfig, positive_int, segment_ranges
 from .sequences import FeatureSequence
 
 
@@ -70,7 +70,8 @@ class FilterBankSet:
 
 # Output rows per conv block: 2**16 doubles keep the block and its product
 # buffer (512 KiB each) in a core's L2 cache at the paper shape, where one
-# (T_out, n, K) buffer alone is 2.2 MiB.  Desk shapes fit in one block.
+# (T_out, n, K) buffer alone is 2.2 MiB.  Desk shapes fit in one block,
+# every tap's product included.
 _BLOCK_ELEMENTS = 1 << 16
 
 
@@ -79,12 +80,20 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
 
     pre[t][j][k] = sum_i weights[k][j][i] * frames[t*stride + i][k] + biases[k][j],
     with T_out = floor((T - l) / stride) + 1.  Taps accumulate in ascending
-    i order and the bias is added last, so results are reproducible
-    bit-for-bit regardless of BLAS backend and each dimension's responses
-    equal those of a one-dimension bank set on that dimension alone.  The
-    sums accumulate a block of output rows at a time, with the K dimensions
-    innermost; tap i of a block reads frames[t*stride + i] as a strided
-    slice of frames.
+    i order onto zero and the bias is added last, so results are
+    reproducible bit-for-bit regardless of BLAS backend and each
+    dimension's responses equal those of a one-dimension bank set on that
+    dimension alone.  The loop nest follows the block geometry:
+    - when the l tap products of every output, l * T_out * n * K values,
+      fit in one block of _BLOCK_ELEMENTS (desk shapes), they are formed
+      at once as one contiguous (l, T_out, n, K) multiply: the taps tiled
+      over the rows, times the frames expanded over the filters and read
+      as strided tap windows.  The l products are then summed in order,
+      each add over a whole contiguous (T_out, n, K) buffer;
+    - otherwise (the paper shape) the sums accumulate a block of output
+      rows at a time, with the K dimensions innermost: tap i of a block
+      multiplies frames[t*stride + i], a strided slice of frames, by the
+      taps broadcast over the rows.
     """
     num_frames = frames.shape[0]
     interval, stride = banks.interval, banks.stride
@@ -92,19 +101,33 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
         raise TooShortSequenceError(
             f"sequence has {num_frames} frames but the filters need {interval}"
         )
-    taps = np.ascontiguousarray(banks.weights.transpose(2, 1, 0))  # (l, n, K)
     t_out = (num_frames - interval) // stride + 1
-    acc = np.zeros((t_out, banks.n_filters, banks.num_dims))
-    rows = max(1, _BLOCK_ELEMENTS // (banks.n_filters * banks.num_dims))
-    term = np.empty_like(acc[:rows])
-    for start in range(0, t_out, rows):
-        block = acc[start : start + rows]
-        block_term = term[: block.shape[0]]
-        for i in range(interval):
-            first = start * stride + i
-            block_frames = frames[first : first + block.shape[0] * stride : stride, None]
-            np.multiply(block_frames, taps[i], out=block_term)
-            block += block_term
+    shape = (t_out, banks.n_filters, banks.num_dims)
+    taps = np.ascontiguousarray(banks.weights.transpose(2, 1, 0))  # (l, n, K)
+    if interval * math.prod(shape) <= _BLOCK_ELEMENTS:
+        products = np.empty((interval,) + shape)
+        products[...] = taps[:, None]
+        expanded = np.empty((num_frames,) + shape[1:])
+        expanded[...] = frames[:, None]
+        row = expanded.strides[0]
+        products *= np.ndarray(
+            products.shape, expanded.dtype, expanded, 0, (row, row * stride) + expanded.strides[1:]
+        )
+        acc = products[0] + 0.0
+        for i in range(1, interval):
+            acc += products[i]
+    else:
+        acc = np.zeros(shape)
+        rows = max(1, _BLOCK_ELEMENTS // (shape[1] * shape[2]))
+        term = np.empty_like(acc[:rows])
+        for start in range(0, t_out, rows):
+            block = acc[start : start + rows]
+            block_term = term[: block.shape[0]]
+            for i in range(interval):
+                first = start * stride + i
+                block_frames = frames[first : first + block.shape[0] * stride : stride, None]
+                np.multiply(block_frames, taps[i], out=block_term)
+                block += block_term
     acc += banks.biases.T
     return acc
 
@@ -123,15 +146,45 @@ class OacpForward(NamedTuple):
     segment_argmax: np.ndarray  # (M, n_filters, K) absolute response-row indices
 
 
-@functools.lru_cache(maxsize=256)
-def _row_weights(length: int) -> np.ndarray:
-    """Read-only (length, 1, 1) weights [length, ..., 1] in the narrowest unsigned type.
+class _PoolingPlan(NamedTuple):
+    """How the pyramid max pooling reads T_out response rows of K dimensions.
 
-    uint8 up to 255 rows, uint16 up to 65535, and so on; built once per length.
+    The boundaries of every level cut [0, T_out) into atomic pieces, and
+    each segment is a run of consecutive pieces.  Row r weighs T_out - r,
+    so a piece's row weights are its slice of row_weights.  All arrays are
+    read-only.
     """
-    weights = np.arange(length, 0, -1, dtype=np.min_scalar_type(length))[:, None, None]
-    weights.flags.writeable = False
-    return weights
+
+    pieces: tuple[tuple[int, int], ...]        # [a, b) row ranges, in row order
+    row_weights: np.ndarray                    # (T_out, 1, 1) weights [T_out, ..., 1]
+    first_piece: np.ndarray                    # (M,) each segment's first piece
+    later_pieces: tuple[tuple[int, int], ...]  # (segment, piece) for its other pieces
+    dims: np.ndarray                           # arange(K), backward's gather index
+
+
+@functools.lru_cache(maxsize=256)
+def _pooling_plan(t_out: int, num_dims: int, cfg: PyramidConfig) -> _PoolingPlan:
+    """The plan of (t_out, num_dims, cfg), built once; too few rows raise TooShortSequenceError.
+
+    Row weights take the narrowest unsigned type: uint8 up to 255 rows,
+    uint16 up to 65535, and so on.
+    """
+    ranges = segment_ranges(t_out, cfg)
+    bounds = sorted({a for a, _ in ranges} | {t_out})
+    pieces = tuple(zip(bounds[:-1], bounds[1:]))
+    row_weights = np.arange(t_out, 0, -1, dtype=np.min_scalar_type(t_out))[:, None, None]
+    piece_at = {a: q for q, (a, _) in enumerate(pieces)}
+    first_piece = np.array([piece_at[a] for a, _ in ranges], dtype=np.intp)
+    later_pieces = tuple(
+        (m, q)
+        for m, (a, b) in enumerate(ranges)
+        for q in range(piece_at[a] + 1, len(pieces))
+        if pieces[q][1] <= b
+    )
+    plan = _PoolingPlan(pieces, row_weights, first_piece, later_pieces, np.arange(num_dims))
+    for array in (row_weights, first_piece, plan.dims):
+        array.flags.writeable = False
+    return plan
 
 
 def oacp_forward_details(
@@ -140,13 +193,18 @@ def oacp_forward_details(
     """Convolve every dimension, pyramid-pool, ReLU the maxima, concatenate.
 
     The pooled layout is dimension k outermost, then level, then segment,
-    then filter channel; length K * n_filters * M.  The pre-activations'
-    segment_maxima are ReLU'd in place, bitwise the maxima of the ReLU'd
-    responses, since the ReLU is monotone and the conv never yields -0.0.
-    Segment [a, b)'s argmax, the first row holding its maximal ReLU'd
-    response, is b minus the largest of the weights [b-a, ..., 1] over the
-    rows at or above the maximum, or over all rows if the ReLU zeroes it; a
-    segment with a NaN maximum takes its first NaN row, as np.argmax does.
+    then filter channel; length K * n_filters * M.  Each atomic piece [a, b)
+    of the pooling plan (see _PoolingPlan) is read twice.  The first read
+    takes its maximum, which is then ReLU'd: bitwise the maximum of the
+    ReLU'd responses, since the ReLU is monotone and the conv never yields
+    -0.0.  The second finds its argmax, the first row holding its maximal
+    ReLU'd response, as the largest row weight T_out - r over the rows r at
+    or above the maximum, or over all rows if the ReLU zeroes it.  A
+    segment then takes its first piece's ReLU'd maximum and weight, and
+    each later piece of the segment replaces the weight only where its
+    ReLU'd maximum is strictly larger, so the first piece wins a tie; the
+    argmax is T_out minus the weight.  A piece or segment with a NaN
+    maximum takes its first NaN row, as np.argmax does.
     """
     if seq.num_features != banks.num_dims:
         raise ShapeMismatchError(
@@ -154,26 +212,39 @@ def oacp_forward_details(
         )
     frames = seq.frames
     pre = conv_responses(frames, banks)
-    # read-only (T_out, K, interval) view: windows[t, k, i] = frames[t*stride + i, k]
+    t_out = pre.shape[0]
+    plan = _pooling_plan(t_out, banks.num_dims, cfg)
+    # (T_out, K, interval) view, read-only as the frames are:
+    # windows[t, k, i] = frames[t*stride + i, k]
     row_step, dim_step = frames.strides
-    windows = as_strided(
+    windows = np.ndarray(
+        (t_out, banks.num_dims, banks.interval),
+        frames.dtype,
         frames,
-        shape=(pre.shape[0], banks.num_dims, banks.interval),
-        strides=(row_step * banks.stride, dim_step, row_step),
-        writeable=False,
+        0,
+        (row_step * banks.stride, dim_step, row_step),
     )
-    ranges = segment_ranges(pre.shape[0], cfg)
-    maxima = segment_maxima(pre, ranges)
-    any_nan = np.isnan(maxima).any()
-    floor = np.where(maxima <= 0.0, -np.inf, maxima)
-    argmax = np.empty(maxima.shape, dtype=np.intp)
-    for m, (a, b) in enumerate(ranges):
-        hits = pre[a:b] >= floor[m]
+    piece_max = np.empty((len(plan.pieces),) + pre.shape[1:])
+    for q, (a, b) in enumerate(plan.pieces):
+        np.maximum.reduce(pre[a:b], axis=0, out=piece_max[q])
+    relu = np.maximum(piece_max, 0.0)
+    any_nan = math.isnan(np.maximum.reduce(relu, axis=None))
+    floor = np.where(piece_max <= 0.0, -np.inf, piece_max)
+    piece_top = np.empty(piece_max.shape, dtype=plan.row_weights.dtype)
+    for q, (a, b) in enumerate(plan.pieces):
+        hits = pre[a:b] >= floor[q]
         if any_nan:
             hits |= np.isnan(pre[a:b])
-        argmax[m] = b
-        argmax[m] -= (hits.view(np.uint8) * _row_weights(b - a)).max(axis=0)
-    np.maximum(maxima, 0.0, out=maxima)
+        np.maximum.reduce(hits.view(np.uint8) * plan.row_weights[a:b], axis=0, out=piece_top[q])
+    maxima = relu.take(plan.first_piece, axis=0)
+    top = piece_top.take(plan.first_piece, axis=0)
+    for m, q in plan.later_pieces:
+        wins = relu[q] > maxima[m]
+        if any_nan:  # a NaN piece wins over every piece before it that is not NaN
+            wins |= np.isnan(relu[q]) > np.isnan(maxima[m])
+        np.maximum(maxima[m], relu[q], out=maxima[m])
+        np.copyto(top[m], piece_top[q], where=wins)
+    argmax = np.subtract(t_out, top, dtype=np.intp)
     # (M, n, K) -> dimension-major: k outermost, then (level, segment), then channel
     pooled = maxima.transpose(2, 0, 1).ravel()
     return OacpForward(pooled, pre, windows, argmax)

@@ -22,6 +22,7 @@ import numpy as np
 from .convpool import (
     _BLOCK_ELEMENTS,
     FilterBankSet,
+    _pooling_plan,
     oacp_forward_details,
 )
 from .errors import (
@@ -318,13 +319,19 @@ class Gradients:
         return out
 
 
+def _all_finite(values: np.ndarray) -> bool:
+    """True if no value is NaN or infinite."""
+    return np.count_nonzero(np.isfinite(values)) == values.size
+
+
 def softmax(z) -> np.ndarray:
     """Max-shifted softmax: strictly positive, sums to 1, overflow-safe."""
     z = np.asarray(z, dtype=np.float64)
-    if not np.isfinite(z).all():
+    if not _all_finite(z):
         raise ValueError("logits contain NaN or infinite values")
     shifted = np.exp(z - z.max())
-    return shifted / shifted.sum()
+    shifted /= shifted.sum()
+    return shifted
 
 
 def _pool(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, Sequence]:
@@ -345,7 +352,9 @@ def _head(
     model: ClassifierModel, pooled: np.ndarray, details: Sequence = ()
 ) -> tuple[np.ndarray, ForwardCache]:
     """Class probabilities of a pooled vector plus the state backward() needs."""
-    probs = softmax(model.w_head @ pooled + model.b_head)
+    logits = model.w_head @ pooled
+    logits += model.b_head
+    probs = softmax(logits)
     return probs, ForwardCache(model.version, pooled, probs, *details)
 
 
@@ -396,13 +405,14 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
     coef = (d_pooled * (cache.pooled > 0)).reshape(
         model.num_features, cache.segment_argmax.shape[0], -1
     )
-    # gather and sum with K innermost, as the forward's buffers hold it
-    routed = cache.windows[cache.segment_argmax, np.arange(model.num_features)]  # (M, n, K, l)
-    coef_nk = coef.transpose(1, 2, 0)[..., None]  # (M, n, K, 1)
-    g_bank_w = coef_nk[0] * routed[0]
+    # gather, scale and sum with K innermost, as the forward's buffers hold it
+    plan = _pooling_plan(cache.windows.shape[0], model.num_features, model.spec.pyramid)
+    routed = cache.windows[cache.segment_argmax, plan.dims]  # (M, n, K, l)
+    routed *= coef.transpose(1, 2, 0)[..., None]
+    g_bank_w = routed[0]
     g_bank_b = coef[:, 0].copy()
     for m in range(1, coef.shape[1]):
-        g_bank_w += coef_nk[m] * routed[m]
+        g_bank_w += routed[m]
         g_bank_b += coef[:, m]
     g_bank_w = g_bank_w.transpose(1, 0, 2)  # (K, n, l) view of the (n, K, l) sums
     return Gradients(dlogits, cache.pooled, g_bank_w, g_bank_b)
@@ -429,13 +439,13 @@ def _sgd_step(model: ClassifierModel, grads: Gradients, learning_rate: float) ->
         np.multiply(dlogits[start : start + rows, None], pooled, out=block_term)
         block_term *= learning_rate
         block -= block_term
-        finite &= bool(np.isfinite(block).all())
+        finite &= _all_finite(block)
     # b_head, then the bank pair, which only oacp models have
     rest = (grads.b_head, grads.bank_weights, grads.bank_biases)
     for param, grad in zip(model.parameters()[1:], rest):
         grad *= learning_rate
         param -= grad
-        finite &= bool(np.isfinite(param).all())
+        finite &= _all_finite(param)
     return finite
 
 
@@ -504,7 +514,7 @@ def sgd_train(
             rng.shuffle(order)
             total_loss = 0.0
             correct = 0
-            for idx in order:
+            for idx in order.tolist():
                 item = data[idx]
                 try:
                     # the instances were checked up front, so the only ValueError
@@ -516,16 +526,16 @@ def sgd_train(
                     loss = instance_loss(probs, item.label)
                 except ValueError as exc:
                     raise DivergenceError(
-                        f"divergence at epoch {epoch}, instance {int(idx)}: {exc}"
+                        f"divergence at epoch {epoch}, instance {idx}: {exc}"
                     ) from None
                 total_loss += loss
-                if int(np.argmax(probs)) == item.label:
+                if probs.argmax() == item.label:
                     correct += 1
                 finite = _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
                 model.version += 1
                 if not finite:
                     raise DivergenceError(
-                        f"non-finite parameters after epoch {epoch}, instance {int(idx)}"
+                        f"non-finite parameters after epoch {epoch}, instance {idx}"
                     )
             history.append(EpochStats(epoch, total_loss / len(data), correct / len(data)))
     return model, history
@@ -549,7 +559,7 @@ def evaluate(
                 probs, _ = forward(model, item.sequence)
             except ValueError as exc:
                 raise DivergenceError(f"evaluation of instance {i}: {exc}") from None
-            confusion[item.label, int(np.argmax(probs))] += 1
+            confusion[item.label, probs.argmax()] += 1
     accuracy = float(np.trace(confusion)) / len(data)
     return accuracy, confusion
 

@@ -76,22 +76,24 @@ class FeatureSequence:
 
 @dataclass(frozen=True)
 class LabeledSequence:
-    """A feature sequence together with its class index."""
+    """A feature sequence together with its class index, an integer >= 0 (see positive_int)."""
 
     sequence: FeatureSequence
     label: int
 
     def __post_init__(self):
-        if isinstance(self.label, bool) or not isinstance(self.label, (int, np.integer)):
-            raise TypeError(f"label must be an integer, got {type(self.label).__name__}")
-        if self.label < 0:
-            raise ValueError(f"label must be nonnegative, got {self.label}")
-        object.__setattr__(self, "label", int(self.label))
+        object.__setattr__(self, "label", positive_int(self.label, "label", minimum=0))
 
 
 def sample_frames(seq: FeatureSequence, rate: int) -> FeatureSequence:
-    """Keep frames 0, rate, 2*rate, ...; the result has ceil(T / rate) frames."""
+    """Keep frames 0, rate, 2*rate, ...; the result has ceil(T / rate) frames.
+
+    At rate 1 that is every frame, so seq itself comes back: sequences are
+    immutable, and a copy would hold the same frames.
+    """
     rate = positive_int(rate, "sampling rate")
+    if rate == 1:
+        return seq
     return FeatureSequence(seq.frames[::rate])
 
 

@@ -13,6 +13,7 @@ import numpy as np
 
 from oacpool.dimreduce import KMEANS_MAX_ITERS
 from oacpool.model import _sgd_step, backward, forward
+from oacpool.pooling import segment_ranges
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
 
@@ -32,6 +33,14 @@ def conv_oracle(signal, weights, biases, stride: int) -> np.ndarray:
             acc += biases[j]
             out[t, j] = acc if acc > 0.0 else 0.0
     return out
+
+
+def numpy_segment_pooling(responses, cfg):
+    """(argmax, maxima) of every pyramid segment by np.argmax and np.max, each (M, n, K)."""
+    ranges = segment_ranges(responses.shape[0], cfg)
+    argmax = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
+    maxima = np.stack([responses[a:b].max(axis=0) for a, b in ranges])
+    return argmax, maxima
 
 
 def dense_reference_gradients(model, cache, label: int):

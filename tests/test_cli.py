@@ -791,19 +791,29 @@ _BAD_FLAGS = [
     ("gradcheck", "--seed", "-1", "seed"),
     ("reduce", "--target-dim", "0", "target_dim"),
     ("reduce", "--seed", "-1", "seed"),
+    # value None: the flag is left out, so the fit mode is incomplete
+    ("reduce", "--partition-out", None, "fitting"),
+    ("reduce", "--target-dim", None, "fitting"),
 ]
 
 
 @pytest.mark.parametrize(
-    "command, flag, value, field", _BAD_FLAGS, ids=[" ".join(c[:3]) for c in _BAD_FLAGS]
+    "command, flag, value, field",
+    _BAD_FLAGS,
+    ids=[" ".join(map(str, c[:3])) for c in _BAD_FLAGS],
 )
 def test_a_bad_flag_value_fails_before_any_file_is_read(
     tmp_path, capsys, command, flag, value, field
 ):
     paths = {"IN": str(tmp_path / "missing.manifest"), "OUT": str(tmp_path / "out")}
     argv = [paths.get(arg, arg) for arg in _IO_FLAGS[command]]
+    if value is None:
+        at = argv.index(flag)
+        del argv[at : at + 2]
+    else:
+        argv += [flag, value]
     # a missing input read first would exit 2, not 1
-    assert run_cli(command, *argv, flag, value) == 1
+    assert run_cli(command, *argv) == 1
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith(f"oacpool {command}: error: {field} ")

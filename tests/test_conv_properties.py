@@ -5,11 +5,11 @@ import pytest
 
 pytest.importorskip("hypothesis")
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import conv_oracle
+from helpers import conv_oracle, numpy_segment_pooling
 
 from oacpool.convpool import FilterBankSet, conv_responses, oacp_forward_details
 from oacpool.pooling import PyramidConfig, segment_ranges
@@ -66,3 +66,47 @@ class TestConvProperties:
     @given(conv_cases(values=TIE_HEAVY))
     def test_tied_and_all_zero_segments_match_the_oracles(self, case):
         check_against_oracles(*case)
+
+
+# Levels whose boundaries do not nest cut segments into several pieces.
+PYRAMIDS = [(1, 2), (1, 2, 3), (1, 3, 4), (1, 2, 4), (1, 4, 3)]
+
+
+@st.composite
+def pooling_cases(draw):
+    """(T, K) frames of few distinct values, and a pyramid over those rows."""
+    levels = draw(st.sampled_from(PYRAMIDS))
+    num_frames = draw(st.integers(max(levels), 30))
+    num_dims = draw(st.integers(1, 4))
+    frames = draw(hnp.arrays(np.float64, (num_frames, num_dims), elements=TIE_HEAVY))
+    return frames, levels
+
+
+def tie_across_a_piece_boundary():
+    # (1, 2, 3) over 12 rows cuts the pieces [0, 4), [4, 6), [6, 8), [8, 12):
+    # dimension 0 ties at rows 5 and 6 and at rows 3 and 4, and dimension
+    # 1 is non-positive over the level-2 segment [0, 6)
+    frames = np.zeros((12, 2))
+    frames[[3, 4], 0] = 1.0
+    frames[[5, 6], 0] = 2.0
+    frames[:6, 1] = [-1.0, 0.0, -1.0, 0.0, -1.0, -1.0]
+    frames[6:, 1] = [1.0, 3.0, 3.0, 0.0, 3.0, -1.0]
+    return frames, (1, 2, 3)
+
+
+@settings(derandomize=True, deadline=None)
+@given(pooling_cases())
+@example(tie_across_a_piece_boundary())
+def test_piece_pooling_matches_numpy_segment_pooling(case):
+    """Maxima and first argmax over pieces equal np.max's and np.argmax's per segment."""
+    frames, levels = case
+    cfg = PyramidConfig(levels)
+    # interval 1 with weights 1 and -1: the responses are the frames and
+    # their negation, so every all-positive segment has an all-negative twin
+    num_dims = frames.shape[1]
+    banks = FilterBankSet(np.tile([[1.0], [-1.0]], (num_dims, 1, 1)), np.zeros((num_dims, 2)))
+    details = oacp_forward_details(FeatureSequence(frames), banks, cfg)
+    responses = np.maximum(details.pre_activation, 0.0)
+    argmax, maxima = numpy_segment_pooling(responses, cfg)
+    assert details.segment_argmax.tobytes() == argmax.tobytes()
+    assert details.pooled.tobytes() == maxima.transpose(2, 0, 1).ravel().tobytes()

@@ -1,9 +1,11 @@
 import numpy as np
 import pytest
 
-from helpers import conv_oracle
+from helpers import conv_oracle, numpy_segment_pooling
 
+from oacpool import convpool
 from oacpool.convpool import (
+    _BLOCK_ELEMENTS,
     FilterBankSet,
     conv_responses,
     oacp_forward_details,
@@ -12,7 +14,7 @@ from oacpool.convpool import (
 )
 from oacpool.errors import DivergenceError, ShapeMismatchError, TooShortSequenceError
 from oacpool.model import ClassifierModel, TrainConfig, sgd_train
-from oacpool.pooling import PyramidConfig, average_pool, max_pool, segment_ranges
+from oacpool.pooling import PyramidConfig, average_pool, max_pool
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
 RISING_DETECTOR = FilterBankSet([[[-1.0, 1.0]]], [[0.0]])
@@ -138,6 +140,27 @@ class TestConvResponsesAllDims:
             alone = conv_responses(frames[:, k : k + 1], single)
             assert stacked[:, :, k : k + 1].tobytes() == alone.tobytes()
 
+    @pytest.mark.parametrize("stride", [1, 2, 3])
+    @pytest.mark.parametrize("t_out, one_block", [(32, True), (33, False)])
+    def test_one_block_edge_matches_the_oracle_and_the_row_blocks(
+        self, monkeypatch, stride, t_out, one_block
+    ):
+        # l * T_out * n * K = 8 * 32 * 4 * 64 fills one block exactly; one
+        # more output row takes the row-blocked loop
+        rng = np.random.default_rng(40 + stride)
+        frames = rng.standard_normal((8 + (t_out - 1) * stride, 64))
+        fbs = FilterBankSet(rng.standard_normal((64, 4, 8)), rng.standard_normal((64, 4)), stride)
+        assert (8 * t_out * 4 * 64 <= _BLOCK_ELEMENTS) == one_block
+        pre = conv_responses(frames, fbs)
+        assert pre.shape == (t_out, 4, 64) and pre.flags.c_contiguous
+        responses = np.maximum(pre, 0.0)
+        for k in range(64):
+            want = conv_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], stride)
+            assert responses[:, :, k].tobytes() == want.tobytes()
+        # the same pre-activations, negative ones included, one row per block
+        monkeypatch.setattr(convpool, "_BLOCK_ELEMENTS", 1)
+        assert conv_responses(frames, fbs).tobytes() == pre.tobytes()
+
     def test_row_blocks_match_the_oracle(self):
         # n * K = 6000 puts several blocks of output rows, the last one
         # partial, into one call
@@ -216,14 +239,6 @@ class TestOacpForward:
             oacp_forward_details(seq, fbs, PyramidConfig((1, 2)))
 
 
-def numpy_segment_pooling(responses, cfg):
-    """(argmax, maxima) of every pyramid segment by np.argmax and np.max, each (M, n, K)."""
-    ranges = segment_ranges(responses.shape[0], cfg)
-    argmax = np.stack([a + responses[a:b].argmax(axis=0) for a, b in ranges])
-    maxima = np.stack([responses[a:b].max(axis=0) for a, b in ranges])
-    return argmax, maxima
-
-
 def overflowing_conv_case():
     """Finite frames and banks whose conv overflows to inf and to inf - inf = NaN.
 
@@ -275,6 +290,19 @@ class TestSegmentArgmax:
             details.pooled, maxima.transpose(2, 0, 1).ravel(), equal_nan=True
         )
         assert details.segment_argmax[:, 0, 2].tolist() == [2, 2, 9]
+
+    def test_overflow_to_nan_under_levels_that_do_not_nest(self):
+        # (1, 2, 3) over 11 rows cuts the pieces [0, 3), [3, 5), [5, 7), [7, 11)
+        seq, banks = overflowing_conv_case()
+        cfg = PyramidConfig((1, 2, 3))
+        with np.errstate(over="ignore", invalid="ignore"):
+            details = oacp_forward_details(seq, banks, cfg)
+        argmax, maxima = numpy_segment_pooling(np.maximum(details.pre_activation, 0.0), cfg)
+        assert details.segment_argmax.tobytes() == argmax.tobytes()
+        assert np.array_equal(
+            details.pooled, maxima.transpose(2, 0, 1).ravel(), equal_nan=True
+        )
+        assert details.segment_argmax[:, 0, 2].tolist() == [2, 2, 9, 2, 3, 9]
 
     def test_overflow_to_nan_is_a_training_divergence(self):
         seq, banks = overflowing_conv_case()

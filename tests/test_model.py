@@ -663,7 +663,8 @@ class TestPoolingHoist:
 
     @pytest.mark.parametrize("kind", POOLING_KINDS)
     def test_parameters_match_the_per_step_loop(self, kind):
-        data = [random_example(s, 7, 3, 2) for s in range(6)]
+        # two lengths, so oacp steps alternate between two pooling plans
+        data = [random_example(s, 7 + 3 * (s % 2), 3, 2) for s in range(6)]
         cfg = TrainConfig(learning_rate=0.2, epochs=3, seed=5)
         hoisted, _ = sgd_train(self.build(kind, 33), data, cfg)
         reference = per_step_sgd(self.build(kind, 33), data, cfg)

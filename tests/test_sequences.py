@@ -49,11 +49,13 @@ class TestLabeledSequence:
         assert item.label == 2 and type(item.label) is int
 
     def test_rejects_negative_and_bool_labels(self):
+        # one error type for every bad label, as DatasetManifest raises
         seq = FeatureSequence([[0.0]])
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="label must be >= 0"):
             LabeledSequence(seq, -1)
-        with pytest.raises(TypeError):
-            LabeledSequence(seq, True)
+        for label in (True, 1.7, 2.0, "1"):
+            with pytest.raises(ValueError, match="label must be an integer"):
+                LabeledSequence(seq, label)
 
 
 class TestSampleFrames:
@@ -62,6 +64,10 @@ class TestSampleFrames:
         out = sample_frames(seq, 5)
         assert out.num_frames == 2
         assert np.array_equal(out.frames, seq.frames[[0, 5]])
+
+    def test_rate_one_returns_the_same_sequence(self):
+        seq = FeatureSequence(np.arange(6.0).reshape(3, 2))
+        assert sample_frames(seq, 1) is seq
 
     def test_rate_one_is_identity(self):
         seq = FeatureSequence(np.random.default_rng(0).standard_normal((7, 3)))
