@@ -88,8 +88,11 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
       fit in one block of _BLOCK_ELEMENTS (desk shapes), they are formed
       at once as one contiguous (l, T_out, n, K) multiply: the taps tiled
       over the rows, times the frames expanded over the filters and read
-      as strided tap windows.  The l products are then summed in order,
-      each add over a whole contiguous (T_out, n, K) buffer;
+      as strided tap windows.  One np.add.reduce over the tap axis, with
+      initial 0.0, then sums them: a reduction over the outer axis of a
+      contiguous array adds whole (T_out, n, K) slices onto the initial
+      zero in ascending tap order, the oracle's order, so a sum of -0.0
+      products is +0.0 as the oracle's is;
     - otherwise (the paper shape) the sums accumulate a block of output
       rows at a time, with the K dimensions innermost: tap i of a block
       multiplies frames[t*stride + i], a strided slice of frames, by the
@@ -113,9 +116,7 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
         products *= np.ndarray(
             products.shape, expanded.dtype, expanded, 0, (row, row * stride) + expanded.strides[1:]
         )
-        acc = products[0] + 0.0
-        for i in range(1, interval):
-            acc += products[i]
+        acc = np.add.reduce(products, axis=0, initial=0.0)
     else:
         acc = np.zeros(shape)
         rows = max(1, _BLOCK_ELEMENTS // (shape[1] * shape[2]))

@@ -5,7 +5,11 @@ four pooling kinds), computes probs = softmax(W p + b), and trains all
 parameters with per-instance SGD on the negative log-likelihood.  For the
 convolutional pooling kind the gradient flows through the segment max
 pooling (to the first maximal response of each segment) and the ReLU (zero
-at nonpositive pre-activations) into the filter banks.
+at nonpositive pre-activations) into the filter banks.  forward(),
+backward() and _sgd_step() are the public and test-facing steps; sgd_train
+runs each instance through one fused _train_step instead, built from the
+same private pieces (_probabilities, _bank_gradient, _apply_update), so
+every formula has one copy and both give the same bytes.
 """
 
 from __future__ import annotations
@@ -324,14 +328,26 @@ def _all_finite(values: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(values)) == values.size
 
 
-def softmax(z) -> np.ndarray:
-    """Max-shifted softmax: strictly positive, sums to 1, overflow-safe."""
-    z = np.asarray(z, dtype=np.float64)
+def _softmax_in_place(z: np.ndarray) -> np.ndarray:
+    """softmax of a float64 array that no caller shares, computed in its buffer."""
     if not _all_finite(z):
         raise ValueError("logits contain NaN or infinite values")
-    shifted = np.exp(z - z.max())
-    shifted /= shifted.sum()
-    return shifted
+    z -= z.max()
+    np.exp(z, out=z)
+    z /= z.sum()
+    return z
+
+
+def softmax(z) -> np.ndarray:
+    """Max-shifted softmax: strictly positive, sums to 1, overflow-safe."""
+    return _softmax_in_place(np.array(z, dtype=np.float64))
+
+
+def _probabilities(model: ClassifierModel, pooled: np.ndarray) -> np.ndarray:
+    """softmax(w_head @ pooled + b_head) as a new array; non-finite logits raise ValueError."""
+    logits = model.w_head @ pooled
+    logits += model.b_head
+    return _softmax_in_place(logits)
 
 
 def _pool(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, Sequence]:
@@ -352,9 +368,7 @@ def _head(
     model: ClassifierModel, pooled: np.ndarray, details: Sequence = ()
 ) -> tuple[np.ndarray, ForwardCache]:
     """Class probabilities of a pooled vector plus the state backward() needs."""
-    logits = model.w_head @ pooled
-    logits += model.b_head
-    probs = softmax(logits)
+    probs = _probabilities(model, pooled)
     return probs, ForwardCache(model.version, pooled, probs, *details)
 
 
@@ -367,12 +381,46 @@ def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, F
     return _head(model, *_pool(model, seq))
 
 
+def _nll(probs: np.ndarray, label: int) -> float:
+    """instance_loss without its checks."""
+    return float(-np.log(probs[label] + LOG_EPS))
+
+
 def instance_loss(probs, label: int) -> float:
     """Negative log-likelihood of the true class: -log(probs[label] + LOG_EPS)."""
     probs = np.asarray(probs, dtype=np.float64)
     if not 0 <= label < probs.shape[0]:
         raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
-    return float(-np.log(probs[label] + LOG_EPS))
+    return _nll(probs, label)
+
+
+def _bank_gradient(
+    model: ClassifierModel,
+    dlogits: np.ndarray,
+    pooled: np.ndarray,
+    windows: np.ndarray,
+    segment_argmax: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """The bank weight and bias gradients of an oacp forward, given the logit gradient.
+
+    See backward() for the routing.  The weight gradient is a (K, n, l)
+    view of sums held (n, K, l), inside the (M, n, K, l) routed windows.
+    """
+    # pooled holds each slot's ReLU'd maximum in d_pooled's (K, M, n) layout,
+    # so it is positive exactly where the routed row's pre-activation is
+    d_pooled = model.w_head.T @ dlogits
+    d_pooled *= pooled > 0
+    coef = d_pooled.reshape(model.num_features, segment_argmax.shape[0], -1)
+    # gather, scale and sum with K innermost, as the forward's buffers hold it
+    plan = _pooling_plan(windows.shape[0], model.num_features, model.spec.pyramid)
+    routed = windows[segment_argmax, plan.dims]  # (M, n, K, l)
+    routed *= coef.transpose(1, 2, 0)[..., None]
+    g_bank_w = routed[0]
+    g_bank_b = coef[:, 0].copy()
+    for m in range(1, coef.shape[1]):
+        g_bank_w += routed[m]
+        g_bank_b += coef[:, m]
+    return g_bank_w.transpose(1, 0, 2), g_bank_b
 
 
 def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradients:
@@ -398,40 +446,38 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
     dlogits[label] -= 1.0
     if model.spec.kind != "oacp":
         return Gradients(dlogits, cache.pooled)
-
-    # pooled holds each slot's ReLU'd maximum in d_pooled's (K, M, n) layout,
-    # so it is positive exactly where the routed row's pre-activation is
-    d_pooled = model.w_head.T @ dlogits
-    coef = (d_pooled * (cache.pooled > 0)).reshape(
-        model.num_features, cache.segment_argmax.shape[0], -1
-    )
-    # gather, scale and sum with K innermost, as the forward's buffers hold it
-    plan = _pooling_plan(cache.windows.shape[0], model.num_features, model.spec.pyramid)
-    routed = cache.windows[cache.segment_argmax, plan.dims]  # (M, n, K, l)
-    routed *= coef.transpose(1, 2, 0)[..., None]
-    g_bank_w = routed[0]
-    g_bank_b = coef[:, 0].copy()
-    for m in range(1, coef.shape[1]):
-        g_bank_w += routed[m]
-        g_bank_b += coef[:, m]
-    g_bank_w = g_bank_w.transpose(1, 0, 2)  # (K, n, l) view of the (n, K, l) sums
-    return Gradients(dlogits, cache.pooled, g_bank_w, g_bank_b)
+    bank = _bank_gradient(model, dlogits, cache.pooled, cache.windows, cache.segment_argmax)
+    return Gradients(dlogits, cache.pooled, *bank)
 
 
-def _sgd_step(model: ClassifierModel, grads: Gradients, learning_rate: float) -> bool:
+def _update_buffer(model: ClassifierModel) -> np.ndarray:
+    """The block of head-update rows _apply_update forms at a time, uninitialised."""
+    pooled_length = model.w_head.shape[1]
+    rows = max(1, _BLOCK_ELEMENTS // pooled_length)
+    return np.empty((min(rows, model.num_classes), pooled_length))
+
+
+def _apply_update(
+    model: ClassifierModel,
+    learning_rate: float,
+    term: np.ndarray,
+    dlogits: np.ndarray,
+    pooled: np.ndarray,
+    bank_weights: np.ndarray | None = None,
+    bank_biases: np.ndarray | None = None,
+) -> bool:
     """theta <- theta - learning_rate * grad in place; True if every updated value is finite.
 
-    The head weights take their rank-one update a block of rows at a time:
-    each block's slice of outer(b_head, pooled) is formed in a reused
-    buffer, scaled, subtracted and checked while the block is in cache.
+    The head weights take their rank-one update a block of term's rows at
+    a time: each block's slice of outer(dlogits, pooled) is formed in
+    term, scaled, subtracted and checked while the block is in cache.
     Every element is rounded as np.outer, then *= learning_rate, then -=
-    would round it.  The other gradients are scaled in place, subtracted,
-    and their parameters checked.  Every array is updated before the
-    result is known.
+    would round it.  dlogits is the head bias gradient too; it and the
+    bank gradients are then scaled in place, subtracted, and their
+    parameters checked.  Every array is updated before the result is known.
     """
-    w_head, dlogits, pooled = model.w_head, grads.b_head, grads.pooled
-    rows = max(1, _BLOCK_ELEMENTS // pooled.shape[0])
-    term = np.empty((min(rows, w_head.shape[0]), pooled.shape[0]))
+    w_head = model.w_head
+    rows = term.shape[0]
     finite = True
     for start in range(0, w_head.shape[0], rows):
         block = w_head[start : start + rows]
@@ -441,12 +487,64 @@ def _sgd_step(model: ClassifierModel, grads: Gradients, learning_rate: float) ->
         block -= block_term
         finite &= _all_finite(block)
     # b_head, then the bank pair, which only oacp models have
-    rest = (grads.b_head, grads.bank_weights, grads.bank_biases)
-    for param, grad in zip(model.parameters()[1:], rest):
+    rest = ((model.b_head, dlogits),)
+    if bank_weights is not None:
+        banks = model.filter_banks
+        rest += ((banks.weights, bank_weights), (banks.biases, bank_biases))
+    for param, grad in rest:
         grad *= learning_rate
         param -= grad
         finite &= _all_finite(param)
     return finite
+
+
+def _sgd_step(model: ClassifierModel, grads: Gradients, learning_rate: float) -> bool:
+    """_apply_update of grads with a fresh head-update buffer; True if every value is finite."""
+    return _apply_update(
+        model,
+        learning_rate,
+        _update_buffer(model),
+        grads.b_head,
+        grads.pooled,
+        grads.bank_weights,
+        grads.bank_biases,
+    )
+
+
+def _train_step(
+    model: ClassifierModel,
+    item: LabeledSequence,
+    hoisted: np.ndarray | None,
+    learning_rate: float,
+    term: np.ndarray,
+) -> tuple[float, bool, bool]:
+    """One SGD step on one checked instance: (loss, prediction correct, parameters finite).
+
+    The pooled vector is hoisted, or for oacp comes from a forward of the
+    instance.  Then the head and softmax, the loss and the prediction, the
+    logit gradient in the probabilities' own buffer, the bank gradient and
+    the update of _apply_update into term: the arithmetic of forward(),
+    instance_loss(), backward() and _sgd_step(), with no ForwardCache or
+    Gradients and no re-check.  Non-finite logits raise ValueError before
+    any parameter changes.  The step is a function of its own so that its
+    temporaries, the (T_out, n, K) conv buffer and the routed windows among
+    them, are freed before the next step's forward.
+    """
+    label = item.label
+    if hoisted is None:
+        pooled, _, windows, segment_argmax = oacp_forward_details(
+            item.sequence, model.filter_banks, model.spec.pyramid
+        )
+    else:
+        pooled = hoisted
+    dlogits = _probabilities(model, pooled)
+    loss = _nll(dlogits, label)
+    correct = int(dlogits.argmax()) == label
+    dlogits[label] -= 1.0
+    bank = ()
+    if hoisted is None:
+        bank = _bank_gradient(model, dlogits, pooled, windows, segment_argmax)
+    return loss, correct, _apply_update(model, learning_rate, term, dlogits, pooled, *bank)
 
 
 def _check_instances(model: ClassifierModel, data: list[LabeledSequence], use: str) -> None:
@@ -487,56 +585,57 @@ def sgd_train(
     so each instance is pooled once, before the first epoch, into a
     read-only vector that every epoch's step reuses; the vectors are the
     arrays forward() would compute, so the result is the same bytes.  An
-    oacp model runs forward() on every step.  Instance order is reshuffled
-    each epoch by a generator seeded from cfg.seed, so a given (seed, data
-    order, cfg) is bit-deterministic.
+    oacp model runs oacp_forward_details on every step.  Each step of
+    every kind is one _train_step: the arithmetic of forward(), backward()
+    and _sgd_step() in one pass, into one head-update buffer per run.
+    Instance order is reshuffled each epoch by a generator seeded from
+    cfg.seed, so a given (seed, data order, cfg) is bit-deterministic, and
+    the bytes are those of calling forward(), backward() and _sgd_step()
+    on each instance in turn.  `model.version` is bumped on every update.
     History records each epoch's mean loss and online accuracy (prediction
-    taken before the update).  The head weights take the rank-one update
-    outer(b_head, pooled) a block of rows at a time, rounded as the dense
-    update would be, and no dense head gradient is built.  Each array is
-    checked for finiteness as it is updated; a non-finite parameter raises
-    DivergenceError once the whole step is applied.  An overflow on the way
-    prints no NumPy warning, since each one ends in that DivergenceError.
+    taken before the update) as Python floats.  The head weights take the
+    rank-one update outer(b_head, pooled) a block of rows at a time,
+    rounded as the dense update would be, and no dense head gradient is
+    built.  Each array is checked for finiteness as it is updated; a
+    non-finite parameter raises DivergenceError once the whole step is
+    applied.  An overflow on the way prints no NumPy warning, since each
+    one ends in that DivergenceError.
     """
     _check_instances(model, data, "training")
     rng = np.random.default_rng(cfg.seed)
     order = np.arange(len(data))
     history: list[EpochStats] = []
+    term = _update_buffer(model)
     # an overflow ends in a DivergenceError below, not in a NumPy warning;
     # entered once per run, since desk-scale steps are short
     with np.errstate(over="ignore", invalid="ignore"):
-        pooled = None
+        hoisted = [None] * len(data)
         if model.filter_banks is None:
-            pooled = [_pool(model, item.sequence)[0] for item in data]
-            for vector in pooled:
+            hoisted = [_pool(model, item.sequence)[0] for item in data]
+            for vector in hoisted:
                 vector.flags.writeable = False
         for epoch in range(cfg.epochs):
             rng.shuffle(order)
             total_loss = 0.0
             correct = 0
             for idx in order.tolist():
-                item = data[idx]
                 try:
                     # the instances were checked up front, so the only ValueError
-                    # left is softmax's: the logits are no longer finite
-                    if pooled is None:
-                        probs, cache = forward(model, item.sequence)
-                    else:
-                        probs, cache = _head(model, pooled[idx])
-                    loss = instance_loss(probs, item.label)
+                    # left is the softmax's: the logits are no longer finite
+                    loss, hit, finite = _train_step(
+                        model, data[idx], hoisted[idx], cfg.learning_rate, term
+                    )
                 except ValueError as exc:
                     raise DivergenceError(
                         f"divergence at epoch {epoch}, instance {idx}: {exc}"
                     ) from None
-                total_loss += loss
-                if probs.argmax() == item.label:
-                    correct += 1
-                finite = _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
                 model.version += 1
                 if not finite:
                     raise DivergenceError(
                         f"non-finite parameters after epoch {epoch}, instance {idx}"
                     )
+                total_loss += loss
+                correct += hit
             history.append(EpochStats(epoch, total_loss / len(data), correct / len(data)))
     return model, history
 

@@ -11,14 +11,16 @@ from math import comb
 
 import numpy as np
 
+from oacpool.convpool import FilterBankSet
 from oacpool.dimreduce import KMEANS_MAX_ITERS
+from oacpool.errors import DivergenceError
 from oacpool.model import _sgd_step, backward, forward
 from oacpool.pooling import segment_ranges
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
 
-def conv_oracle(signal, weights, biases, stride: int) -> np.ndarray:
-    """Naive double-loop convolution + ReLU, scalar accumulation in tap order."""
+def conv_pre_oracle(signal, weights, biases, stride: int) -> np.ndarray:
+    """Naive double-loop convolution: scalar taps summed in order onto 0.0, bias last."""
     signal = np.asarray(signal, dtype=np.float64)
     weights = np.asarray(weights, dtype=np.float64)
     biases = np.asarray(biases, dtype=np.float64)
@@ -31,8 +33,29 @@ def conv_oracle(signal, weights, biases, stride: int) -> np.ndarray:
             for i in range(length):
                 acc += weights[j][i] * signal[t * stride + i]
             acc += biases[j]
-            out[t, j] = acc if acc > 0.0 else 0.0
+            out[t, j] = acc
     return out
+
+
+def conv_oracle(signal, weights, biases, stride: int) -> np.ndarray:
+    """conv_pre_oracle followed by the ReLU, which maps every nonpositive or NaN value to 0.0."""
+    pre = conv_pre_oracle(signal, weights, biases, stride)
+    return np.where(pre > 0.0, pre, 0.0)
+
+
+def overflowing_conv_case():
+    """Finite frames and banks whose conv overflows to inf and to inf - inf = NaN.
+
+    Dimensions 0 and 2 get NaN responses from filter 0 (2 * 1e308 - 2 * 1e308)
+    and inf from filter 1; dimension 2 has two NaN rows in level 1's segment.
+    Dimension 1 stays finite.
+    """
+    frames = np.ones((12, 3))
+    frames[[4, 5, 8], 0] = 1e308
+    frames[:, 1] = np.arange(12.0)
+    frames[[2, 3, 9, 10], 2] = 1e308
+    weights = np.tile([[2.0, -2.0], [1.0, 1.0]], (3, 1, 1))
+    return FeatureSequence(frames), FilterBankSet(weights, np.zeros((3, 2)))
 
 
 def numpy_segment_pooling(responses, cfg):
@@ -67,21 +90,32 @@ def dense_reference_gradients(model, cache, label: int):
 
 
 def per_step_sgd(model, data, cfg):
-    """sgd_train's instance loop with a full forward on every step.
+    """sgd_train's instance loop with forward, backward and _sgd_step on every step.
 
     The same per-epoch default_rng(cfg.seed) shuffle, then forward,
-    backward and _sgd_step for each instance, whatever the pooling kind.
-    No divergence checks; returns the model.
+    backward and _sgd_step for each instance, whatever the pooling kind,
+    and sgd_train's two DivergenceError checks: non-finite logits before
+    the update, non-finite parameters after it.  Returns the model.
     """
     rng = np.random.default_rng(cfg.seed)
     order = np.arange(len(data))
-    for _ in range(cfg.epochs):
-        rng.shuffle(order)
-        for idx in order:
-            item = data[idx]
-            _, cache = forward(model, item.sequence)
-            _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
-            model.version += 1
+    with np.errstate(over="ignore", invalid="ignore"):
+        for epoch in range(cfg.epochs):
+            rng.shuffle(order)
+            for idx in order:
+                item = data[idx]
+                try:
+                    _, cache = forward(model, item.sequence)
+                except ValueError as exc:
+                    raise DivergenceError(
+                        f"divergence at epoch {epoch}, instance {idx}: {exc}"
+                    ) from None
+                finite = _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
+                model.version += 1
+                if not finite:
+                    raise DivergenceError(
+                        f"non-finite parameters after epoch {epoch}, instance {idx}"
+                    )
     return model
 
 

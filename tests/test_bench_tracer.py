@@ -26,10 +26,15 @@ def test_tracer_counts_a_tiny_oacp_run(monkeypatch):
     model = oacpool.model.ClassifierModel.build(
         "oacp", 3, 2, interval=3, n_filters=2, pyramid=(1, 2), seed=41
     )
+    # training calls no backward, so one explicit backward feeds the
+    # routed-rows counter; its forward runs before the traced window, so
+    # model.forward.calls counts evaluate's alone
+    _, cache = oacpool.model.forward(model, data[0].sequence)
     tracer = Tracer()
     tracer.install(0)
     try:
         # through the module, so the calls reach the installed wrappers
+        oacpool.model.backward(model, cache, data[0].label)
         oacpool.model.sgd_train(model, data, oacpool.model.TrainConfig(0.1, 1, seed=41))
         oacpool.model.evaluate(model, data)
     finally:
@@ -37,10 +42,13 @@ def test_tracer_counts_a_tiny_oacp_run(monkeypatch):
     metrics = tracer.metrics()
     # T_out = 12 - 3 + 1 = 10 rows, of which M = 1 + 2 segments route one each
     assert metrics["model.backward.routed_rows_frac"][0] == 0.3
+    assert metrics["model.backward.calls"][0] == 1
     # every one of the T_out * n * K = 60 responses takes l = 3 taps
     assert metrics["convpool.conv_responses.madds_per_inst"][0] == 180
+    assert metrics["convpool.oacp_forward_details.calls"][0] == 2 * len(data)
     assert metrics["model.sgd_train.params_per_step"][0] == model.parameter_total()
-    assert metrics["model.forward.calls"][0] == 2 * len(data)
+    # training steps without forward(); evaluate calls it once per instance
+    assert metrics["model.forward.calls"][0] == len(data)
 
 
 def test_tracer_sees_average_pooling_once_per_instance(monkeypatch):
@@ -64,7 +72,8 @@ def test_tracer_sees_average_pooling_once_per_instance(monkeypatch):
     metrics = tracer.metrics()
     # training pools each instance once for all three epochs; evaluate once more
     assert metrics["pooling.average_pool.calls"][0] == 2 * len(data)
-    assert metrics["model.backward.calls"][0] == 3 * len(data)
+    # the fused training step calls no backward
+    assert metrics["model.backward.calls"][0] == 0
     assert metrics["model.sgd_train.params_per_step"][0] == model.parameter_total()
 
 

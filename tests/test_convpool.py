@@ -1,7 +1,12 @@
 import numpy as np
 import pytest
 
-from helpers import conv_oracle, numpy_segment_pooling
+from helpers import (
+    conv_oracle,
+    conv_pre_oracle,
+    numpy_segment_pooling,
+    overflowing_conv_case,
+)
 
 from oacpool import convpool
 from oacpool.convpool import (
@@ -157,9 +162,24 @@ class TestConvResponsesAllDims:
         for k in range(64):
             want = conv_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], stride)
             assert responses[:, :, k].tobytes() == want.tobytes()
+            # the one-reduce tap sum and the row blocks, negative sums included
+            want = conv_pre_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], stride)
+            assert pre[:, :, k].tobytes() == want.tobytes()
         # the same pre-activations, negative ones included, one row per block
         monkeypatch.setattr(convpool, "_BLOCK_ELEMENTS", 1)
         assert conv_responses(frames, fbs).tobytes() == pre.tobytes()
+
+    @pytest.mark.parametrize("t_out", [32, 33])
+    @pytest.mark.parametrize("bias", [0.0, -0.0])
+    def test_negative_zero_products_sum_to_positive_zero(self, t_out, bias):
+        # every tap product is 1.0 * -0.0; the oracle sums them onto +0.0,
+        # and +0.0 plus a bias of either sign stays +0.0
+        frames = np.full((8 + t_out - 1, 64), -0.0)
+        fbs = FilterBankSet(np.ones((64, 4, 8)), np.full((64, 4), bias))
+        pre = conv_responses(frames, fbs)
+        want = conv_pre_oracle(frames[:, 0], fbs.weights[0], fbs.biases[0], 1)
+        assert not np.signbit(want).any()
+        assert not np.signbit(pre).any() and not pre.any()
 
     def test_row_blocks_match_the_oracle(self):
         # n * K = 6000 puts several blocks of output rows, the last one
@@ -237,21 +257,6 @@ class TestOacpForward:
         with pytest.raises(TooShortSequenceError):
             # T_out = 1 cannot be split into 2 segments
             oacp_forward_details(seq, fbs, PyramidConfig((1, 2)))
-
-
-def overflowing_conv_case():
-    """Finite frames and banks whose conv overflows to inf and to inf - inf = NaN.
-
-    Dimensions 0 and 2 get NaN responses from filter 0 (2 * 1e308 - 2 * 1e308)
-    and inf from filter 1; dimension 2 has two NaN rows in level 1's segment.
-    Dimension 1 stays finite.
-    """
-    frames = np.ones((12, 3))
-    frames[[4, 5, 8], 0] = 1e308
-    frames[:, 1] = np.arange(12.0)
-    frames[[2, 3, 9, 10], 2] = 1e308
-    weights = np.tile([[2.0, -2.0], [1.0, 1.0]], (3, 1, 1))
-    return FeatureSequence(frames), FilterBankSet(weights, np.zeros((3, 2)))
 
 
 class TestSegmentArgmax:

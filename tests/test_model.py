@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from helpers import (
     edit_checkpoint,
     json_v2_checkpoint,
     mean_separable_dataset,
+    overflowing_conv_case,
     per_step_sgd,
     traced_peak_mib,
 )
@@ -656,7 +658,7 @@ class TestPoolingHoist:
         assert pooled_sequences == [item.sequence for item in data]
 
     def test_oacp_runs_forward_on_every_step(self, monkeypatch):
-        calls = counting(monkeypatch, "forward")
+        calls = counting(monkeypatch, "oacp_forward_details")
         data = [random_example(s, 6, 3, 2) for s in range(5)]
         sgd_train(self.build("oacp", 32), data, TrainConfig(learning_rate=0.1, epochs=3, seed=4))
         assert len(calls) == 3 * len(data)
@@ -674,26 +676,101 @@ class TestPoolingHoist:
 
     @pytest.mark.parametrize("kind", sorted(POOL_FUNCTIONS))
     def test_hoisted_vectors_are_read_only(self, monkeypatch, kind):
-        calls = counting(monkeypatch, "backward")
+        vectors = []
+        original = oacpool.model._pool
+
+        def capturing(model, seq):
+            pooled, details = original(model, seq)
+            vectors.append(pooled)
+            return pooled, details
+
+        monkeypatch.setattr(oacpool.model, "_pool", capturing)
         data = [random_example(s, 6, 3, 2) for s in range(3)]
         sgd_train(self.build(kind, 34), data, TrainConfig(learning_rate=0.1, epochs=2, seed=6))
-        assert len(calls) == 2 * len(data)
-        for _, cache, _ in calls:
+        assert len(vectors) == len(data)
+        for vector in vectors:
             with pytest.raises(ValueError, match="read-only"):
-                cache.pooled[0] = 0.0
+                vector[0] = 0.0
             with pytest.raises(ValueError, match="read-only"):
-                cache.pooled *= 2.0
+                vector *= 2.0
+
+
+class TestFusedStepErrors:
+    """The fused step fails where forward, backward and _sgd_step on every step would."""
+
+    @staticmethod
+    def logit_overflow_case(kind):
+        """A model and six instances of which instance 4 gives non-finite logits."""
+        data = [random_example(s, 12, 3, 2) for s in range(6)]
+        if kind == "oacp":
+            seq, banks = overflowing_conv_case()
+            model = tiny_oacp_model(seed=35)
+            model.filter_banks = banks
+        else:
+            # head weights of 1e300 keep every other logit finite, while
+            # instance 4 pools to about 1e10
+            model = ClassifierModel.build(kind, 3, 2, pyramid=(1, 2), seed=35)
+            model.w_head[:] = 1e300
+            seq = FeatureSequence(np.abs(data[4].sequence.frames) * 1e10 + 1.0)
+        data[4] = LabeledSequence(seq, data[4].label)
+        return model, data
+
+    @staticmethod
+    def trained_or_failed(train, model, data, cfg):
+        """The DivergenceError text, then the parameter bytes and version it left."""
+        with pytest.raises(DivergenceError) as info:
+            train(model, data, cfg)
+        return str(info.value), parameter_bytes(model), model.version
+
+    @pytest.mark.parametrize("kind", POOLING_KINDS)
+    def test_non_finite_logits(self, kind):
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=36)
+        runs = [
+            self.trained_or_failed(train, *self.logit_overflow_case(kind), cfg)
+            for train in (sgd_train, per_step_sgd)
+        ]
+        assert runs[0] == runs[1]
+        message = "divergence at epoch 0, instance 4: logits contain NaN or infinite values"
+        assert runs[0][0] == message
+
+    @pytest.mark.parametrize("kind", POOLING_KINDS)
+    def test_overflowing_parameters(self, kind):
+        # pooled values of order 1e3 times a step of 1e308 overflow on the first update
+        data = [
+            LabeledSequence(FeatureSequence(item.sequence.frames * 1e3), item.label)
+            for item in (random_example(s, 12, 3, 2) for s in range(6))
+        ]
+        cfg = TrainConfig(learning_rate=1e308, epochs=2, seed=37)
+        runs = [
+            self.trained_or_failed(train, TestPoolingHoist.build(kind, 38), data, cfg)
+            for train in (sgd_train, per_step_sgd)
+        ]
+        assert runs[0] == runs[1]
+        assert re.match(NON_FINITE_PARAMETERS, runs[0][0])
+
+    @pytest.mark.parametrize("kind", POOLING_KINDS)
+    def test_history_holds_python_floats(self, kind):
+        data = [random_example(s, 12, 3, 2) for s in range(5)]
+        cfg = TrainConfig(learning_rate=0.1, epochs=2, seed=39)
+        _, history = sgd_train(TestPoolingHoist.build(kind, 40), data, cfg)
+        for stats in history:
+            assert type(stats.mean_loss) is float
+            assert type(stats.accuracy) is float
 
 
 class TestPaperShapeMemory:
     """tracemalloc bounds at the paper's shape: K=4096, T=30, 51 classes, default oacp.
 
-    A training step peaks near 7.2 MiB: the conv buffers, the routed
+    A training step peaks near 5.7 MiB: the conv buffers, the routed
     windows of the bank gradient, and one row of the head update; no
-    (num_classes, pooled_length) head gradient is built.  An evaluated
-    instance needs about 3.6 MiB: the 2.2 MiB conv accumulator, its block
-    buffer and the (M, n, K) maxima; no ReLU'd copy of the responses is
-    built.  The bounds catch a per-step temporary coming back.
+    (num_classes, pooled_length) head gradient is built.  Each step's
+    temporaries die with the step, so two epochs over two instances peak
+    as one step does; a step inlined into the epoch loop keeps the last
+    step's conv buffer and routed windows alive and peaks near 9.2 MiB.
+    An evaluated instance needs about 3.6 MiB: the 2.2 MiB conv
+    accumulator, its block buffer and the (M, n, K) maxima; no ReLU'd copy
+    of the responses is built.  The bounds catch a per-step temporary
+    coming back.
     """
 
     @pytest.fixture(scope="class")
@@ -705,6 +782,15 @@ class TestPaperShapeMemory:
     def test_training_step(self, paper_case):
         model, data = paper_case
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
+        assert traced_peak_mib(lambda: sgd_train(model, data, cfg)) < 8
+
+    def test_training_steps_free_their_buffers(self, paper_case):
+        # a step's conv buffer and routed windows are freed before the next
+        # step's forward, so two epochs over two instances peak as one step
+        model, data = paper_case
+        frames = np.random.default_rng(4).standard_normal((30, 4096))
+        data = data + [LabeledSequence(FeatureSequence(frames), 8)]
+        cfg = TrainConfig(learning_rate=0.1, epochs=2)
         assert traced_peak_mib(lambda: sgd_train(model, data, cfg)) < 8
 
     def test_evaluated_instance(self, paper_case):
