@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
@@ -32,40 +31,51 @@ def _as_param_array(values, ndim: int, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(eq=False)
 class FilterBankSet:
     """One filter bank per feature dimension, all sharing (interval, n_filters).
 
     weights has shape (num_dims, n_filters, interval) and biases
-    (num_dims, n_filters).  The arrays are the trainable parameters and are
+    (num_dims, n_filters).  Both are writable views of the set's own
+    storage, which is laid out as the conv and the bank gradient read it:
+    the taps as a C-contiguous (interval, n_filters, num_dims) array and the
+    biases as C-contiguous (n_filters, num_dims) rows, dimensions innermost.
+    Writing through a view writes the storage, and a copy of the set copies
+    the storage alone.  The arrays are the trainable parameters and are
     mutated in place by the SGD loop; treat a set as immutable elsewhere.
     """
 
-    weights: np.ndarray
-    biases: np.ndarray
-    stride: int = 1
-
-    def __post_init__(self):
-        self.weights = _as_param_array(self.weights, 3, "weights")
-        self.biases = _as_param_array(self.biases, 2, "biases")
-        if self.biases.shape != self.weights.shape[:2]:
+    def __init__(self, weights, biases, stride: int = 1):
+        weights = _as_param_array(weights, 3, "weights")
+        biases = _as_param_array(biases, 2, "biases")
+        if biases.shape != weights.shape[:2]:
             raise ShapeMismatchError(
-                f"biases shape {self.biases.shape} does not match "
-                f"weights shape {self.weights.shape}"
+                f"biases shape {biases.shape} does not match weights shape {weights.shape}"
             )
-        self.stride = positive_int(self.stride, "stride")
+        self.stride = positive_int(stride, "stride")
+        self._taps = np.ascontiguousarray(weights.transpose(2, 1, 0))  # (l, n, K)
+        self._bias_rows = np.ascontiguousarray(biases.T)  # (n, K)
+
+    @property
+    def weights(self) -> np.ndarray:
+        """The (num_dims, n_filters, interval) taps, a writable view of the storage."""
+        return self._taps.transpose(2, 1, 0)
+
+    @property
+    def biases(self) -> np.ndarray:
+        """The (num_dims, n_filters) biases, a writable view of the storage."""
+        return self._bias_rows.T
 
     @property
     def num_dims(self) -> int:
-        return self.weights.shape[0]
+        return self._taps.shape[2]
 
     @property
     def n_filters(self) -> int:
-        return self.weights.shape[1]
+        return self._taps.shape[1]
 
     @property
     def interval(self) -> int:
-        return self.weights.shape[2]
+        return self._taps.shape[0]
 
 
 # Output rows per conv block: 2**16 doubles keep the block and its product
@@ -106,7 +116,7 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
         )
     t_out = (num_frames - interval) // stride + 1
     shape = (t_out, banks.n_filters, banks.num_dims)
-    taps = np.ascontiguousarray(banks.weights.transpose(2, 1, 0))  # (l, n, K)
+    taps = banks._taps
     if interval * math.prod(shape) <= _BLOCK_ELEMENTS:
         products = np.empty((interval,) + shape)
         products[...] = taps[:, None]
@@ -129,7 +139,7 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
                 block_frames = frames[first : first + block.shape[0] * stride : stride, None]
                 np.multiply(block_frames, taps[i], out=block_term)
                 block += block_term
-    acc += banks.biases.T
+    acc += banks._bias_rows
     return acc
 
 

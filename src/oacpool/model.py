@@ -328,9 +328,13 @@ def _all_finite(values: np.ndarray) -> bool:
     return np.count_nonzero(np.isfinite(values)) == values.size
 
 
-def _softmax_in_place(z: np.ndarray) -> np.ndarray:
-    """softmax of a float64 array that no caller shares, computed in its buffer."""
-    if not _all_finite(z):
+def _softmax_in_place(z: np.ndarray, check: bool = True) -> np.ndarray:
+    """softmax of a float64 array that no caller shares, computed in its buffer.
+
+    Non-finite logits raise ValueError unless check is False, which only a
+    caller that has proved them finite passes.
+    """
+    if check and not _all_finite(z):
         raise ValueError("logits contain NaN or infinite values")
     z -= z.max()
     np.exp(z, out=z)
@@ -343,11 +347,11 @@ def softmax(z) -> np.ndarray:
     return _softmax_in_place(np.array(z, dtype=np.float64))
 
 
-def _probabilities(model: ClassifierModel, pooled: np.ndarray) -> np.ndarray:
-    """softmax(w_head @ pooled + b_head) as a new array; non-finite logits raise ValueError."""
+def _probabilities(model: ClassifierModel, pooled: np.ndarray, check: bool = True) -> np.ndarray:
+    """softmax(w_head @ pooled + b_head) as a new array; see _softmax_in_place for check."""
     logits = model.w_head @ pooled
     logits += model.b_head
-    return _softmax_in_place(logits)
+    return _softmax_in_place(logits, check)
 
 
 def _pool(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, Sequence]:
@@ -403,24 +407,31 @@ def _bank_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """The bank weight and bias gradients of an oacp forward, given the logit gradient.
 
-    See backward() for the routing.  The weight gradient is a (K, n, l)
-    view of sums held (n, K, l), inside the (M, n, K, l) routed windows.
+    See backward() for the routing.  The gradients come with the axes of
+    the banks' storage, (l, n, K) and (n, K), so the update subtracts them
+    from the storage with no transpose.  The weight gradient is the sums
+    held in the first segment of the routed windows, whose (l, M, n, K)
+    gather NumPy lays out as (M, n, K, l), taps innermost; a C-contiguous
+    gather (a copy of it, or a take from flat offsets) was slower at the
+    desk shape, where the calls, not the bytes, set the cost.
     """
     # pooled holds each slot's ReLU'd maximum in d_pooled's (K, M, n) layout,
     # so it is positive exactly where the routed row's pre-activation is
     d_pooled = model.w_head.T @ dlogits
     d_pooled *= pooled > 0
-    coef = d_pooled.reshape(model.num_features, segment_argmax.shape[0], -1)
-    # gather, scale and sum with K innermost, as the forward's buffers hold it
+    segments = segment_argmax.shape[0]
+    coef = d_pooled.reshape(model.num_features, segments, -1).transpose(1, 2, 0).copy()
+    # gather with the tap axis first, windows.transpose(2, 0, 1)[i, t, k] =
+    # frames[t*stride + i, k], then scale and sum over the M segments in order
     plan = _pooling_plan(windows.shape[0], model.num_features, model.spec.pyramid)
-    routed = windows[segment_argmax, plan.dims]  # (M, n, K, l)
-    routed *= coef.transpose(1, 2, 0)[..., None]
-    g_bank_w = routed[0]
-    g_bank_b = coef[:, 0].copy()
-    for m in range(1, coef.shape[1]):
-        g_bank_w += routed[m]
-        g_bank_b += coef[:, m]
-    return g_bank_w.transpose(1, 0, 2), g_bank_b
+    routed = windows.transpose(2, 0, 1)[:, segment_argmax, plan.dims]  # (l, M, n, K)
+    routed *= coef
+    g_bank_w = routed[:, 0]
+    g_bank_b = coef[0]
+    for m in range(1, segments):
+        g_bank_w += routed[:, m]
+        g_bank_b += coef[m]
+    return g_bank_w, g_bank_b
 
 
 def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradients:
@@ -446,8 +457,10 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
     dlogits[label] -= 1.0
     if model.spec.kind != "oacp":
         return Gradients(dlogits, cache.pooled)
-    bank = _bank_gradient(model, dlogits, cache.pooled, cache.windows, cache.segment_argmax)
-    return Gradients(dlogits, cache.pooled, *bank)
+    taps, bias_rows = _bank_gradient(
+        model, dlogits, cache.pooled, cache.windows, cache.segment_argmax
+    )
+    return Gradients(dlogits, cache.pooled, taps.transpose(2, 1, 0), bias_rows.T)
 
 
 def _update_buffer(model: ClassifierModel) -> np.ndarray:
@@ -463,8 +476,8 @@ def _apply_update(
     term: np.ndarray,
     dlogits: np.ndarray,
     pooled: np.ndarray,
-    bank_weights: np.ndarray | None = None,
-    bank_biases: np.ndarray | None = None,
+    bank: tuple[np.ndarray, np.ndarray] | tuple[()] = (),
+    check: bool = True,
 ) -> bool:
     """theta <- theta - learning_rate * grad in place; True if every updated value is finite.
 
@@ -473,8 +486,11 @@ def _apply_update(
     term, scaled, subtracted and checked while the block is in cache.
     Every element is rounded as np.outer, then *= learning_rate, then -=
     would round it.  dlogits is the head bias gradient too; it and the
-    bank gradients are then scaled in place, subtracted, and their
+    bank gradients, (l, n, K) taps and (n, K) bias rows in the banks'
+    storage layout, are then scaled in place, subtracted, and their
     parameters checked.  Every array is updated before the result is known.
+    With check False nothing is checked and the result is True; only a
+    caller that has proved every updated value finite passes it.
     """
     w_head = model.w_head
     rows = term.shape[0]
@@ -485,29 +501,28 @@ def _apply_update(
         np.multiply(dlogits[start : start + rows, None], pooled, out=block_term)
         block_term *= learning_rate
         block -= block_term
-        finite &= _all_finite(block)
+        if check:
+            finite &= _all_finite(block)
     # b_head, then the bank pair, which only oacp models have
     rest = ((model.b_head, dlogits),)
-    if bank_weights is not None:
+    if bank:
         banks = model.filter_banks
-        rest += ((banks.weights, bank_weights), (banks.biases, bank_biases))
+        rest += tuple(zip((banks._taps, banks._bias_rows), bank))
     for param, grad in rest:
         grad *= learning_rate
         param -= grad
-        finite &= _all_finite(param)
+        if check:
+            finite &= _all_finite(param)
     return finite
 
 
 def _sgd_step(model: ClassifierModel, grads: Gradients, learning_rate: float) -> bool:
     """_apply_update of grads with a fresh head-update buffer; True if every value is finite."""
+    bank = ()
+    if grads.bank_weights is not None:
+        bank = (grads.bank_weights.transpose(2, 1, 0), grads.bank_biases.T)
     return _apply_update(
-        model,
-        learning_rate,
-        _update_buffer(model),
-        grads.b_head,
-        grads.pooled,
-        grads.bank_weights,
-        grads.bank_biases,
+        model, learning_rate, _update_buffer(model), grads.b_head, grads.pooled, bank
     )
 
 
@@ -517,6 +532,7 @@ def _train_step(
     hoisted: np.ndarray | None,
     learning_rate: float,
     term: np.ndarray,
+    check: bool,
 ) -> tuple[float, bool, bool]:
     """One SGD step on one checked instance: (loss, prediction correct, parameters finite).
 
@@ -525,26 +541,80 @@ def _train_step(
     logit gradient in the probabilities' own buffer, the bank gradient and
     the update of _apply_update into term: the arithmetic of forward(),
     instance_loss(), backward() and _sgd_step(), with no ForwardCache or
-    Gradients and no re-check.  Non-finite logits raise ValueError before
-    any parameter changes.  The step is a function of its own so that its
-    temporaries, the (T_out, n, K) conv buffer and the routed windows among
-    them, are freed before the next step's forward.
+    Gradients and no re-check.  With check, non-finite logits raise
+    ValueError before any parameter changes and the update is checked;
+    without it, which sgd_train passes only for a step its bounds prove
+    finite, neither is scanned.  The step is a function of its own so that
+    its temporaries, the routed windows among them, are freed before the
+    next step's forward.
     """
     label = item.label
     if hoisted is None:
-        pooled, _, windows, segment_argmax = oacp_forward_details(
+        pooled, pre, windows, segment_argmax = oacp_forward_details(
             item.sequence, model.filter_banks, model.spec.pyramid
         )
+        del pre  # frees the (T_out, n, K) conv buffer before the bank gradient
     else:
         pooled = hoisted
-    dlogits = _probabilities(model, pooled)
+    dlogits = _probabilities(model, pooled, check)
     loss = _nll(dlogits, label)
     correct = int(dlogits.argmax()) == label
     dlogits[label] -= 1.0
     bank = ()
     if hoisted is None:
         bank = _bank_gradient(model, dlogits, pooled, windows, segment_argmax)
-    return loss, correct, _apply_update(model, learning_rate, term, dlogits, pooled, *bank)
+    return loss, correct, _apply_update(model, learning_rate, term, dlogits, pooled, bank, check)
+
+
+# sgd_train skips a step's finiteness scans while each magnitude bound it
+# carries stays below this: 2**24 under the float64 overflow threshold.
+_BOUND_LIMIT = 2.0**1000
+
+
+def _magnitude(values: np.ndarray) -> float:
+    """max|values| with no np.abs temporary; NaN if any value is NaN."""
+    return float(max(values.max(), -values.min()))
+
+
+def _parameter_bounds(model: ClassifierModel) -> tuple[float, float, float, float]:
+    """max|w_head|, max|b_head|, max|bank weights| and max|bank biases|; 0 without banks."""
+    w, b, *bank = map(_magnitude, model.parameters())
+    t, r = bank or (0.0, 0.0)
+    return w, b, t, r
+
+
+def _step_bounds(
+    bounds: tuple[float, float, float, float],
+    scale: float | tuple[float, float],
+    learning_rate: float,
+    geometry: tuple[int, int, int] | None,
+) -> tuple[float, float, float, float] | None:
+    """sgd_train's bounds after one step, or None if one of them reaches _BOUND_LIMIT.
+
+    bounds are (w, b, t, r).  For oacp, geometry is (l, P, 2M) and scale
+    the instance's max|frame|; for the other kinds geometry is None and
+    scale the hoisted vector's (max|p|, sum|p|).  See sgd_train.
+    """
+    w, b, t, r = bounds
+    if geometry is None:
+        p_inf, p_one = scale
+        g_t = g_r = 0.0
+    else:
+        interval, pooled_length, routes = geometry
+        p_inf = interval * t * scale + r
+        p_one = pooled_length * p_inf
+        g_r = routes * w
+        g_t = g_r * scale
+    z = w * p_one + b
+    w += learning_rate * p_inf
+    b += learning_rate
+    t += learning_rate * g_t
+    r += learning_rate * g_r
+    # one comparison each: max() would drop a NaN bound, such as 0 * inf
+    limit = _BOUND_LIMIT
+    if z < limit and w < limit and b < limit and t < limit and r < limit:
+        return w, b, t, r
+    return None
 
 
 def _check_instances(model: ClassifierModel, data: list[LabeledSequence], use: str) -> None:
@@ -596,16 +666,41 @@ def sgd_train(
     taken before the update) as Python floats.  The head weights take the
     rank-one update outer(b_head, pooled) a block of rows at a time,
     rounded as the dense update would be, and no dense head gradient is
-    built.  Each array is checked for finiteness as it is updated; a
-    non-finite parameter raises DivergenceError once the whole step is
-    applied.  An overflow on the way prints no NumPy warning, since each
-    one ends in that DivergenceError.
+    built.
+
+    Non-finite logits raise DivergenceError before the step's update, and
+    a non-finite parameter raises DivergenceError once the whole step is
+    applied, as the scans of forward() and _sgd_step() would find them.  An
+    overflow on the way prints no NumPy warning, since each one ends in
+    that DivergenceError.  The scans run only on steps that might fail.
+    The run carries upper bounds w, b, t and r on max|w_head|, max|b_head|,
+    max|bank weights| and max|bank biases|, taken exactly at its start,
+    and per instance either F = max|frame| (oacp) or the max p_inf and the
+    sum p_one of |p| over its hoisted vector.  Before each step:
+    - oacp: every pre-activation, so every pooled value, is at most
+      p_inf = l*t*F + r, and p_one = P*p_inf;
+    - every logit is at most z = w*p_one + b;
+    - the logit gradient d = probs - onehot has |d| <= 1 and sum|d| <= 2,
+      so w_head.T @ d is at most 2w, each of the M products routed to a
+      tap at most 2w*F, and the bank gradients at most g_t = 2M*w*F and
+      g_r = 2M*w (both 0 for the other kinds);
+    - the updated parameters are at most w' = w + lr*p_inf, b' = b + lr,
+      t' = t + lr*g_t and r' = r + lr*g_r.
+    Every value the step computes is so bounded by one of z, w', b', t'
+    and r', or by 2z for the shifted logits, times a rounding factor below
+    1 + n*eps for a sum of n terms: 1 + 2**-26 for n up to 2**27.  While
+    each bound is below 2**1000, 2**24 under the float64 overflow
+    threshold, no value can overflow or turn NaN, so the step runs with no
+    finiteness scan and the primed values become the bounds.  Otherwise,
+    a bound NaN included (lr = 0 times an infinite bound), the step runs
+    with every scan, and if it passes the bounds are taken exactly again.
     """
     _check_instances(model, data, "training")
     rng = np.random.default_rng(cfg.seed)
     order = np.arange(len(data))
     history: list[EpochStats] = []
     term = _update_buffer(model)
+    spec, learning_rate = model.spec, cfg.learning_rate
     # an overflow ends in a DivergenceError below, not in a NumPy warning;
     # entered once per run, since desk-scale steps are short
     with np.errstate(over="ignore", invalid="ignore"):
@@ -614,16 +709,23 @@ def sgd_train(
             hoisted = [_pool(model, item.sequence)[0] for item in data]
             for vector in hoisted:
                 vector.flags.writeable = False
+            geometry = None
+            scales = [(_magnitude(v), float(np.abs(v).sum())) for v in hoisted]
+        else:
+            geometry = (spec.interval, model.pooled_length, 2 * spec.pyramid.total_segments)
+            scales = [_magnitude(item.sequence.frames) for item in data]
+        bounds = _parameter_bounds(model)
         for epoch in range(cfg.epochs):
             rng.shuffle(order)
             total_loss = 0.0
             correct = 0
             for idx in order.tolist():
+                step = _step_bounds(bounds, scales[idx], learning_rate, geometry)
                 try:
                     # the instances were checked up front, so the only ValueError
                     # left is the softmax's: the logits are no longer finite
                     loss, hit, finite = _train_step(
-                        model, data[idx], hoisted[idx], cfg.learning_rate, term
+                        model, data[idx], hoisted[idx], learning_rate, term, step is None
                     )
                 except ValueError as exc:
                     raise DivergenceError(
@@ -634,6 +736,7 @@ def sgd_train(
                     raise DivergenceError(
                         f"non-finite parameters after epoch {epoch}, instance {idx}"
                     )
+                bounds = step or _parameter_bounds(model)
                 total_loss += loss
                 correct += hit
             history.append(EpochStats(epoch, total_loss / len(data), correct / len(data)))
@@ -695,18 +798,18 @@ def grad_check(
 
     worst = 0.0
     for param, grad in zip(work.parameters(), grads.arrays()):
-        flat_p = param.reshape(-1)
-        flat_g = grad.reshape(-1)
-        for j in range(flat_p.size):
-            saved = flat_p[j]
-            flat_p[j] = saved + eps
+        # index the parameter itself: reshape(-1) of the banks' transposed
+        # views would be a copy, and perturbing it would change nothing
+        for j in np.ndindex(param.shape):
+            saved = param[j]
+            param[j] = saved + eps
             loss_plus = _loss_at(work, example)
-            flat_p[j] = saved - eps
+            param[j] = saved - eps
             loss_minus = _loss_at(work, example)
-            flat_p[j] = saved
+            param[j] = saved
             fd = (loss_plus - loss_minus) / (2.0 * eps)
-            denom = max(abs(flat_g[j]), abs(fd), 1e-8)
-            worst = max(worst, abs(flat_g[j] - fd) / denom)
+            denom = max(abs(grad[j]), abs(fd), 1e-8)
+            worst = max(worst, abs(grad[j] - fd) / denom)
     return worst
 
 
@@ -726,12 +829,16 @@ def _header(model: ClassifierModel) -> dict:
 
 
 def save_model(model: ClassifierModel, path) -> None:
-    """Write a checkpoint: the JSON header, then the raw parameters; round-trips bit-exactly."""
+    """Write a checkpoint: the JSON header, then the raw parameters; round-trips bit-exactly.
+
+    Each parameter is written in C order of its documented shape, so the
+    banks go out as (K, n, l) weights and (K, n) biases.
+    """
     header = json.dumps(_header(model)).encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(_PREAMBLE.pack(CHECKPOINT_MAGIC, CHECKPOINT_VERSION, len(header)) + header)
         for param in model.parameters():
-            param.astype("<f8", copy=False).tofile(fh)
+            np.ascontiguousarray(param, dtype="<f8").tofile(fh)
 
 
 def load_model(path) -> ClassifierModel:

@@ -16,6 +16,7 @@ from helpers import (
 )
 
 import oacpool
+import oacpool.model
 from oacpool import cli
 from oacpool.cli import _spec_from_flags, build_parser, main
 from oacpool.dimreduce import (
@@ -445,6 +446,18 @@ class TestGradcheckCommand:
         out = capsys.readouterr().out
         assert out.startswith("max_relative_error=")
         assert float(out.split("=")[1]) < 1e-4
+
+    def test_zeroed_bank_gradients_fail(self, monkeypatch, capsys):
+        # the finite differences perturb the bank parameters themselves, not
+        # copies of them, so they disagree with planted zero gradients
+        original = oacpool.model._bank_gradient
+
+        def planted(*args):
+            return tuple(gradient * 0.0 for gradient in original(*args))
+
+        monkeypatch.setattr(oacpool.model, "_bank_gradient", planted)
+        assert run_cli("gradcheck") == 3
+        assert "gradient check FAILED" in capsys.readouterr().err
 
     def test_too_short_geometry_is_usage_error(self, capsys):
         code = run_cli("gradcheck", "--t", "2", "--interval", "2")

@@ -7,7 +7,9 @@ directory.  The digests were committed from a run of these commands; an
 intentional change to these outputs updates them in the same change.
 `train`, `eval`, `compare`, `gradcheck` and the training demos run the
 head's BLAS products, so their digests wait until training bytes no
-longer depend on the BLAS.
+longer depend on the BLAS.  The checkpoint of an untrained model depends
+on the seeded draws alone; its digest pins the checkpoint layout,
+whatever layout the model keeps its parameters in.
 """
 
 import contextlib
@@ -18,6 +20,7 @@ import pytest
 
 from oacpool.cli import main
 from oacpool.harness import TASK_KINDS
+from oacpool.model import ClassifierModel, PoolingSpec, save_model
 
 SYNTH = ["--t", "12", "--k", "6", "--n-train", "6", "--n-test", "4", "--seed", "3"]
 
@@ -26,6 +29,7 @@ GOLDEN = {
     "synth permuted-pair": "6666ce6ebbaa2f8c52760501aaceccccc915413caa2d67df61bf4564caa8300b",
     "synth multiclass-trend": "3bbfa0b287ba648967707160b680ea9a0a6571af4a5a936c51627644cdfd8914",
     "reduce fit and apply": "9053a8c8fa53912e5f7ee790a3da41240d7d0ef7e106405ae23751cb9a0fb248",
+    "untrained oacp checkpoint": "de5655cb70129f5c4885ecc114a375492a61b966873d497a1be8f15843b2a790",
 }
 
 
@@ -60,3 +64,10 @@ def test_reduce_fit_and_apply(tmp_path):
          "--out-dir", tmp_path / "reduced"],
     ]
     assert run_digest(tmp_path, commands) == GOLDEN["reduce fit and apply"]
+
+
+def test_untrained_oacp_checkpoint(tmp_path):
+    spec = PoolingSpec("oacp", interval=3, stride=2, n_filters=2, pyramid=(1, 2, 4), sample_rate=1)
+    save_model(ClassifierModel.from_spec(spec, 5, 3, seed=24), tmp_path / "model.bin")
+    digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
+    assert digest == GOLDEN["untrained oacp checkpoint"]
