@@ -26,6 +26,8 @@ example = LabeledSequence(FeatureSequence(rng.standard_normal((6, 3))), 1)
 
 #%%
 # Analytic gradient of one parameter vs. its finite-difference estimate.
+# backward returns the dense gradients in model.parameters() order, head
+# weights first: the gradient a training step on this instance applies.
 
 probs, cache = forward(model, example.sequence)
 grads = backward(model, cache, example.label)
@@ -37,7 +39,7 @@ loss_minus = instance_loss(forward(model, example.sequence)[0], example.label)
 model.w_head[0, 0] += eps
 model.version += 1
 fd = (loss_plus - loss_minus) / (2 * eps)
-print(f"analytic dL/dW[0,0] = {grads.dense_w_head()[0, 0]: .10f}")
+print(f"analytic dL/dW[0,0] = {grads[0][0, 0]: .10f}")
 print(f"finite difference   = {fd: .10f}")
 
 #%%

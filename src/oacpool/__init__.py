@@ -43,7 +43,6 @@ from .model import (
     ClassifierModel,
     EpochStats,
     ForwardCache,
-    Gradients,
     PoolingSpec,
     TrainConfig,
     backward,
@@ -79,7 +78,6 @@ __all__ = [
     "FeatureSequence",
     "FilterBankSet",
     "ForwardCache",
-    "Gradients",
     "LabeledSequence",
     "PoolingSpec",
     "PyramidConfig",

@@ -5,11 +5,10 @@ four pooling kinds), computes probs = softmax(W p + b), and trains all
 parameters with per-instance SGD on the negative log-likelihood.  For the
 convolutional pooling kind the gradient flows through the segment max
 pooling (to the first maximal response of each segment) and the ReLU (zero
-at nonpositive pre-activations) into the filter banks.  forward(),
-backward() and _sgd_step() are the public and test-facing steps; sgd_train
-runs each instance through one fused _train_step instead, built from the
-same private pieces (_probabilities, _bank_gradient, _apply_update), so
-every formula has one copy and both give the same bytes.
+at nonpositive pre-activations) into the filter banks.  One private
+_gradient forms that gradient: sgd_train's fused _train_step applies it
+through _apply_update, and backward() returns it densely, in parameters()
+order, for grad_check and any other caller that inspects it.
 """
 
 from __future__ import annotations
@@ -295,34 +294,6 @@ class ForwardCache:
     segment_argmax: np.ndarray | None = None
 
 
-@dataclass(eq=False)
-class Gradients:
-    """Loss gradients of the trainable parameters.
-
-    The head weight gradient is the rank-one outer(b_head, pooled): b_head
-    is the logit gradient probs - onehot(label), which is also the head
-    bias gradient, and pooled is the forward's pooled vector.  Only the two
-    factors are stored; dense_w_head() builds the (num_classes,
-    pooled_length) product.  The bank gradients have the banks' shapes.
-    """
-
-    b_head: np.ndarray
-    pooled: np.ndarray
-    bank_weights: np.ndarray | None = None
-    bank_biases: np.ndarray | None = None
-
-    def dense_w_head(self) -> np.ndarray:
-        """The head weight gradient as a new dense array, np.outer(b_head, pooled)."""
-        return np.outer(self.b_head, self.pooled)
-
-    def arrays(self) -> list[np.ndarray]:
-        """Dense gradients in ClassifierModel.parameters() order."""
-        out = [self.dense_w_head(), self.b_head]
-        if self.bank_weights is not None:
-            out.extend([self.bank_weights, self.bank_biases])
-        return out
-
-
 def _all_finite(values: np.ndarray) -> bool:
     """True if no value is NaN or infinite."""
     return np.count_nonzero(np.isfinite(values)) == values.size
@@ -368,21 +339,15 @@ def _pool(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, Seq
     return pooled, details
 
 
-def _head(
-    model: ClassifierModel, pooled: np.ndarray, details: Sequence = ()
-) -> tuple[np.ndarray, ForwardCache]:
-    """Class probabilities of a pooled vector plus the state backward() needs."""
-    probs = _probabilities(model, pooled)
-    return probs, ForwardCache(model.version, pooled, probs, *details)
-
-
 def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, ForwardCache]:
     """Class probabilities for one sequence plus the state backward() needs."""
     if seq.num_features != model.num_features:
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} features, model expects {model.num_features}"
         )
-    return _head(model, *_pool(model, seq))
+    pooled, details = _pool(model, seq)
+    probs = _probabilities(model, pooled)
+    return probs, ForwardCache(model.version, pooled, probs, *details)
 
 
 def _nll(probs: np.ndarray, label: int) -> float:
@@ -434,18 +399,36 @@ def _bank_gradient(
     return g_bank_w, g_bank_b
 
 
-def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradients:
-    """Gradients of the instance loss for every trainable parameter.
+def _gradient(
+    model: ClassifierModel, dlogits: np.ndarray, label: int, pooled: np.ndarray, routing: Sequence
+) -> tuple[np.ndarray, np.ndarray] | tuple[()]:
+    """One instance's loss gradient, the one every training step and check uses.
 
-    Logit gradient is probs - onehot(label).  The head weight gradient is
-    left as its two factors, the logit gradient and the pooled vector, so
-    no (num_classes, pooled_length) array is built.  The segment max routes
-    each pooled slot's gradient to its first maximal response row; ReLU passes
-    gradient only where the pre-activation is strictly positive.  The bank
-    gradient is therefore summed over the M routed rows of each (dimension,
-    filter) only, in (level, segment) order: each routed slot adds its
-    gradient times that row's input window, and a row routed by two
-    segments adds twice.
+    dlogits, the instance's probabilities, becomes probs - onehot(label) in
+    place: the head bias gradient, and with pooled the factors of the head
+    weight gradient outer(dlogits, pooled).  For routing, an oacp forward's
+    (windows, segment_argmax), the bank gradients follow as _bank_gradient
+    returns them; the other kinds pass and get ().
+    """
+    dlogits[label] -= 1.0
+    if routing:
+        return _bank_gradient(model, dlogits, pooled, *routing)
+    return ()
+
+
+def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> list[np.ndarray]:
+    """_gradient as dense arrays in ClassifierModel.parameters() order.
+
+    That is outer(probs - onehot(label), pooled), probs - onehot(label),
+    then for oacp the bank weight and bias gradients in the banks' (K, n, l)
+    and (K, n) shapes: what a training step on the instance subtracts,
+    before its learning-rate scaling.  The segment max routes each pooled
+    slot's gradient to its first maximal response row; ReLU passes gradient
+    only where the pre-activation is strictly positive.  The bank gradient
+    is therefore summed over the M routed rows of each (dimension, filter)
+    only, in (level, segment) order: each routed slot adds its gradient
+    times that row's input window, and a row routed by two segments adds
+    twice.
     """
     if cache.version != model.version:
         raise StaleCacheError(
@@ -454,13 +437,9 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> Gradien
     if not 0 <= label < model.num_classes:
         raise ValueError(f"label {label} out of range for {model.num_classes} classes")
     dlogits = cache.probs.copy()
-    dlogits[label] -= 1.0
-    if model.spec.kind != "oacp":
-        return Gradients(dlogits, cache.pooled)
-    taps, bias_rows = _bank_gradient(
-        model, dlogits, cache.pooled, cache.windows, cache.segment_argmax
-    )
-    return Gradients(dlogits, cache.pooled, taps.transpose(2, 1, 0), bias_rows.T)
+    routing = () if cache.windows is None else (cache.windows, cache.segment_argmax)
+    bank = _gradient(model, dlogits, label, cache.pooled, routing)
+    return [np.outer(dlogits, cache.pooled), dlogits, *(grad.T for grad in bank)]
 
 
 def _update_buffer(model: ClassifierModel) -> np.ndarray:
@@ -516,16 +495,6 @@ def _apply_update(
     return finite
 
 
-def _sgd_step(model: ClassifierModel, grads: Gradients, learning_rate: float) -> bool:
-    """_apply_update of grads with a fresh head-update buffer; True if every value is finite."""
-    bank = ()
-    if grads.bank_weights is not None:
-        bank = (grads.bank_weights.transpose(2, 1, 0), grads.bank_biases.T)
-    return _apply_update(
-        model, learning_rate, _update_buffer(model), grads.b_head, grads.pooled, bank
-    )
-
-
 def _train_step(
     model: ClassifierModel,
     item: LabeledSequence,
@@ -537,20 +506,21 @@ def _train_step(
     """One SGD step on one checked instance: (loss, prediction correct, parameters finite).
 
     The pooled vector is hoisted, or for oacp comes from a forward of the
-    instance.  Then the head and softmax, the loss and the prediction, the
-    logit gradient in the probabilities' own buffer, the bank gradient and
-    the update of _apply_update into term: the arithmetic of forward(),
-    instance_loss(), backward() and _sgd_step(), with no ForwardCache or
-    Gradients and no re-check.  With check, non-finite logits raise
-    ValueError before any parameter changes and the update is checked;
-    without it, which sgd_train passes only for a step its bounds prove
-    finite, neither is scanned.  The step is a function of its own so that
-    its temporaries, the routed windows among them, are freed before the
-    next step's forward.
+    instance.  Then the head and softmax, the loss and the prediction,
+    _gradient in the probabilities' own buffer and the update of
+    _apply_update into term: the arithmetic of forward(), instance_loss()
+    and backward() followed by theta -= learning_rate * grad, with no
+    ForwardCache, no dense head gradient and no re-check.  With check,
+    non-finite logits raise ValueError before any parameter changes and
+    the update is checked; without it, which sgd_train passes only for a
+    step its bounds prove finite, neither is scanned.  The step is a
+    function of its own so that its temporaries, the routed windows among
+    them, are freed before the next step's forward.
     """
     label = item.label
+    routing = ()
     if hoisted is None:
-        pooled, pre, windows, segment_argmax = oacp_forward_details(
+        pooled, pre, *routing = oacp_forward_details(
             item.sequence, model.filter_banks, model.spec.pyramid
         )
         del pre  # frees the (T_out, n, K) conv buffer before the bank gradient
@@ -559,10 +529,7 @@ def _train_step(
     dlogits = _probabilities(model, pooled, check)
     loss = _nll(dlogits, label)
     correct = int(dlogits.argmax()) == label
-    dlogits[label] -= 1.0
-    bank = ()
-    if hoisted is None:
-        bank = _bank_gradient(model, dlogits, pooled, windows, segment_argmax)
+    bank = _gradient(model, dlogits, label, pooled, routing)
     return loss, correct, _apply_update(model, learning_rate, term, dlogits, pooled, bank, check)
 
 
@@ -656,27 +623,29 @@ def sgd_train(
     read-only vector that every epoch's step reuses; the vectors are the
     arrays forward() would compute, so the result is the same bytes.  An
     oacp model runs oacp_forward_details on every step.  Each step of
-    every kind is one _train_step: the arithmetic of forward(), backward()
-    and _sgd_step() in one pass, into one head-update buffer per run.
-    Instance order is reshuffled each epoch by a generator seeded from
-    cfg.seed, so a given (seed, data order, cfg) is bit-deterministic, and
-    the bytes are those of calling forward(), backward() and _sgd_step()
-    on each instance in turn.  `model.version` is bumped on every update.
-    History records each epoch's mean loss and online accuracy (prediction
-    taken before the update) as Python floats.  The head weights take the
-    rank-one update outer(b_head, pooled) a block of rows at a time,
-    rounded as the dense update would be, and no dense head gradient is
-    built.
+    every kind is one _train_step: the arithmetic of forward() and of
+    _gradient, the gradient backward() returns, in one pass, into one
+    head-update buffer per run.  Instance order is reshuffled each epoch
+    by a generator seeded from cfg.seed, so a given (seed, data order, cfg)
+    is bit-deterministic, and each parameter takes the bytes of
+    param -= learning_rate * grad for backward()'s dense grad of each
+    instance in turn.  `model.version` is bumped on every update.  History
+    records each epoch's mean loss and online accuracy (prediction taken
+    before the update) as Python floats.  The head weights take the
+    rank-one update outer(probs - onehot, pooled) a block of rows at a
+    time, rounded as the dense update would be, and no dense head gradient
+    is built.
 
     Non-finite logits raise DivergenceError before the step's update, and
     a non-finite parameter raises DivergenceError once the whole step is
-    applied, as the scans of forward() and _sgd_step() would find them.  An
-    overflow on the way prints no NumPy warning, since each one ends in
-    that DivergenceError.  The scans run only on steps that might fail.
-    The run carries upper bounds w, b, t and r on max|w_head|, max|b_head|,
-    max|bank weights| and max|bank biases|, taken exactly at its start,
-    and per instance either F = max|frame| (oacp) or the max p_inf and the
-    sum p_one of |p| over its hoisted vector.  Before each step:
+    applied, as scanning the logits and every updated parameter on every
+    step would find them.  An overflow on the way prints no NumPy warning,
+    since each one ends in that DivergenceError.  The scans run only on
+    steps that might fail.  The run carries upper bounds w, b, t and r on
+    max|w_head|, max|b_head|, max|bank weights| and max|bank biases|,
+    taken exactly at its start, and per instance either F = max|frame|
+    (oacp) or the max p_inf and the sum p_one of |p| over its hoisted
+    vector.  Before each step:
     - oacp: every pre-activation, so every pooled value, is at most
       p_inf = l*t*F + r, and p_one = P*p_inf;
     - every logit is at most z = w*p_one + b;
@@ -780,10 +749,11 @@ def grad_check(
 ) -> float:
     """Max relative error between analytic and central-difference gradients.
 
-    The model's parameters are first nudged by seeded uniform noise in
-    +-GRAD_CHECK_NUDGE; finite differences are meaningless exactly at ReLU and
-    max-pool ties, and the nudge moves the model off them.  The original
-    model is not modified.
+    The analytic side is backward()'s list, the gradient a training step
+    applies.  The model's parameters are first nudged by seeded uniform
+    noise in +-GRAD_CHECK_NUDGE; finite differences are meaningless exactly
+    at ReLU and max-pool ties, and the nudge moves the model off them.  The
+    original model is not modified.
     """
     if not 1e-7 <= eps <= 1e-3:
         raise ValueError(f"eps must be in [1e-7, 1e-3], got {eps}")
@@ -793,11 +763,11 @@ def grad_check(
         p += rng.uniform(-GRAD_CHECK_NUDGE, GRAD_CHECK_NUDGE, p.shape)
     work.version += 1
 
-    probs, cache = forward(work, example.sequence)
+    _, cache = forward(work, example.sequence)
     grads = backward(work, cache, example.label)
 
     worst = 0.0
-    for param, grad in zip(work.parameters(), grads.arrays()):
+    for param, grad in zip(work.parameters(), grads):
         # index the parameter itself: reshape(-1) of the banks' transposed
         # views would be a copy, and perturbing it would change nothing
         for j in np.ndindex(param.shape):

@@ -14,7 +14,7 @@ import numpy as np
 from oacpool.convpool import FilterBankSet
 from oacpool.dimreduce import KMEANS_MAX_ITERS
 from oacpool.errors import DivergenceError
-from oacpool.model import _sgd_step, backward, forward
+from oacpool.model import backward, forward
 from oacpool.pooling import segment_ranges
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
@@ -90,12 +90,14 @@ def dense_reference_gradients(model, cache, label: int):
 
 
 def per_step_sgd(model, data, cfg):
-    """sgd_train's instance loop with forward, backward and _sgd_step on every step.
+    """sgd_train's instance loop with forward, backward and a dense update on every step.
 
-    The same per-epoch default_rng(cfg.seed) shuffle, then forward,
-    backward and _sgd_step for each instance, whatever the pooling kind,
-    and sgd_train's two DivergenceError checks: non-finite logits before
-    the update, non-finite parameters after it.  Returns the model.
+    The same per-epoch default_rng(cfg.seed) shuffle, then for each
+    instance, whatever the pooling kind, forward, backward's dense
+    gradients, and param -= lr * grad for each parameter, the head weights'
+    whole np.outer included; then sgd_train's two DivergenceError checks:
+    non-finite logits before the update, and a scan of every parameter
+    after it.  Returns the model.
     """
     rng = np.random.default_rng(cfg.seed)
     order = np.arange(len(data))
@@ -110,38 +112,14 @@ def per_step_sgd(model, data, cfg):
                     raise DivergenceError(
                         f"divergence at epoch {epoch}, instance {idx}: {exc}"
                     ) from None
-                finite = _sgd_step(model, backward(model, cache, item.label), cfg.learning_rate)
+                for param, grad in zip(model.parameters(), backward(model, cache, item.label)):
+                    grad *= cfg.learning_rate
+                    param -= grad
                 model.version += 1
-                if not finite:
+                if not all(np.isfinite(param).all() for param in model.parameters()):
                     raise DivergenceError(
                         f"non-finite parameters after epoch {epoch}, instance {idx}"
                     )
-    return model
-
-
-def dense_update_sgd(model, data, cfg):
-    """sgd_train's instance loop with the dense head update.
-
-    The same shuffling and steps, but each head weight step forms the whole
-    np.outer(probs - onehot(label), pooled), then scales it by the learning
-    rate, then subtracts it.  No divergence checks; returns the model.
-    """
-    rng = np.random.default_rng(cfg.seed)
-    order = np.arange(len(data))
-    for _ in range(cfg.epochs):
-        rng.shuffle(order)
-        for idx in order:
-            item = data[idx]
-            probs, cache = forward(model, item.sequence)
-            dlogits = probs.copy()
-            dlogits[item.label] -= 1.0
-            grads = backward(model, cache, item.label)
-            dense = [np.outer(dlogits, cache.pooled), grads.b_head]
-            dense += [grads.bank_weights, grads.bank_biases]
-            for param, grad in zip(model.parameters(), dense):
-                grad *= cfg.learning_rate
-                param -= grad
-            model.version += 1
     return model
 
 

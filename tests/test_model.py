@@ -7,7 +7,6 @@ import pytest
 
 from helpers import (
     dense_reference_gradients,
-    dense_update_sgd,
     edit_checkpoint,
     json_v2_checkpoint,
     mean_separable_dataset,
@@ -320,7 +319,7 @@ class TestBackward:
         )
         _, cache = forward(model, FeatureSequence(np.ones((4, 3))))
         grads = backward(model, cache, 0)
-        assert grads.b_head.tolist() == [-0.5, 0.5]
+        assert grads[1].tolist() == [-0.5, 0.5]
 
     def test_logit_gradient_sums_to_zero(self):
         rng = np.random.default_rng(43)
@@ -329,7 +328,7 @@ class TestBackward:
             example = random_example(int(rng.integers(1000)), 6, 3, 2)
             _, cache = forward(model, example.sequence)
             grads = backward(model, cache, example.label)
-            assert abs(grads.b_head.sum()) <= 1e-12
+            assert abs(grads[1].sum()) <= 1e-12
 
     def test_dead_relu_region_gives_zero_filter_gradients(self):
         model = tiny_oacp_model(seed=1)
@@ -338,8 +337,8 @@ class TestBackward:
         example = random_example(2, 6, 3, 2)
         _, cache = forward(model, example.sequence)
         grads = backward(model, cache, example.label)
-        assert not grads.bank_weights.any()
-        assert not grads.bank_biases.any()
+        assert not grads[2].any()
+        assert not grads[3].any()
 
     def test_stale_cache_detected(self):
         model = tiny_oacp_model(seed=3)
@@ -352,8 +351,46 @@ class TestBackward:
         model = ClassifierModel.build("pyramid", 3, 2, pyramid=(1, 2), seed=4)
         _, cache = forward(model, random_example(5, 8, 3, 2).sequence)
         grads = backward(model, cache, 1)
-        assert grads.bank_weights is None and grads.bank_biases is None
-        assert grads.dense_w_head().shape == (2, 9)  # P = K * (1 + 2) segments
+        assert len(grads) == 2  # no bank gradients
+        assert grads[0].shape == (2, 9)  # P = K * (1 + 2) segments
+
+    def test_label_equal_to_num_classes_is_rejected(self):
+        model = tiny_oacp_model(seed=6)
+        example = random_example(6, 6, 3, 2)
+        _, cache = forward(model, example.sequence)
+        with pytest.raises(ValueError, match="label 2 out of range for 2 classes"):
+            backward(model, cache, model.num_classes)
+        bad = [LabeledSequence(example.sequence, model.num_classes)]
+        for run in (
+            lambda: sgd_train(model, bad, TrainConfig(learning_rate=0.1, epochs=1)),
+            lambda: evaluate(model, bad),
+        ):
+            with pytest.raises(ValueError, match="instance 0 has label 2, model has 2 classes"):
+                run()
+
+    @pytest.mark.parametrize(
+        "kind, geometry",
+        [
+            ("average", {}),
+            ("max", {}),
+            ("pyramid", {"pyramid": (1, 2, 4)}),
+            ("oacp", {}),
+            ("oacp", {"stride": 2, "interval": 3, "pyramid": (1, 2, 4)}),
+        ],
+        ids=["average", "max", "pyramid-1-2-4", "oacp-default", "oacp-stride2-l3-1-2-4"],
+    )
+    def test_is_the_gradient_a_training_step_applies(self, kind, geometry):
+        # one sgd_train step at learning rate 1 subtracts exactly backward's list
+        model = ClassifierModel.build(kind, 3, 3, seed=8, **geometry)
+        example = random_example(9, 13, 3, 3)
+        grads = backward(model, *forward(model, example.sequence)[1:], example.label)
+        before = [param.copy() for param in model.parameters()]
+        sgd_train(model, [example], TrainConfig(1.0, 1))
+        after = model.parameters()
+        assert len(grads) == len(before) == len(after)
+        for old, grad, new in zip(before, grads, after):
+            assert grad.shape == old.shape
+            assert (old - grad).tobytes() == new.tobytes()
 
 
 def sparse_backward_case(stride, pyramid, case):
@@ -399,12 +436,12 @@ class TestSparseBankGradient:
         _, cache = forward(model, example.sequence)
         grads = backward(model, cache, example.label)
         w_head, b_head, bank_w, bank_b = dense_reference_gradients(model, cache, example.label)
-        assert grads.dense_w_head().tobytes() == w_head.tobytes()
-        assert grads.b_head.tobytes() == b_head.tobytes()
-        np.testing.assert_allclose(grads.bank_weights, bank_w, rtol=1e-12, atol=0)
-        np.testing.assert_allclose(grads.bank_biases, bank_b, rtol=1e-12, atol=0)
+        assert grads[0].tobytes() == w_head.tobytes()
+        assert grads[1].tobytes() == b_head.tobytes()
+        np.testing.assert_allclose(grads[2], bank_w, rtol=1e-12, atol=0)
+        np.testing.assert_allclose(grads[3], bank_b, rtol=1e-12, atol=0)
         if case == "dead":
-            assert not grads.bank_weights.any() and not grads.bank_biases.any()
+            assert not grads[2].any() and not grads[3].any()
         if case == "constant" and len(pyramid) > 1:
             # level 1 and the first segment of level 2 route to the same row
             assert (cache.segment_argmax[0] == cache.segment_argmax[1]).all()
@@ -451,7 +488,7 @@ class TestGradCheck:
         example = LabeledSequence(FeatureSequence(np.zeros((6, 3))), 0)
         _, cache = forward(model, example.sequence)
         grads = backward(model, cache, example.label)
-        assert not grads.bank_weights.any()
+        assert not grads[2].any()
         assert grad_check(model, example, 1e-5, seed=2) < 1e-4
 
     def test_does_not_modify_the_model(self):
@@ -461,9 +498,14 @@ class TestGradCheck:
         assert parameter_bytes(model) == before
 
     def test_eps_range_enforced(self):
+        # both end points are in the range; the next double outward of each is not
         model = tiny_oacp_model(seed=15)
-        with pytest.raises(ValueError):
-            grad_check(model, random_example(16, 6, 3, 2), 1e-2)
+        example = random_example(16, 6, 3, 2)
+        for eps in (1e-7, 1e-3):
+            assert grad_check(model, example, eps) < 1e-3
+        for eps in (1e-2, np.nextafter(1e-7, 0.0), np.nextafter(1e-3, math.inf)):
+            with pytest.raises(ValueError, match=r"eps must be in \[1e-7, 1e-3\]"):
+                grad_check(model, example, float(eps))
 
 
 SEEDED_ENTRY_POINTS = {
@@ -545,7 +587,7 @@ class TestSgdTrain:
         self, num_features, num_classes, n_filters, block_rows
     ):
         runs = []
-        for train in (sgd_train, dense_update_sgd):
+        for train in (sgd_train, per_step_sgd):
             model = tiny_oacp_model(
                 seed=24, num_features=num_features, num_classes=num_classes,
                 n_filters=n_filters,
@@ -696,7 +738,7 @@ class TestPoolingHoist:
 
 
 class TestFusedStepErrors:
-    """The fused step fails where forward, backward and _sgd_step on every step would."""
+    """The fused step fails where forward, backward and a dense update on every step would."""
 
     @staticmethod
     def logit_overflow_case(kind):
@@ -1224,6 +1266,19 @@ class TestCheckpoint:
             path.write_bytes(raw[:size])
             with pytest.raises(ParseError, match="truncated" if size >= 4 else "not a"):
                 load_model(path)
+
+    def test_a_preamble_alone_is_measured_against_its_header_length(self, tmp_path):
+        # exactly the preamble's 9 bytes is not truncated; one byte less is
+        path = tmp_path / "model.oacm"
+        preamble = oacpool.model._PREAMBLE.pack(b"OACM", 3, 5)
+        path.write_bytes(preamble)
+        with pytest.raises(
+            ParseError, match="a header of 5 bytes runs past the end of the file"
+        ):
+            load_model(path)
+        path.write_bytes(preamble[:8])
+        with pytest.raises(ParseError, match="truncated checkpoint header"):
+            load_model(path)
 
     def test_rejects_a_header_length_past_the_end(self, tmp_path):
         path = tmp_path / "model.oacm"

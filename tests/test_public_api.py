@@ -16,7 +16,6 @@ PUBLIC_NAMES = {
         "FeatureSequence",
         "FilterBankSet",
         "ForwardCache",
-        "Gradients",
         "LabeledSequence",
         "PoolingSpec",
         "PyramidConfig",

@@ -79,7 +79,7 @@ def scaled_outcome(train, scales, spec, num_features, num_classes, data, cfg):
 
 
 class TestFusedStep:
-    """sgd_train's fused step against forward, backward and _sgd_step on every instance."""
+    """sgd_train's fused step against forward, backward and a dense update on every instance."""
 
     @pytest.mark.parametrize("kind", POOLING_KINDS)
     @settings(derandomize=True, deadline=None, max_examples=60)

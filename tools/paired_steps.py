@@ -16,13 +16,15 @@ pyramid 1,2, a trial times with ``time.process_time``:
 - ``evaluate`` per instance: five evaluations of the model that run trained.
 
 Trials are short and alternate which tree runs first, so that the two
-sides of a pair see the same speed of a host whose speed drifts.  After every run the SHA-256 of the
-trained parameters is compared between the trees, so a timing of code that
-computes something else is refused.  The script prints one line per
-measurement with each tree's median, the change of the medians and the
-pairs the new tree won, and with ``--json`` writes them to a file.  A shared
-host drifts between sessions: compare the two sides of one run only.  This
-is a development tool, not part of the test suite or the benchmark.
+sides of a pair see the same speed of a host whose speed drifts.  After
+every trial the SHA-256 of the trained parameters and of every evaluation's
+accuracy and confusion matrix is compared between the trees, so a timing of
+code that computes something else is refused with exit status 1.  The
+script prints one line per measurement with each tree's median, the change
+of the medians and the pairs the new tree won, and with ``--json`` writes
+them to a file.  A shared host drifts between sessions: compare the two
+sides of one run only.  This is a development tool, not part of the test
+suite or the benchmark.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ import importlib.util
 import json
 import os
 import statistics
+import struct
 import sys
 import time
 from pathlib import Path
@@ -78,15 +81,19 @@ def make_data(pkg, shape: str):
     ]
 
 
-def parameter_digest(model) -> str:
+def outcome_digest(model, evaluations) -> str:
+    """SHA-256 of the trained parameters, then of each (accuracy, confusion) evaluation."""
     digest = hashlib.sha256()
     for param in model.parameters():
         digest.update(np.ascontiguousarray(param).tobytes())
+    for accuracy, confusion in evaluations:
+        digest.update(struct.pack("<d", accuracy))
+        digest.update(np.ascontiguousarray(confusion).tobytes())
     return digest.hexdigest()
 
 
 def one_trial(pkg, initial, data, shape: str) -> tuple[float, float, str]:
-    """(seconds per sgd_train step, seconds per evaluated instance, parameter digest).
+    """(seconds per sgd_train step, seconds per evaluated instance, outcome digest).
 
     One training run from a copy of initial, then EVAL_REPEATS evaluations
     of the trained model.
@@ -98,10 +105,9 @@ def one_trial(pkg, initial, data, shape: str) -> tuple[float, float, str]:
     pkg.sgd_train(model, data, cfg)
     train_s = (time.process_time() - started) / (epochs * len(data))
     started = time.process_time()
-    for _ in range(EVAL_REPEATS):
-        pkg.evaluate(model, data)
+    evaluations = [pkg.evaluate(model, data) for _ in range(EVAL_REPEATS)]
     eval_s = (time.process_time() - started) / (EVAL_REPEATS * len(data))
-    return train_s, eval_s, parameter_digest(model)
+    return train_s, eval_s, outcome_digest(model, evaluations)
 
 
 def summary(base: list[float], new: list[float]) -> dict:
@@ -151,7 +157,10 @@ def main(argv=None) -> int:
                         times["sgd_train_step"][side].append(train_s)
                         times["evaluate"][side].append(eval_s)
                 if digests[0] != digests[1]:
-                    print(f"{shape} {kind}: the trees train different parameters", file=sys.stderr)
+                    print(
+                        f"{shape} {kind}: the trees train or evaluate differently",
+                        file=sys.stderr,
+                    )
                     return 1
             for name, (base, new) in times.items():
                 key = f"{shape}.{kind}.{name}"
