@@ -197,8 +197,7 @@ def _train_cfg(args) -> TrainConfig:
 def _cmd_train(args) -> int:
     spec, cfg = _spec_from_flags(args, args.pooling), _train_cfg(args)
     manifest = load_manifest(args.manifest)
-    data = load_dataset(manifest)
-    prepared = prepare_dataset(data, spec)
+    prepared = prepare_dataset(iter_dataset(manifest), spec)
     model = ClassifierModel.from_spec(
         spec, prepared[0].sequence.num_features, manifest.num_classes, seed=args.seed
     )
@@ -217,7 +216,7 @@ def _cmd_eval(args) -> int:
         raise ShapeMismatchError(
             f"manifest declares {manifest.num_classes} classes, model has {model.num_classes}"
         )
-    data = prepare_dataset(load_dataset(manifest), model.spec)
+    data = prepare_dataset(iter_dataset(manifest), model.spec)
     accuracy, confusion = evaluate(model, data)
     print(f"accuracy={accuracy:.6f}")
     if args.confusion:

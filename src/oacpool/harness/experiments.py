@@ -9,6 +9,7 @@ receptive field is reported alongside each result row.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from ..errors import DivergenceError
@@ -17,9 +18,13 @@ from ..sequences import LabeledSequence, replicate_pad, sample_frames
 
 
 def prepare_dataset(
-    data: list[LabeledSequence], spec: PoolingSpec
+    data: Iterable[LabeledSequence], spec: PoolingSpec
 ) -> list[LabeledSequence]:
-    """Sample frames and edge-pad short sequences to the spec's minimum_frames."""
+    """Sample frames and edge-pad short sequences to the spec's minimum_frames.
+
+    Each item is taken from data only as it is prepared, so an iter_dataset
+    generator holds one raw sequence at a time.
+    """
     out = []
     for item in data:
         seq = sample_frames(item.sequence, spec.sample_rate)

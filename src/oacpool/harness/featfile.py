@@ -126,20 +126,17 @@ def _load_text(path, lines: list[str]) -> FeatureSequence:
             f"{path}: header declares T={t} but found {len(body)} data rows"
         )
     # One C-level parse of the whole body.  Its float conversion gives the
-    # same bits as float(); anything it refuses or shapes otherwise (ragged
-    # rows, ``1_0``, non-ASCII digits, junk) goes through the line-by-line
-    # parser, which accepts what float() accepts and names the first bad line.
-    # comments=None keeps '#' an ordinary, rejected character.
+    # same bits as float(); anything it refuses, shapes otherwise or reads
+    # as non-finite (ragged rows, ``1_0``, non-ASCII digits, junk, ``inf``)
+    # goes through the line-by-line parser, which accepts what float()
+    # accepts and names the first bad line.  comments=None keeps '#' an
+    # ordinary, rejected character.
     try:
         frames = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         frames = None
-    if frames is None or frames.shape != (t, k):
+    if frames is None or frames.shape != (t, k) or not np.isfinite(frames).all():
         return FeatureSequence(_parse_rows(path, _numbered_rows(lines), k))
-    finite = np.isfinite(frames).all(axis=1)
-    if not finite.all():
-        lineno = _numbered_rows(lines)[int(finite.argmin())][0]
-        raise ParseError(f"{path}: line {lineno}: non-finite value")
     return FeatureSequence(frames)
 
 

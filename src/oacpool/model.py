@@ -263,12 +263,11 @@ class ClassifierModel:
         num_features: int,
         num_classes: int,
         *,
-        sample_rate: int = 1,
         seed=0,
         **geometry,
     ) -> "ClassifierModel":
-        """from_spec with PoolingSpec's fields as keywords; sample_rate defaults to 1."""
-        spec = PoolingSpec(pooling_kind, sample_rate=sample_rate, **geometry)
+        """from_spec with PoolingSpec's fields as keywords, defaulting as PoolingSpec does."""
+        spec = PoolingSpec(pooling_kind, **geometry)
         return cls.from_spec(spec, num_features, num_classes, seed=seed)
 
     def parameters(self) -> list[np.ndarray]:
@@ -456,32 +455,25 @@ def _apply_update(
     dlogits: np.ndarray,
     pooled: np.ndarray,
     bank: tuple[np.ndarray, np.ndarray] | tuple[()] = (),
-    check: bool = True,
-) -> bool:
-    """theta <- theta - learning_rate * grad in place; True if every updated value is finite.
+) -> None:
+    """theta <- theta - learning_rate * grad, in place.
 
     The head weights take their rank-one update a block of term's rows at
     a time: each block's slice of outer(dlogits, pooled) is formed in
-    term, scaled, subtracted and checked while the block is in cache.
-    Every element is rounded as np.outer, then *= learning_rate, then -=
-    would round it.  dlogits is the head bias gradient too; it and the
-    bank gradients, (l, n, K) taps and (n, K) bias rows in the banks'
-    storage layout, are then scaled in place, subtracted, and their
-    parameters checked.  Every array is updated before the result is known.
-    With check False nothing is checked and the result is True; only a
-    caller that has proved every updated value finite passes it.
+    term, scaled and subtracted while the block is in cache.  Every
+    element is rounded as np.outer, then *= learning_rate, then -= would
+    round it.  dlogits is the head bias gradient too; it and the bank
+    gradients, (l, n, K) taps and (n, K) bias rows in the banks' storage
+    layout, are then scaled in place and subtracted.
     """
     w_head = model.w_head
     rows = term.shape[0]
-    finite = True
     for start in range(0, w_head.shape[0], rows):
         block = w_head[start : start + rows]
         block_term = term[: block.shape[0]]
         np.multiply(dlogits[start : start + rows, None], pooled, out=block_term)
         block_term *= learning_rate
         block -= block_term
-        if check:
-            finite &= _all_finite(block)
     # b_head, then the bank pair, which only oacp models have
     rest = ((model.b_head, dlogits),)
     if bank:
@@ -490,9 +482,6 @@ def _apply_update(
     for param, grad in rest:
         grad *= learning_rate
         param -= grad
-        if check:
-            finite &= _all_finite(param)
-    return finite
 
 
 def _train_step(
@@ -502,35 +491,32 @@ def _train_step(
     learning_rate: float,
     term: np.ndarray,
     check: bool,
-) -> tuple[float, bool, bool]:
-    """One SGD step on one checked instance: (loss, prediction correct, parameters finite).
+) -> tuple[float, bool]:
+    """One SGD step on one checked instance: (loss, prediction correct).
 
-    The pooled vector is hoisted, or for oacp comes from a forward of the
-    instance.  Then the head and softmax, the loss and the prediction,
-    _gradient in the probabilities' own buffer and the update of
-    _apply_update into term: the arithmetic of forward(), instance_loss()
-    and backward() followed by theta -= learning_rate * grad, with no
-    ForwardCache, no dense head gradient and no re-check.  With check,
-    non-finite logits raise ValueError before any parameter changes and
-    the update is checked; without it, which sgd_train passes only for a
-    step its bounds prove finite, neither is scanned.  The step is a
-    function of its own so that its temporaries, the routed windows among
-    them, are freed before the next step's forward.
+    The pooled vector is hoisted, or for oacp comes from _pool.  Then the
+    head and softmax, the loss and the prediction, _gradient in the
+    probabilities' own buffer and the update of _apply_update into term:
+    the arithmetic of forward(), instance_loss() and backward() followed
+    by theta -= learning_rate * grad, with no ForwardCache, no dense head
+    gradient and no re-check.  With check, non-finite logits raise
+    ValueError before any parameter changes; without it, which sgd_train
+    passes only for a step its bounds prove finite, they are not scanned.
+    The step is a function of its own so that its temporaries, the routed
+    windows among them, are freed before the next step's forward.
     """
     label = item.label
-    routing = ()
     if hoisted is None:
-        pooled, pre, *routing = oacp_forward_details(
-            item.sequence, model.filter_banks, model.spec.pyramid
-        )
+        pooled, (pre, *routing) = _pool(model, item.sequence)
         del pre  # frees the (T_out, n, K) conv buffer before the bank gradient
     else:
-        pooled = hoisted
+        pooled, routing = hoisted, ()
     dlogits = _probabilities(model, pooled, check)
     loss = _nll(dlogits, label)
     correct = int(dlogits.argmax()) == label
     bank = _gradient(model, dlogits, label, pooled, routing)
-    return loss, correct, _apply_update(model, learning_rate, term, dlogits, pooled, bank, check)
+    _apply_update(model, learning_rate, term, dlogits, pooled, bank)
+    return loss, correct
 
 
 # sgd_train skips a step's finiteness scans while each magnitude bound it
@@ -693,7 +679,7 @@ def sgd_train(
                 try:
                     # the instances were checked up front, so the only ValueError
                     # left is the softmax's: the logits are no longer finite
-                    loss, hit, finite = _train_step(
+                    loss, hit = _train_step(
                         model, data[idx], hoisted[idx], learning_rate, term, step is None
                     )
                 except ValueError as exc:
@@ -701,7 +687,7 @@ def sgd_train(
                         f"divergence at epoch {epoch}, instance {idx}: {exc}"
                     ) from None
                 model.version += 1
-                if not finite:
+                if step is None and not all(map(_all_finite, model.parameters())):
                     raise DivergenceError(
                         f"non-finite parameters after epoch {epoch}, instance {idx}"
                     )

@@ -87,21 +87,15 @@ def segment_ranges(num_frames: int, cfg: PyramidConfig) -> list[tuple[int, int]]
     return ranges
 
 
-def segment_maxima(values: np.ndarray, ranges: list[tuple[int, int]]) -> np.ndarray:
-    """Per-segment maxima over axis 0 of a (T, ...) array, one row per [a, b) range.
-
-    ranges is segment_ranges(T, cfg), so the rows are in (level, segment) order.
-    """
-    maxima = np.empty((len(ranges),) + values.shape[1:], dtype=values.dtype)
-    for m, (a, b) in enumerate(ranges):
-        values[a:b].max(axis=0, out=maxima[m])
-    return maxima
-
-
 def temporal_pyramid_pool(seq: FeatureSequence, cfg: PyramidConfig) -> np.ndarray:
     """Max pooling within every pyramid segment, concatenated dimension-major.
 
     Output index order: dimension k outermost, then level, then segment;
     length K * M.  With cfg = [1] this equals max_pool exactly.
     """
-    return segment_maxima(seq.frames, segment_ranges(seq.num_frames, cfg)).T.ravel()
+    frames = seq.frames
+    ranges = segment_ranges(seq.num_frames, cfg)
+    maxima = np.empty((len(ranges), seq.num_features))
+    for m, (a, b) in enumerate(ranges):
+        frames[a:b].max(axis=0, out=maxima[m])
+    return maxima.T.ravel()

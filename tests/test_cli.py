@@ -375,6 +375,54 @@ class TestTrainEval:
         assert not model_path.exists()
 
 
+    @staticmethod
+    def _binary_manifest(directory, widths):
+        """A manifest of one binary (150, width) file per entry of widths, and their payload bytes."""
+        directory.mkdir()
+        rng = np.random.default_rng(61)
+        lines = ["classes=a,b"]
+        for i, width in enumerate(widths):
+            seq = FeatureSequence(rng.standard_normal((150, width)))
+            save_features(seq, directory / f"seq_{i}.bin", binary=True)
+            lines.append(f"seq_{i}.bin {i % 2}")
+        manifest = directory / "data.manifest"
+        manifest.write_text("\n".join(lines) + "\n")
+        return manifest, 150 * 8 * sum(widths)
+
+    def test_train_and_eval_read_one_raw_file_at_a_time(self, tmp_path, capsys):
+        # the default 1-in-5 sampling keeps a fifth of each file, so the
+        # prepared split is a fifth of the payload; holding every raw
+        # sequence before sampling would take all of it
+        manifest, payload = self._binary_manifest(tmp_path / "data", [256] * 20)
+        model_path = tmp_path / "model.oacm"
+        train = ["train", "--manifest", str(manifest), "--epochs", "1",
+                 "--model-out", str(model_path)]
+        evl = ["eval", "--manifest", str(manifest), "--model", str(model_path)]
+        codes = []
+        peaks = [traced_peak_mib(lambda: codes.append(main(argv))) for argv in (train, evl)]
+        assert codes == [0, 0]
+        assert max(peaks) < payload / 2 / 2**20
+        capsys.readouterr()
+
+    def test_a_later_file_of_another_width_exits_2(self, tmp_path, capsys):
+        good, _ = self._binary_manifest(tmp_path / "good", [4, 4])
+        bad, _ = self._binary_manifest(tmp_path / "bad", [4, 4, 5])
+        model_path = tmp_path / "model.oacm"
+        other_path = tmp_path / "other.oacm"
+        code = run_cli("train", "--manifest", str(good), "--epochs", "1",
+                       "--model-out", str(model_path))
+        assert code == 0
+        capsys.readouterr()
+        for argv in (
+            ["train", "--manifest", str(bad), "--epochs", "1", "--model-out", str(other_path)],
+            ["eval", "--manifest", str(bad), "--model", str(model_path)],
+        ):
+            assert run_cli(*argv) == 2
+            out, err = capsys.readouterr()
+            assert out == "" and "seq_2.bin: has 5 features, dataset uses 4" in err
+        assert not other_path.exists()
+
+
 class TestCompare:
     def test_csv_output_is_byte_identical_across_runs(self, synth_dir, capsys):
         args = [

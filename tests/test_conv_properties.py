@@ -12,7 +12,7 @@ from hypothesis.extra import numpy as hnp
 from helpers import conv_oracle, numpy_segment_pooling
 
 from oacpool.convpool import FilterBankSet, conv_responses, oacp_forward_details
-from oacpool.pooling import PyramidConfig, segment_ranges
+from oacpool.pooling import PyramidConfig, segment_ranges, temporal_pyramid_pool
 from oacpool.sequences import FeatureSequence
 
 
@@ -73,12 +73,12 @@ PYRAMIDS = [(1, 2), (1, 2, 3), (1, 3, 4), (1, 2, 4), (1, 4, 3)]
 
 
 @st.composite
-def pooling_cases(draw):
+def pooling_cases(draw, values=TIE_HEAVY):
     """(T, K) frames of few distinct values, and a pyramid over those rows."""
     levels = draw(st.sampled_from(PYRAMIDS))
     num_frames = draw(st.integers(max(levels), 30))
     num_dims = draw(st.integers(1, 4))
-    frames = draw(hnp.arrays(np.float64, (num_frames, num_dims), elements=TIE_HEAVY))
+    frames = draw(hnp.arrays(np.float64, (num_frames, num_dims), elements=values))
     return frames, levels
 
 
@@ -110,3 +110,14 @@ def test_piece_pooling_matches_numpy_segment_pooling(case):
     argmax, maxima = numpy_segment_pooling(responses, cfg)
     assert details.segment_argmax.tobytes() == argmax.tobytes()
     assert details.pooled.tobytes() == maxima.transpose(2, 0, 1).ravel().tobytes()
+
+
+@settings(derandomize=True, deadline=None)
+@given(pooling_cases(values=st.sampled_from([-1.0, -0.0, 0.0, 1.0])))
+def test_temporal_pyramid_pool_matches_numpy_segment_pooling(case):
+    """The pyramid baseline's segment maxima are np.max's, bytewise, dimension-major."""
+    frames, levels = case
+    cfg = PyramidConfig(levels)
+    _, maxima = numpy_segment_pooling(frames, cfg)
+    pooled = temporal_pyramid_pool(FeatureSequence(frames), cfg)
+    assert pooled.tobytes() == maxima.T.ravel().tobytes()

@@ -1181,7 +1181,7 @@ class TestCheckpoint:
     )
     def test_writes_version_3_header_and_raw_parameters(self, kind, geometry, tmp_path):
         model = ClassifierModel.build(
-            kind, 3, 2, interval=2, n_filters=2, pyramid=(1, 2), seed=68
+            kind, 3, 2, interval=2, n_filters=2, pyramid=(1, 2), sample_rate=1, seed=68
         )
         path = tmp_path / "model.oacm"
         save_model(model, path)
