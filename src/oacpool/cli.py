@@ -305,6 +305,16 @@ def _cmd_reduce(args) -> int:
             f"wrote {args.partition_out}"
         )
         return 0
+    # every output is named after its input, so two distinct inputs of one
+    # name would overwrite each other; nothing is read or written then
+    named = {}
+    for path, _ in manifest.entries:
+        other = named.setdefault(path.name, path)
+        if other != path:
+            raise DataError(
+                f"{args.manifest}: entries {other} and {path} share the file name "
+                f"{path.name!r}, so their reduced files would overwrite each other"
+            )
     partition = load_partition(args.apply)
     # each input is reduced as it is read and only the k-wide results are
     # kept; nothing is written until every input has been read

@@ -58,13 +58,14 @@ def _load_binary(path, raw: bytes) -> FeatureSequence:
     t, k = _HEADER.unpack_from(raw, len(MAGIC) + 1)
     if t < 1 or k < 1:
         raise ParseError(f"{path}: invalid shape T={t} K={k}")
-    payload = raw[len(MAGIC) + 1 + _HEADER.size :]
+    # a view of the payload in raw: a bytes slice would copy it
+    offset = len(MAGIC) + 1 + _HEADER.size
     expected = t * k * 8
-    if len(payload) != expected:
+    if len(raw) - offset != expected:
         raise ParseError(
-            f"{path}: expected {expected} payload bytes for T={t} K={k}, got {len(payload)}"
+            f"{path}: expected {expected} payload bytes for T={t} K={k}, got {len(raw) - offset}"
         )
-    frames = np.frombuffer(payload, dtype="<f8").reshape(t, k)
+    frames = np.frombuffer(raw, "<f8", count=t * k, offset=offset).reshape(t, k)
     if not np.isfinite(frames).all():
         raise ParseError(f"{path}: payload contains non-finite values")
     return FeatureSequence(frames)

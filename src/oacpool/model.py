@@ -185,7 +185,7 @@ class ClassifierModel:
     w_head: np.ndarray  # (num_classes, pooled_length)
     b_head: np.ndarray  # (num_classes,)
     filter_banks: FilterBankSet | None = None
-    version: int = field(default=0, repr=False)
+    version: int = field(default=0, init=False, repr=False)
 
     def __post_init__(self):
         self.num_features = positive_int(self.num_features, "num_features")
@@ -519,8 +519,8 @@ def _train_step(
     return loss, correct
 
 
-# sgd_train skips a step's finiteness scans while each magnitude bound it
-# carries stays below this: 2**24 under the float64 overflow threshold.
+# sgd_train skips a step's finiteness scans while its magnitude bound stays
+# below this: 2**24 under the float64 overflow threshold.
 _BOUND_LIMIT = 2.0**1000
 
 
@@ -529,44 +529,30 @@ def _magnitude(values: np.ndarray) -> float:
     return float(max(values.max(), -values.min()))
 
 
-def _parameter_bounds(model: ClassifierModel) -> tuple[float, float, float, float]:
-    """max|w_head|, max|b_head|, max|bank weights| and max|bank biases|; 0 without banks."""
-    w, b, *bank = map(_magnitude, model.parameters())
-    t, r = bank or (0.0, 0.0)
-    return w, b, t, r
+def _parameter_bound(model: ClassifierModel) -> float:
+    """max|theta| over every parameter: NaN if one is NaN, else inf if one is infinite."""
+    return float(np.max([_magnitude(param) for param in model.parameters()]))
 
 
-def _step_bounds(
-    bounds: tuple[float, float, float, float],
-    scale: float | tuple[float, float],
-    learning_rate: float,
-    geometry: tuple[int, int, int] | None,
-) -> tuple[float, float, float, float] | None:
-    """sgd_train's bounds after one step, or None if one of them reaches _BOUND_LIMIT.
+def _step_bound(
+    bound: float, scale: float, learning_rate: float, geometry: tuple[int, int, int]
+) -> float | None:
+    """sgd_train's bound after one step, or None if the step is not proved finite.
 
-    bounds are (w, b, t, r).  For oacp, geometry is (l, P, 2M) and scale
-    the instance's max|frame|; for the other kinds geometry is None and
-    scale the hoisted vector's (max|p|, sum|p|).  See sgd_train.
+    geometry is (l, P, 2M), with 2M = 0 for a kind without banks; scale
+    is max|frame| for oacp and the hoisted vector's max|p| otherwise.  See
+    sgd_train.
     """
-    w, b, t, r = bounds
-    if geometry is None:
-        p_inf, p_one = scale
-        g_t = g_r = 0.0
-    else:
-        interval, pooled_length, routes = geometry
-        p_inf = interval * t * scale + r
-        p_one = pooled_length * p_inf
-        g_r = routes * w
-        g_t = g_r * scale
-    z = w * p_one + b
-    w += learning_rate * p_inf
-    b += learning_rate
-    t += learning_rate * g_t
-    r += learning_rate * g_r
-    # one comparison each: max() would drop a NaN bound, such as 0 * inf
+    interval, pooled_length, routes = geometry
+    p_inf = bound * (interval * scale + 1.0) if routes else scale
+    z = bound * (pooled_length * p_inf + 1.0)
+    # a NaN p_inf stays NaN as max()'s first argument
+    g = max(p_inf, 1.0, routes * bound * max(scale, 1.0))
+    bound += learning_rate * g
+    # one comparison each, since max() would drop a NaN bound
     limit = _BOUND_LIMIT
-    if z < limit and w < limit and b < limit and t < limit and r < limit:
-        return w, b, t, r
+    if g < limit and z < limit and bound < limit:
+        return bound
     return None
 
 
@@ -627,28 +613,22 @@ def sgd_train(
     applied, as scanning the logits and every updated parameter on every
     step would find them.  An overflow on the way prints no NumPy warning,
     since each one ends in that DivergenceError.  The scans run only on
-    steps that might fail.  The run carries upper bounds w, b, t and r on
-    max|w_head|, max|b_head|, max|bank weights| and max|bank biases|,
-    taken exactly at its start, and per instance either F = max|frame|
-    (oacp) or the max p_inf and the sum p_one of |p| over its hoisted
-    vector.  Before each step:
-    - oacp: every pre-activation, so every pooled value, is at most
-      p_inf = l*t*F + r, and p_one = P*p_inf;
-    - every logit is at most z = w*p_one + b;
-    - the logit gradient d = probs - onehot has |d| <= 1 and sum|d| <= 2,
-      so w_head.T @ d is at most 2w, each of the M products routed to a
-      tap at most 2w*F, and the bank gradients at most g_t = 2M*w*F and
-      g_r = 2M*w (both 0 for the other kinds);
-    - the updated parameters are at most w' = w + lr*p_inf, b' = b + lr,
-      t' = t + lr*g_t and r' = r + lr*g_r.
-    Every value the step computes is so bounded by one of z, w', b', t'
-    and r', or by 2z for the shifted logits, times a rounding factor below
-    1 + n*eps for a sum of n terms: 1 + 2**-26 for n up to 2**27.  While
-    each bound is below 2**1000, 2**24 under the float64 overflow
-    threshold, no value can overflow or turn NaN, so the step runs with no
-    finiteness scan and the primed values become the bounds.  Otherwise,
-    a bound NaN included (lr = 0 times an infinite bound), the step runs
-    with every scan, and if it passes the bounds are taken exactly again.
+    steps that might fail.  The run carries one bound m on max|theta|,
+    taken exactly at its start, and per instance F: max|frame| for oacp,
+    max|p| of a hoisted vector.  Before each step, every pooled value is
+    at most p_inf = m*(l*F + 1) for oacp (l taps and a bias) or F; every
+    logit at most z = m*(P*p_inf + 1); d = probs - onehot has |d| <= 1
+    and sum|d| <= 2, so w_head.T @ d is at most 2m and each bank gradient,
+    a sum of M routed products, at most 2M*m*max(F, 1).  So no gradient
+    exceeds g = max(p_inf, 1, 2M*m*max(F, 1)) and no updated parameter
+    m' = m + lr*g.  Each value the step computes is bounded by g, z or m',
+    or 2z for the shifted logits, times a rounding factor below 1 + 2**-26
+    (1 + n*eps for a sum of up to n = 2**27 terms).  While g, z and m' are
+    below 2**1000, 2**24 under the float64 overflow threshold, nothing can
+    overflow or turn NaN: the step runs unscanned and m' becomes the bound.
+    Otherwise, a NaN bound included (lr = 0 times an infinite g), the step
+    scans its logits and m is taken exactly again; that re-derivation is
+    the parameter scan, and a NaN or infinite m raises.
     """
     _check_instances(model, data, "training")
     rng = np.random.default_rng(cfg.seed)
@@ -664,18 +644,19 @@ def sgd_train(
             hoisted = [_pool(model, item.sequence)[0] for item in data]
             for vector in hoisted:
                 vector.flags.writeable = False
-            geometry = None
-            scales = [(_magnitude(v), float(np.abs(v).sum())) for v in hoisted]
+            scales = list(map(_magnitude, hoisted))
+            routes = 0
         else:
-            geometry = (spec.interval, model.pooled_length, 2 * spec.pyramid.total_segments)
             scales = [_magnitude(item.sequence.frames) for item in data]
-        bounds = _parameter_bounds(model)
+            routes = 2 * spec.pyramid.total_segments
+        geometry = (spec.interval, model.pooled_length, routes)
+        bound = _parameter_bound(model)
         for epoch in range(cfg.epochs):
             rng.shuffle(order)
             total_loss = 0.0
             correct = 0
             for idx in order.tolist():
-                step = _step_bounds(bounds, scales[idx], learning_rate, geometry)
+                step = _step_bound(bound, scales[idx], learning_rate, geometry)
                 try:
                     # the instances were checked up front, so the only ValueError
                     # left is the softmax's: the logits are no longer finite
@@ -687,11 +668,11 @@ def sgd_train(
                         f"divergence at epoch {epoch}, instance {idx}: {exc}"
                     ) from None
                 model.version += 1
-                if step is None and not all(map(_all_finite, model.parameters())):
+                bound = _parameter_bound(model) if step is None else step
+                if not bound < math.inf:  # NaN or infinite
                     raise DivergenceError(
                         f"non-finite parameters after epoch {epoch}, instance {idx}"
                     )
-                bounds = step or _parameter_bounds(model)
                 total_loss += loss
                 correct += hit
             history.append(EpochStats(epoch, total_loss / len(data), correct / len(data)))
@@ -747,7 +728,6 @@ def grad_check(
     work = copy.deepcopy(model)
     for p in work.parameters():
         p += rng.uniform(-GRAD_CHECK_NUDGE, GRAD_CHECK_NUDGE, p.shape)
-    work.version += 1
 
     _, cache = forward(work, example.sequence)
     grads = backward(work, cache, example.label)

@@ -564,6 +564,35 @@ class TestReduceCommand:
         assert code == 0
         assert load_manifest(out_dir / "data.manifest").class_names == ("a", " b", "c")
 
+    def test_apply_refuses_distinct_entries_of_one_file_name(self, tmp_path, capsys):
+        # a/x.txt and b/x.txt would both be written to out/x.txt; a/y.txt is
+        # not even a feature file, and the clash is found before it is read
+        lines = ["classes=p,q"]
+        for folder, label in (("a", 0), ("b", 1)):
+            (tmp_path / folder).mkdir()
+            for name in ("x.txt", "y.txt"):
+                seq = FeatureSequence(np.full((3, 6), label + 1.0))
+                save_features(seq, tmp_path / folder / name)
+                lines.append(f"{folder}/{name} {label}")
+        (tmp_path / "a" / "y.txt").write_text("not features\n")
+        manifest = tmp_path / "data.manifest"
+        manifest.write_text("\n".join(lines) + "\n")
+        partition_path = tmp_path / "partition.txt"
+        partition_path.write_text("k=3 D=6 aggregation=sum\n" + "0\n1\n2\n" * 2)
+        out_dir = tmp_path / "reduced"
+        apply = ("reduce", "--manifest", str(manifest), "--apply", str(partition_path))
+        code = run_cli(*apply, "--out-dir", str(out_dir))
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        first, second = (tmp_path / folder / "x.txt" for folder in "ab")
+        assert f"entries {first} and {second} share the file name 'x.txt'" in captured.err
+        assert not out_dir.exists()
+        # one path listed twice is one input, written once under its name
+        manifest.write_text("classes=p,q\nb/x.txt 1\nb/x.txt 1\n")
+        assert run_cli(*apply, "--out-dir", str(out_dir)) == 0
+        reduced = load_manifest(out_dir / "data.manifest")
+        assert [(path.name, label) for path, label in reduced.entries] == [("x.txt", 1)] * 2
+
     def test_fit_on_tied_signatures_matches_the_exact_oracle(self, tmp_path, capsys):
         # integer frames, repeated within each sequence, whose 40 dimensions
         # copy 8 columns: at most 8 distinct signatures for 12 groups, so

@@ -209,6 +209,17 @@ class TestFeatureFiles:
         assert loaded[0].frames.tobytes() == seq.frames.tobytes()
         assert peak < 2.5 * size_mib
 
+    def test_binary_load_holds_about_two_copies_of_the_payload(self, tmp_path):
+        # the file's bytes and the sequence's array; a payload slice of the
+        # bytes was a third copy and peaked at 3.13 payloads
+        seq = FeatureSequence(np.random.default_rng(78).standard_normal((150, 1024)))
+        path = tmp_path / "seq.bin"
+        save_features(seq, path, binary=True)
+        loaded = []
+        peak = traced_peak_mib(lambda: loaded.append(load_features(path)))
+        assert loaded[0].frames.tobytes() == seq.frames.tobytes()
+        assert peak <= 2.5 * seq.frames.nbytes / 2**20
+
     def test_truncated_binary_rejected(self, tmp_path):
         seq = FeatureSequence(np.ones((3, 2)))
         path = tmp_path / "seq.bin"

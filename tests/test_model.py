@@ -679,6 +679,17 @@ def counting(monkeypatch, name):
     return calls
 
 
+def logged(monkeypatch, name, events):
+    """Wrap oacpool.model's global name so that each call appends name to events."""
+    original = getattr(oacpool.model, name)
+
+    def wrapper(*args, **kwargs):
+        events.append(name)
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(oacpool.model, name, wrapper)
+
+
 class TestPoolingHoist:
     """Parameter-free pooling runs once per instance, before the first epoch."""
 
@@ -801,7 +812,7 @@ class TestFusedStepErrors:
 
 
 class TestMagnitudeBounds:
-    """Steps that sgd_train's magnitude bounds prove finite skip the scans; the rest scan."""
+    """Steps that sgd_train's magnitude bound proves finite skip the scans; the rest scan."""
 
     @staticmethod
     def scaled_run(train, kind, frame_scale, learning_rate, scales=(2.0**995,) * 4):
@@ -836,13 +847,16 @@ class TestMagnitudeBounds:
     def test_bounds_that_cross_the_limit_mid_run(
         self, monkeypatch, kind, frame_scale, learning_rate
     ):
-        # parameters near 2**995: the first step's bounds stay below 2**1000
-        # and a later step's do not, so the scans resume mid-run
+        # the first step's bound stays below 2**1000 and a later step's does
+        # not, so the scans resume mid-run: a head bound near 2**995 grows by
+        # lr = 1e301 per step, and an oacp bound near 2**495 bounds logits
+        # near P * 2**990 and grows sevenfold per step
         calls = counting(monkeypatch, "_train_step")
-        got = self.scaled_run(sgd_train, kind, frame_scale, learning_rate)
+        scales = (2.0**495 if kind == "oacp" else 2.0**995,) * 4
+        got = self.scaled_run(sgd_train, kind, frame_scale, learning_rate, scales)
         checks = [args[-1] for args in calls]  # the check flag of every step
         assert checks[0] is False and True in checks
-        assert got == self.scaled_run(per_step_sgd, kind, frame_scale, learning_rate)
+        assert got == self.scaled_run(per_step_sgd, kind, frame_scale, learning_rate, scales)
 
     @pytest.mark.parametrize(
         "kind, head, frame, learning_rate, message",
@@ -865,8 +879,8 @@ class TestMagnitudeBounds:
         # one dimension and, for oacp, one one-tap filter of weight 1 and one
         # segment, so the pooled value is the frame value; the head's rows
         # are +-head and the label is the class the head ranks last, so the
-        # gradient bounds are tight.  Only the named bound crosses 2**1000,
-        # and the step really overflows there.
+        # gradient bounds are tight.  The bound crosses 2**1000 and the step
+        # really overflows in the named logits or parameter array.
         def run(train):
             model = ClassifierModel.build(
                 kind, 1, 2, interval=1, n_filters=1, pyramid=(1,), seed=46
@@ -884,9 +898,9 @@ class TestMagnitudeBounds:
         assert got == run(per_step_sgd)
 
     def test_a_nan_bound_scans_the_step(self):
-        # a zero head over conv responses that overflow: l*t*F is inf, so the
-        # logit bound 0 * inf and the head bound 0 + 0 * inf (lr 0) are NaN,
-        # and the step must still find the NaN logits
+        # a zero head over conv responses that overflow: p_inf = m*(l*F + 1)
+        # is inf, so the updated bound m + 0 * inf (lr 0) is NaN, and the
+        # step must still find the NaN logits
         runs = [
             self.scaled_run(train, "oacp", 1e300, 0.0, scales=(0.0, 0.0, 1e300, 0.0))
             for train in (sgd_train, per_step_sgd)
@@ -901,9 +915,59 @@ class TestMagnitudeBounds:
         )
         model = ClassifierModel.from_spec(PoolingSpec(kind, sample_rate=1), 64, 2, seed=44)
         calls = counting(monkeypatch, "_all_finite")
+        events = []
+        for name in ("_parameter_bound", "_train_step"):
+            logged(monkeypatch, name, events)
         sgd_train(model, train, TrainConfig(learning_rate=0.1, epochs=1, seed=45))
         assert calls == []
+        # the bound is taken exactly once, before the first step, and carried
+        assert events == ["_parameter_bound"] + ["_train_step"] * len(train)
         assert model.version == len(train)
+
+    @staticmethod
+    def third_step_unproved(monkeypatch):
+        """Make sgd_train's third _step_bound call report an unproved step."""
+        original = oacpool.model._step_bound
+        calls = []
+
+        def step_bound(*args):
+            calls.append(args)
+            return None if len(calls) == 3 else original(*args)
+
+        monkeypatch.setattr(oacpool.model, "_step_bound", step_bound)
+
+    @staticmethod
+    def bound_case():
+        data = [random_example(s, 12, 3, 2) for s in range(6)]
+        return tiny_oacp_model(seed=47), data, TrainConfig(learning_rate=0.1, epochs=2, seed=48)
+
+    def test_an_unproved_step_rederives_the_bound_once(self, monkeypatch):
+        self.third_step_unproved(monkeypatch)
+        bounds = counting(monkeypatch, "_parameter_bound")
+        model, data, cfg = self.bound_case()
+        sgd_train(model, data, cfg)
+        assert len(bounds) == 2  # the run's start and the third step
+        reference, data, cfg = self.bound_case()
+        assert parameter_bytes(model) == parameter_bytes(per_step_sgd(reference, data, cfg))
+
+    def test_a_nan_parameter_raises_from_the_rederived_bound(self, monkeypatch):
+        # the third step, which the bound does not prove, leaves a NaN head weight
+        self.third_step_unproved(monkeypatch)
+        original = oacpool.model._train_step
+        steps = []
+
+        def train_step(model, *args):
+            steps.append(args)
+            result = original(model, *args)
+            if len(steps) == 3:
+                model.w_head[0, 0] = np.nan
+            return result
+
+        monkeypatch.setattr(oacpool.model, "_train_step", train_step)
+        model, data, cfg = self.bound_case()
+        with pytest.raises(DivergenceError, match=NON_FINITE_PARAMETERS):
+            sgd_train(model, data, cfg)
+        assert model.version == 3
 
 
 class TestPaperShapeMemory:
