@@ -17,18 +17,7 @@ import numpy as np
 
 from .errors import ShapeMismatchError, TooShortSequenceError
 from .pooling import PyramidConfig, positive_int, segment_ranges
-from .sequences import FeatureSequence
-
-
-def _as_param_array(values, ndim: int, name: str) -> np.ndarray:
-    arr = np.array(values, dtype=np.float64, order="C")
-    if arr.ndim != ndim:
-        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
-    if arr.size == 0:
-        raise ValueError(f"{name} must be nonempty")
-    if not np.isfinite(arr).all():
-        raise ValueError(f"{name} contains NaN or infinite values")
-    return arr
+from .sequences import FeatureSequence, _checked_floats
 
 
 class FilterBankSet:
@@ -40,20 +29,23 @@ class FilterBankSet:
     the taps as a C-contiguous (interval, n_filters, num_dims) array and the
     biases as C-contiguous (n_filters, num_dims) rows, dimensions innermost.
     Writing through a view writes the storage, and a copy of the set copies
-    the storage alone.  The arrays are the trainable parameters and are
-    mutated in place by the SGD loop; treat a set as immutable elsewhere.
+    the storage alone.  Weights and biases are checked once (3-D and 2-D,
+    nonempty, finite) and copied once, into that storage, so the set shares
+    no memory with its caller.  The arrays are the trainable parameters and
+    are mutated in place by the SGD loop; treat a set as immutable elsewhere.
     """
 
     def __init__(self, weights, biases, stride: int = 1):
-        weights = _as_param_array(weights, 3, "weights")
-        biases = _as_param_array(biases, 2, "biases")
+        weights = _checked_floats(weights, 3, "weights")
+        biases = _checked_floats(biases, 2, "biases")
         if biases.shape != weights.shape[:2]:
             raise ShapeMismatchError(
                 f"biases shape {biases.shape} does not match weights shape {weights.shape}"
             )
         self.stride = positive_int(stride, "stride")
-        self._taps = np.ascontiguousarray(weights.transpose(2, 1, 0))  # (l, n, K)
-        self._bias_rows = np.ascontiguousarray(biases.T)  # (n, K)
+        # np.array copies even a transpose already C-contiguous (Fortran order, K = n = 1)
+        self._taps = np.array(weights.transpose(2, 1, 0), order="C")  # (l, n, K)
+        self._bias_rows = np.array(biases.T, order="C")  # (n, K)
 
     @property
     def weights(self) -> np.ndarray:

@@ -23,7 +23,7 @@ from .errors import (
     SumOverflowError,
 )
 from .pooling import positive_int, seed_value
-from .sequences import FeatureSequence
+from .sequences import FeatureSequence, _checked_floats
 
 # Lloyd rounds before lloyd_kmeans stops even if assignments still move.
 KMEANS_MAX_ITERS = 100
@@ -267,11 +267,7 @@ def lloyd_kmeans(points, k: int, seed=0) -> tuple[np.ndarray, np.ndarray, np.nda
     """
     # C order makes each distance a sum over a contiguous row, so the
     # rounding does not depend on the caller's memory layout
-    points = np.ascontiguousarray(points, dtype=np.float64)
-    if points.ndim != 2 or points.size == 0:
-        raise ValueError(f"points must be a nonempty 2-D array, got shape {points.shape}")
-    if not np.isfinite(points).all():
-        raise ValueError("points contain NaN or infinite values")
+    points = np.ascontiguousarray(_checked_floats(points, 2, "points"))
     n = points.shape[0]
     k = positive_int(k, "k", minimum=-np.inf)  # out of range is an InvalidTargetError
     if not 1 <= k <= n:

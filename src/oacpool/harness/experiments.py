@@ -12,7 +12,7 @@ from __future__ import annotations
 from collections.abc import Iterable
 from dataclasses import dataclass
 
-from ..errors import DivergenceError
+from ..errors import DivergenceError, ShapeMismatchError
 from ..model import ClassifierModel, PoolingSpec, TrainConfig, evaluate, sgd_train
 from ..sequences import LabeledSequence, replicate_pad, sample_frames
 
@@ -105,12 +105,21 @@ def run_comparison(
     the remaining methods still run.  Row order follows the methods
     argument.  Pass the class count a manifest declares as num_classes;
     without it the count is one more than the largest label in either
-    split, which is too few when no instance has the last class.
+    split, which is too few when no instance has the last class.  A test
+    instance whose feature count is not train[0]'s raises ShapeMismatchError
+    before anything trains.
     """
     if not train or not test:
         raise ValueError("train and test data must be nonempty")
     if not methods:
         raise ValueError("need at least one method")
+    num_features = train[0].sequence.num_features
+    for i, item in enumerate(test):
+        if item.sequence.num_features != num_features:
+            raise ShapeMismatchError(
+                f"test instance {i} has {item.sequence.num_features} features, "
+                f"the training data has {num_features}"
+            )
     if num_classes is None:
         num_classes = 1 + max(item.label for item in list(train) + list(test))
     rows = [_run_method(spec, train, test, train_cfg, num_classes) for spec in methods]

@@ -7,11 +7,12 @@ Format (one manifest per split)::
     rising_0000.txt 0
     falling_0000.txt 1
 
-``classes=`` is required; ``split=`` is optional.  Entry lines hold a path
-and a label separated by whitespace (the label is the last token).  Paths
-are resolved relative to the manifest's directory.  Blank lines and lines
-starting with '#' are ignored.  Lines end at a newline (``\n``, ``\r\n`` or
-``\r``) and nowhere else, so a path may hold any other character.
+``classes=`` is required and ``split=`` optional; each may appear once, and
+no class name may be empty.  Entry lines hold a path and a label separated
+by whitespace (the label is the last token).  Paths are resolved relative
+to the manifest's directory.  Blank lines and lines starting with '#' are
+ignored.  Lines end at a newline (``\n``, ``\r\n`` or ``\r``) and nowhere
+else, so a path may hold any other character.
 """
 
 from __future__ import annotations
@@ -70,21 +71,19 @@ def load_manifest(path) -> DatasetManifest:
             lines = fh.read().split("\n")
     except UnicodeDecodeError as exc:
         raise ParseError(f"{path}: not utf-8 text: {exc}") from None
-    class_names: tuple[str, ...] | None = None
-    split_tag = ""
+    headers: dict[str, str] = {}
     entries: list[tuple[Path, int]] = []
     for lineno, line in enumerate(lines, start=1):
         stripped = line.strip()
         if not stripped or stripped.startswith("#"):
             continue
-        if stripped.startswith("classes="):
-            names = tuple(n for n in stripped[len("classes=") :].split(",") if n)
-            if not names:
-                raise ParseError(f"{path}: line {lineno}: empty class list")
-            class_names = names
-            continue
-        if stripped.startswith("split="):
-            split_tag = stripped[len("split=") :]
+        if stripped.startswith(("classes=", "split=")):
+            key, value = stripped.split("=", 1)
+            if key in headers:
+                raise ParseError(f"{path}: line {lineno}: a second '{key}=' line")
+            if key == "classes" and "" in value.split(","):
+                raise ParseError(f"{path}: line {lineno}: empty class name in {stripped!r}")
+            headers[key] = value
             continue
         pieces = stripped.rsplit(None, 1)
         if len(pieces) != 2:
@@ -108,12 +107,12 @@ def load_manifest(path) -> DatasetManifest:
         if not is_file:
             raise ParseError(f"{path}: line {lineno}: no such feature file: {resolved}")
         entries.append((resolved, label))
-    if class_names is None:
+    if "classes" not in headers:
         raise ParseError(f"{path}: missing required 'classes=' line")
     if not entries:
         raise ParseError(f"{path}: manifest lists no feature files")
     try:
-        return DatasetManifest(entries, class_names, split_tag)
+        return DatasetManifest(entries, headers["classes"].split(","), headers.get("split", ""))
     except ValueError as exc:
         raise ParseError(f"{path}: {exc}") from None
 

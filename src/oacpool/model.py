@@ -43,7 +43,7 @@ from .pooling import (
     seed_value,
     temporal_pyramid_pool,
 )
-from .sequences import FeatureSequence, LabeledSequence
+from .sequences import FeatureSequence, LabeledSequence, _checked_floats
 
 POOLING_KINDS = ("average", "max", "pyramid", "oacp")
 
@@ -203,14 +203,11 @@ class ClassifierModel:
                 )
         elif banks is not None:
             raise ValueError(f"{spec.kind} pooling takes no filter banks")
-        self.w_head = np.array(self.w_head, dtype=np.float64, order="C")
-        self.b_head = np.array(self.b_head, dtype=np.float64, order="C")
         for name, shape in zip(("w_head", "b_head"), shapes):
-            actual = getattr(self, name).shape
-            if actual != shape:
-                raise ShapeMismatchError(f"{name} shape {actual}, expected {shape}")
-        if not (np.isfinite(self.w_head).all() and np.isfinite(self.b_head).all()):
-            raise ValueError("head parameters contain NaN or infinite values")
+            values = np.asarray(getattr(self, name), dtype=np.float64)
+            if values.shape != shape:
+                raise ShapeMismatchError(f"{name} shape {values.shape}, expected {shape}")
+            setattr(self, name, np.array(_checked_floats(values, len(shape), name), order="C"))
 
     @property
     def pooled_length(self) -> int:

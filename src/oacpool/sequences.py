@@ -30,30 +30,33 @@ def positive_int(value, name: str, minimum: int = 1) -> int:
     return value
 
 
-def _validated_frames(values) -> np.ndarray:
-    frames = np.array(values, dtype=np.float64, order="C")
-    if frames.ndim != 2:
-        raise ValueError(f"frames must be a 2-D (T x K) array, got shape {frames.shape}")
-    if frames.shape[0] < 1 or frames.shape[1] < 1:
-        raise ValueError(f"frames must have at least one frame and one feature, got shape {frames.shape}")
-    if not np.isfinite(frames).all():
-        raise ValueError("frames contain NaN or infinite values")
-    frames.flags.writeable = False
-    return frames
+def _checked_floats(values, ndim: int, name: str) -> np.ndarray:
+    """values as float64 with ndim axes, nonempty and finite; a view, not a copy, if they are float64."""
+    arr = np.asarray(values, dtype=np.float64)
+    if arr.ndim != ndim:
+        raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
+    if arr.size == 0:
+        raise ValueError(f"{name} must be nonempty")
+    if not np.isfinite(arr).all():
+        raise ValueError(f"{name} contains NaN or infinite values")
+    return arr
 
 
 @dataclass(frozen=True, eq=False)
 class FeatureSequence:
     """A length-T sequence of K-dimensional frame feature vectors.
 
-    The array is copied to double precision on construction and frozen
-    read-only, so a sequence can be shared freely between threads.
+    The values are checked once (2-D, nonempty, finite) and copied once, to
+    a C-contiguous float64 array frozen read-only, so a sequence shares no
+    memory with its caller and can be shared freely between threads.
     """
 
     frames: np.ndarray
 
     def __post_init__(self):
-        object.__setattr__(self, "frames", _validated_frames(self.frames))
+        frames = np.array(_checked_floats(self.frames, 2, "frames"), order="C")
+        frames.flags.writeable = False
+        object.__setattr__(self, "frames", frames)
 
     @property
     def num_frames(self) -> int:

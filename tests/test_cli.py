@@ -474,6 +474,21 @@ class TestCompare:
         assert code == 2
         assert "test manifest declares 2" in capsys.readouterr().err
 
+    def test_rejects_a_test_split_of_another_width(self, synth_dir, tmp_path, capsys):
+        save_features(FeatureSequence(np.ones((30, 5))), tmp_path / "wide.txt")
+        test = tmp_path / "wide.manifest"
+        test.write_text("classes=a,b\nwide.txt 1\n")
+        code = run_cli(
+            "compare", "--train-manifest", str(synth_dir / "train.manifest"),
+            "--test-manifest", str(test), "--methods", "oacp,average", "--epochs", "1",
+        )
+        assert code == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "oacpool compare: error: test instance 0 has 5 features, the training data has 4\n"
+        )
+
     def test_rejects_unknown_method(self, tmp_path, capsys):
         assert run_cli(
             "compare", "--train-manifest", str(tmp_path / "a"),

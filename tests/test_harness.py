@@ -22,6 +22,7 @@ from oacpool.harness import (
     save_features,
     save_manifest,
 )
+from oacpool.harness import experiments
 from oacpool.harness.manifest import iter_dataset
 from oacpool.model import PoolingSpec, TrainConfig
 from oacpool.pooling import average_pool, max_pool
@@ -378,6 +379,38 @@ class TestManifest:
         with pytest.raises(ValueError):
             DatasetManifest([(seq_path, 0)], ("a", "a"))
 
+    @pytest.mark.parametrize(
+        "header, lineno, message",
+        [
+            ("classes=up,,down", 1, "empty class name in 'classes=up,,down'"),
+            ("classes=up,down,", 1, "empty class name in 'classes=up,down,'"),
+            ("classes=,up", 1, "empty class name in 'classes=,up'"),
+            ("classes=", 1, "empty class name in 'classes='"),
+            ("classes=up,down\nseq.txt 1\nclasses=down,up", 3, "a second 'classes=' line"),
+            ("classes=up,down\nsplit=a\nsplit=b", 3, "a second 'split=' line"),
+            ("classes=up,down\nsplit=\nsplit=", 3, "a second 'split=' line"),
+        ],
+        ids=["inner", "trailing", "leading", "only", "second-classes", "second-split", "empty-split"],
+    )
+    def test_headers_that_would_relabel_classes_are_refused(
+        self, tmp_path, header, lineno, message
+    ):
+        # dropping the empty name, or taking the later list, would read
+        # label 1 as another class than the one the manifest declared
+        save_features(FeatureSequence(np.ones((2, 2))), tmp_path / "seq.txt")
+        path = tmp_path / "bad.manifest"
+        path.write_text(f"{header}\nseq.txt 1\n")
+        with pytest.raises(ParseError, match=re.escape(f"line {lineno}: {message}")):
+            load_manifest(path)
+
+    def test_class_names_keep_their_positions(self, tmp_path):
+        save_features(FeatureSequence(np.ones((2, 2))), tmp_path / "seq.txt")
+        path = tmp_path / "data.manifest"
+        path.write_text("# classes=x\nclasses=up, ,down\nsplit=\nseq.txt 1\n")
+        loaded = load_manifest(path)
+        assert loaded.class_names == ("up", " ", "down")
+        assert loaded.split_tag == ""
+
     def test_dataset_dimensionality_must_be_uniform(self, tmp_path):
         a = tmp_path / "a.txt"
         b = tmp_path / "b.txt"
@@ -530,6 +563,20 @@ class TestRunComparison:
         assert row.total_params == 3 * 3 + 3
         inferred = run_comparison(train, test, methods, cfg).rows[0]
         assert inferred.total_params == 2 * 3 + 2
+
+    def test_a_test_split_of_another_width_fails_before_training(self, monkeypatch):
+        trained = []
+        monkeypatch.setattr(experiments, "sgd_train", lambda *args: trained.append(args))
+        train = mean_separable_dataset(4, 6, 4, seed=290)
+        test = mean_separable_dataset(3, 6, 4, seed=291)
+        test[2] = LabeledSequence(FeatureSequence(np.ones((6, 5))), 0)
+        methods = [PoolingSpec("oacp", sample_rate=1), PoolingSpec("average", sample_rate=1)]
+        with pytest.raises(
+            ShapeMismatchError,
+            match="^test instance 2 has 5 features, the training data has 4$",
+        ):
+            run_comparison(train, test, methods, TrainConfig(learning_rate=0.1, epochs=1))
+        assert trained == []
 
     def test_csv_shape_and_determinism(self):
         train = mean_separable_dataset(8, 6, 3, seed=96)

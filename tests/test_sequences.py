@@ -1,6 +1,13 @@
+import re
+
 import numpy as np
 import pytest
 
+from helpers import traced_peak_mib
+from oacpool.convpool import FilterBankSet
+from oacpool.dimreduce import lloyd_kmeans
+from oacpool.errors import ShapeMismatchError
+from oacpool.model import ClassifierModel, PoolingSpec
 from oacpool.sequences import (
     FeatureSequence,
     LabeledSequence,
@@ -132,3 +139,99 @@ class TestReplicatePad:
     def test_numpy_integer_count(self):
         seq = FeatureSequence([[1.0], [2.0]])
         assert replicate_pad(seq, np.int32(4)) == replicate_pad(seq, 4)
+
+
+# Each intake site: name -> (good shape, call taking the values to check).  The
+# bank and head calls give every other argument a valid value.
+INTAKE_SITES = {
+    "frames": ((4, 3), FeatureSequence),
+    "weights": ((3, 2, 2), lambda v: FilterBankSet(v, np.zeros((3, 2)))),
+    "biases": ((3, 2), lambda v: FilterBankSet(np.ones((3, 2, 2)), v)),
+    "w_head": (
+        (2, 3),
+        lambda v: ClassifierModel(PoolingSpec("average"), 3, 2, w_head=v, b_head=np.zeros(2)),
+    ),
+    "b_head": (
+        (2,),
+        lambda v: ClassifierModel(PoolingSpec("average"), 3, 2, w_head=np.ones((2, 3)), b_head=v),
+    ),
+    "points": ((4, 3), lambda v: lloyd_kmeans(v, 1)),
+}
+
+
+def _with(shape, value):
+    """A ones array of shape holding value at its last position."""
+    arr = np.ones(shape)
+    arr.flat[-1] = value
+    return arr
+
+
+# Each bad input: case -> (values made from the good shape, expected text).
+BAD_INTAKE = {
+    "axes": (lambda shape: np.ones(shape + (1,)), "{name} must be {ndim}-D, got shape "),
+    "empty": (lambda shape: np.ones((0,) + shape[1:]), "{name} must be nonempty"),
+    "nan": (lambda shape: _with(shape, np.nan), "{name} contains NaN or infinite values"),
+    "inf": (lambda shape: _with(shape, np.inf), "{name} contains NaN or infinite values"),
+    "nested-list": (
+        lambda shape: _with(shape, -np.inf).tolist(),
+        "{name} contains NaN or infinite values",
+    ),
+}
+
+
+class TestIntakeRule:
+    """Frames, filter banks, head parameters and k-means points share one rule and its texts."""
+
+    @pytest.mark.parametrize("site", sorted(INTAKE_SITES))
+    @pytest.mark.parametrize("case", list(BAD_INTAKE))
+    def test_bad_values_raise_the_shared_texts(self, site, case):
+        shape, call = INTAKE_SITES[site]
+        make, text = BAD_INTAKE[case]
+        call(np.ones(shape))  # the good values pass
+        if site.endswith("_head") and case in ("axes", "empty"):
+            # the head's shape is fixed by the model, so its own check, which
+            # runs first, names the expected shape
+            expected, text = ShapeMismatchError, "{name} shape "
+        else:
+            expected = ValueError
+        message = text.format(name=site, ndim=len(shape))
+        with pytest.raises(expected, match="^" + re.escape(message)):
+            call(make(shape))
+
+    def test_a_sequence_keeps_no_reference_to_its_input(self):
+        values = np.arange(12.0).reshape(4, 3)
+        seq = FeatureSequence(values)
+        values[...] = -1.0
+        assert np.array_equal(seq.frames, np.arange(12.0).reshape(4, 3))
+
+    @pytest.mark.parametrize("order", ["C", "F"])
+    @pytest.mark.parametrize("shape", [(3, 2, 4), (1, 1, 4)], ids=["K3-n2", "K1-n1"])
+    def test_a_bank_set_keeps_no_reference_to_its_input(self, shape, order):
+        # the taps' transpose of Fortran-ordered weights, or of any weights
+        # at K = n = 1, is already C-contiguous, so only an unconditional
+        # copy owns it
+        weights = np.array(np.arange(np.prod(shape), dtype=float).reshape(shape), order=order)
+        biases = np.array(np.ones(shape[:2]), order=order)
+        banks = FilterBankSet(weights, biases)
+        expected = weights.copy(), biases.copy()
+        weights[...] = -1.0
+        biases[...] = -1.0
+        assert np.array_equal(banks.weights, expected[0])
+        assert np.array_equal(banks.biases, expected[1])
+        banks.weights[...] = 7.0  # and training writes only the set's storage
+        assert (weights == -1.0).all()
+
+    def test_a_model_keeps_no_reference_to_its_head_input(self):
+        w_head, b_head = np.ones((2, 3)), np.zeros(2)
+        model = ClassifierModel(PoolingSpec("average"), 3, 2, w_head=w_head, b_head=b_head)
+        w_head[...] = -1.0
+        b_head[...] = -1.0
+        assert (model.w_head == 1.0).all() and (model.b_head == 0.0).all()
+
+    def test_a_paper_shape_bank_set_is_copied_once(self):
+        # (4096, 3, 8) taps: the check adds a bool array of 1/8 their bytes,
+        # and a second copy of the weights would read over 2x
+        rng = np.random.default_rng(29)
+        weights, biases = rng.uniform(-1.0, 1.0, (4096, 3, 8)), np.zeros((4096, 3))
+        peak = traced_peak_mib(lambda: FilterBankSet(weights, biases))
+        assert peak <= 1.3 * weights.nbytes / 2**20

@@ -10,7 +10,19 @@ each under ``PYTHONPATH=TREE/src`` in one temporary directory that later
 calls read from: ``synth`` of each task, ``train`` of each pooling kind
 plus an oacp model of stride 2, pyramid 1,2,4 and interval 3, ``eval
 --confusion`` of each of those models, a ``train`` that diverges (exit 3),
-a four-method ``compare``, ``gradcheck``, and a ``reduce`` fit and apply.
+a four-method ``compare``, ``gradcheck``, a ``reduce`` fit and apply, and
+four calls on bad inputs that the script writes under ``bad/`` first:
+
+1. ``train`` on a manifest declaring ``classes=a,,b``;
+2. ``train`` on a manifest with a second ``classes=`` line;
+3. ``train`` on a manifest listing a text feature file that holds ``nan``;
+4. a ``compare`` whose test split has 5 features and training split 6.
+
+Calls 1, 2 and 4 changed on purpose when the manifest reader began to
+refuse empty class names and repeated headers (1 and 2 exited 0 and now
+exit 2) and ``compare`` began to check the test split's width before
+training (4 still exits 2, with a message that names the test instance);
+call 3 must not change.
 For each call it prints the call's name, its exit code and one SHA-256
 over its stdout, its stderr, its exit code and the files it wrote or
 changed, with the temporary directory's path replaced by a placeholder.  Two trees agree
@@ -39,6 +51,16 @@ KINDS = ("average", "max", "pyramid", "oacp")
 SYNTH = ("--t", "60", "--k", "6", "--n-train", "16", "--n-test", "8", "--seed", "3")
 TRAIN = ("--manifest", "trend-pair/train.manifest", "--epochs", "4", "--seed", "1")
 STRIDED = ("--stride", "2", "--pyramid", "1,2,4", "--interval", "3")
+# the bad inputs' files, by path relative to the temporary directory
+BAD_INPUTS = {
+    "bad/one.txt": "T=2 K=3\n0.5 1 2\n1 0 0.25\n",
+    "bad/nan.txt": "T=2 K=3\n0.5 1 2\nnan 0 0.25\n",
+    "bad/wide.txt": "T=2 K=5\n0.5 1 2 3 4\n1 0 0.25 0 1\n",
+    "bad/empty-name.manifest": "classes=a,,b\none.txt 0\none.txt 1\n",
+    "bad/two-class-lines.manifest": "classes=a,b\none.txt 0\nclasses=b,a\none.txt 1\n",
+    "bad/nan.manifest": "classes=a,b\none.txt 0\nnan.txt 1\n",
+    "bad/wide.manifest": "classes=a,b\nwide.txt 0\n",
+}
 
 
 def calls() -> list[tuple[str, tuple[str, ...]]]:
@@ -77,6 +99,14 @@ def calls() -> list[tuple[str, tuple[str, ...]]]:
             ),
         ),
     ]
+    for name in ("empty-name", "two-class-lines", "nan"):
+        bad = ("--manifest", f"bad/{name}.manifest", "--epochs", "1")
+        runs.append((f"train {name}", ("train", *bad, "--model-out", f"{name}.oacm")))
+    wide = (
+        "compare", "--train-manifest", "trend-pair/train.manifest",
+        "--test-manifest", "bad/wide.manifest", "--methods", "oacp,average", "--epochs", "1",
+    )
+    runs.append(("compare wide", wide))
     return runs
 
 
@@ -123,6 +153,9 @@ def main(argv=None) -> int:
         parser.error(f"{tree} holds no src/oacpool package")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
+        (work / "bad").mkdir()
+        for name, text in BAD_INPUTS.items():
+            (work / name).write_text(text)
         for name, call in calls():
             code, digest = call_digest(tree, work, call)
             print(f"{name} (exit {code}): {digest}", flush=True)
