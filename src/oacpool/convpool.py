@@ -70,11 +70,15 @@ class FilterBankSet:
         return self._taps.shape[0]
 
 
-# Output rows per conv block: 2**16 doubles keep the block and its product
-# buffer (512 KiB each) in a core's L2 cache at the paper shape, where one
-# (T_out, n, K) buffer alone is 2.2 MiB.  Desk shapes fit in one block,
-# every tap's product included.
-_BLOCK_ELEMENTS = 1 << 16
+def _windows(frames: np.ndarray, interval: int, stride: int) -> np.ndarray:
+    """The (T_out, K, interval) view windows[t, k, i] = frames[t*stride + i, k].
+
+    frames must be C-contiguous; the view is read-only if they are.
+    """
+    row_step, dim_step = frames.strides
+    t_out = (frames.shape[0] - interval) // stride + 1
+    shape = (t_out, frames.shape[1], interval)
+    return np.ndarray(shape, frames.dtype, frames, 0, (row_step * stride, dim_step, row_step))
 
 
 def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
@@ -85,20 +89,12 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
     i order onto zero and the bias is added last, so results are
     reproducible bit-for-bit regardless of BLAS backend and each
     dimension's responses equal those of a one-dimension bank set on that
-    dimension alone.  The loop nest follows the block geometry:
-    - when the l tap products of every output, l * T_out * n * K values,
-      fit in one block of _BLOCK_ELEMENTS (desk shapes), they are formed
-      at once as one contiguous (l, T_out, n, K) multiply: the taps tiled
-      over the rows, times the frames expanded over the filters and read
-      as strided tap windows.  One np.add.reduce over the tap axis, with
-      initial 0.0, then sums them: a reduction over the outer axis of a
-      contiguous array adds whole (T_out, n, K) slices onto the initial
-      zero in ascending tap order, the oracle's order, so a sum of -0.0
-      products is +0.0 as the oracle's is;
-    - otherwise (the paper shape) the sums accumulate a block of output
-      rows at a time, with the K dimensions innermost: tap i of a block
-      multiplies frames[t*stride + i], a strided slice of frames, by the
-      taps broadcast over the rows.
+    dimension alone.  One einsum of the (T_out, K, l) sliding windows of
+    the frames with the (l, n, K) taps forms every sum.  NumPy adds the
+    reduced tap axis in ascending order only while another axis, here K,
+    is the innermost loop.  A one-dimension input would leave the tap axis
+    innermost and summed in another order, so it is widened to two
+    identical columns and the first column's responses are kept.
     """
     num_frames = frames.shape[0]
     interval, stride = banks.interval, banks.stride
@@ -106,31 +102,13 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
         raise TooShortSequenceError(
             f"sequence has {num_frames} frames but the filters need {interval}"
         )
-    t_out = (num_frames - interval) // stride + 1
-    shape = (t_out, banks.n_filters, banks.num_dims)
     taps = banks._taps
-    if interval * math.prod(shape) <= _BLOCK_ELEMENTS:
-        products = np.empty((interval,) + shape)
-        products[...] = taps[:, None]
-        expanded = np.empty((num_frames,) + shape[1:])
-        expanded[...] = frames[:, None]
-        row = expanded.strides[0]
-        products *= np.ndarray(
-            products.shape, expanded.dtype, expanded, 0, (row, row * stride) + expanded.strides[1:]
-        )
-        acc = np.add.reduce(products, axis=0, initial=0.0)
-    else:
-        acc = np.zeros(shape)
-        rows = max(1, _BLOCK_ELEMENTS // (shape[1] * shape[2]))
-        term = np.empty_like(acc[:rows])
-        for start in range(0, t_out, rows):
-            block = acc[start : start + rows]
-            block_term = term[: block.shape[0]]
-            for i in range(interval):
-                first = start * stride + i
-                block_frames = frames[first : first + block.shape[0] * stride : stride, None]
-                np.multiply(block_frames, taps[i], out=block_term)
-                block += block_term
+    if banks.num_dims == 1:
+        frames, taps = np.repeat(frames, 2, axis=1), np.repeat(taps, 2, axis=2)
+    windows = _windows(np.ascontiguousarray(frames), interval, stride)
+    acc = np.einsum("tki,ijk->tjk", windows, taps)
+    if banks.num_dims == 1:
+        acc = np.ascontiguousarray(acc[:, :, :1])
     acc += banks._bias_rows
     return acc
 
@@ -213,20 +191,10 @@ def oacp_forward_details(
         raise ShapeMismatchError(
             f"sequence has {seq.num_features} dimensions but the bank set has {banks.num_dims}"
         )
-    frames = seq.frames
-    pre = conv_responses(frames, banks)
+    pre = conv_responses(seq.frames, banks)
     t_out = pre.shape[0]
     plan = _pooling_plan(t_out, banks.num_dims, cfg)
-    # (T_out, K, interval) view, read-only as the frames are:
-    # windows[t, k, i] = frames[t*stride + i, k]
-    row_step, dim_step = frames.strides
-    windows = np.ndarray(
-        (t_out, banks.num_dims, banks.interval),
-        frames.dtype,
-        frames,
-        0,
-        (row_step * banks.stride, dim_step, row_step),
-    )
+    windows = _windows(seq.frames, banks.interval, banks.stride)
     piece_max = np.empty((len(plan.pieces),) + pre.shape[1:])
     for q, (a, b) in enumerate(plan.pieces):
         np.maximum.reduce(pre[a:b], axis=0, out=piece_max[q])

@@ -14,7 +14,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .convpool import _BLOCK_ELEMENTS
 from .errors import (
     InvalidTargetError,
     MissingClassError,
@@ -27,6 +26,10 @@ from .sequences import FeatureSequence, _checked_floats
 
 # Lloyd rounds before lloyd_kmeans stops even if assignments still move.
 KMEANS_MAX_ITERS = 100
+
+# Doubles per block of k-means temporaries: 2**16 (512 KiB) stay in a
+# core's L2 cache.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True, eq=False)
@@ -192,7 +195,7 @@ def _assign(points, norms, centroids, assignment, own) -> None:
 
     A block of rows at a time, _screen estimates every distance and only
     the candidates get their exact row sums (see lloyd_kmeans).  The
-    block's temporaries stay about the conv's 2**16-double budget: the
+    block's temporaries stay about _BLOCK_ELEMENTS doubles: the
     (rows, k) estimates take 1/4 of it, the candidate pairs' indices and
     sums at most 3/4 (when every centroid is a candidate), and each chunk
     of re-scored (pairs, c) rows 1/4.

@@ -22,12 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convpool import (
-    _BLOCK_ELEMENTS,
-    FilterBankSet,
-    _pooling_plan,
-    oacp_forward_details,
-)
+from .convpool import FilterBankSet, _pooling_plan, oacp_forward_details
 from .errors import (
     DivergenceError,
     ParseError,
@@ -436,6 +431,12 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> list[np
     routing = () if cache.windows is None else (cache.windows, cache.segment_argmax)
     bank = _gradient(model, dlogits, label, cache.pooled, routing)
     return [np.outer(dlogits, cache.pooled), dlogits, *(grad.T for grad in bank)]
+
+
+# Elements per block of head-update rows: 2**16 doubles (512 KiB) keep a
+# block and its slice of w_head in a core's L2 cache.  The paper shape's
+# rows, P = 36,864 long, go one at a time; a desk-shape head is one block.
+_BLOCK_ELEMENTS = 1 << 16
 
 
 def _update_buffer(model: ClassifierModel) -> np.ndarray:

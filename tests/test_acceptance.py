@@ -174,24 +174,24 @@ def test_pyramid_dimensionality():
 def test_brute_force_conv_equivalence():
     rng = np.random.default_rng(10)
     cases = 0
-    for t in range(1, 7):
-        for length in range(1, 4):
-            if t < length:
-                continue
-            for stride in (1, 2):
-                for n_filters in (1, 2, 3):
-                    signal = rng.standard_normal(t)
-                    weights = rng.standard_normal((n_filters, length))
-                    biases = rng.standard_normal(n_filters)
-                    seq = FeatureSequence(signal[:, None])
-                    banks = FilterBankSet(weights[None], biases[None], stride)
-                    details = oacp_forward_details(seq, banks, PyramidConfig((1,)))
-                    got = np.maximum(details.pre_activation, 0.0)[:, :, 0]
-                    want = conv_oracle(signal, weights, biases, stride)
-                    assert got.tobytes() == want.tobytes(), (
-                        f"mismatch at T={t} l={length} stride={stride} n={n_filters}"
-                    )
-                    cases += 1
+    # every (T, l) up to T = 6 and l = 3, then l = 4 .. 16 at T = l .. l + 2
+    shapes = [(t, length) for t in range(1, 7) for length in range(1, 4) if t >= length]
+    shapes += [(t, length) for length in range(4, 17) for t in range(length, length + 3)]
+    for t, length in shapes:
+        for stride in (1, 2):
+            for n_filters in (1, 2, 3):
+                signal = rng.standard_normal(t)
+                weights = rng.standard_normal((n_filters, length))
+                biases = rng.standard_normal(n_filters)
+                seq = FeatureSequence(signal[:, None])
+                banks = FilterBankSet(weights[None], biases[None], stride)
+                details = oacp_forward_details(seq, banks, PyramidConfig((1,)))
+                got = np.maximum(details.pre_activation, 0.0)[:, :, 0]
+                want = conv_oracle(signal, weights, biases, stride)
+                assert got.tobytes() == want.tobytes(), (
+                    f"mismatch at T={t} l={length} stride={stride} n={n_filters}"
+                )
+                cases += 1
     _report(f"brute-force conv equivalence ({cases} shape combinations, bit-exact)")
 
 

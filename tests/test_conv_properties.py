@@ -54,11 +54,22 @@ def check_against_oracles(frames, banks, cfg):
     assert got.tobytes() == want.tobytes()
 
 
+def one_dimension_eight_taps():
+    # K = n = T_out = 1: the tap axis is the only one the conv sums over, and
+    # a positive response whose last bit depends on the order of the sum
+    rng = np.random.default_rng(2)
+    frames = rng.uniform(-4.0, 4.0, (8, 1))
+    weights = rng.uniform(-4.0, 4.0, (1, 1, 8))
+    biases = rng.uniform(-4.0, 4.0, (1, 1))
+    return frames, FilterBankSet(weights, biases), PyramidConfig((1,))
+
+
 class TestConvProperties:
     """Several dimensions at once, where the conv accumulates with K innermost."""
 
     @settings(derandomize=True, deadline=None)
     @given(conv_cases())
+    @example(one_dimension_eight_taps())
     def test_every_dimension_matches_the_oracle_and_maxima_are_exact(self, case):
         check_against_oracles(*case)
 

@@ -6,11 +6,10 @@ from helpers import (
     conv_pre_oracle,
     numpy_segment_pooling,
     overflowing_conv_case,
+    traced_peak_mib,
 )
 
-from oacpool import convpool
 from oacpool.convpool import (
-    _BLOCK_ELEMENTS,
     FilterBankSet,
     conv_responses,
     oacp_forward_details,
@@ -146,28 +145,45 @@ class TestConvResponsesAllDims:
             assert stacked[:, :, k : k + 1].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
-    @pytest.mark.parametrize("t_out, one_block", [(32, True), (33, False)])
-    def test_one_block_edge_matches_the_oracle_and_the_row_blocks(
-        self, monkeypatch, stride, t_out, one_block
-    ):
-        # l * T_out * n * K = 8 * 32 * 4 * 64 fills one block exactly; one
-        # more output row takes the row-blocked loop
+    @pytest.mark.parametrize("t_out", [32, 33])
+    def test_desk_width_matches_the_oracle(self, stride, t_out):
+        # K = 64, n = 4, l = 8, negative sums included
         rng = np.random.default_rng(40 + stride)
         frames = rng.standard_normal((8 + (t_out - 1) * stride, 64))
         fbs = FilterBankSet(rng.standard_normal((64, 4, 8)), rng.standard_normal((64, 4)), stride)
-        assert (8 * t_out * 4 * 64 <= _BLOCK_ELEMENTS) == one_block
         pre = conv_responses(frames, fbs)
         assert pre.shape == (t_out, 4, 64) and pre.flags.c_contiguous
-        responses = np.maximum(pre, 0.0)
         for k in range(64):
-            want = conv_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], stride)
-            assert responses[:, :, k].tobytes() == want.tobytes()
-            # the one-reduce tap sum and the row blocks, negative sums included
             want = conv_pre_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], stride)
             assert pre[:, :, k].tobytes() == want.tobytes()
-        # the same pre-activations, negative ones included, one row per block
-        monkeypatch.setattr(convpool, "_BLOCK_ELEMENTS", 1)
-        assert conv_responses(frames, fbs).tobytes() == pre.tobytes()
+
+    @pytest.mark.parametrize("interval", range(8, 17))
+    def test_one_dimension_matches_the_oracle(self, interval):
+        # K = n = 1 leaves only the tap axis to sum over, the corner where
+        # NumPy's own reduction order would differ from the oracle's
+        rng = np.random.default_rng(60 + interval)
+        for num_frames in range(interval, interval + 3):
+            for stride in (1, 2, 3):
+                frames = rng.standard_normal((num_frames, 1))
+                fbs = FilterBankSet(
+                    rng.standard_normal((1, 1, interval)), rng.standard_normal((1, 1)), stride
+                )
+                pre = conv_responses(frames, fbs)
+                want = conv_pre_oracle(frames[:, 0], fbs.weights[0], fbs.biases[0], stride)
+                assert pre.flags.c_contiguous
+                assert pre[:, :, 0].tobytes() == want.tobytes(), (num_frames, stride)
+
+    @pytest.mark.parametrize(
+        "num_frames, num_dims, ratio", [(30, 4096, 1.1), (150, 4096, 1.1), (40, 64, 3.0)]
+    )
+    def test_allocates_little_beyond_its_output(self, num_frames, num_dims, ratio):
+        rng = np.random.default_rng(61)
+        frames = rng.standard_normal((num_frames, num_dims))
+        fbs = FilterBankSet(
+            rng.standard_normal((num_dims, 3, 8)), rng.standard_normal((num_dims, 3))
+        )
+        output_mib = conv_responses(frames, fbs).nbytes / 2**20  # and a warm-up call
+        assert traced_peak_mib(lambda: conv_responses(frames, fbs)) <= ratio * output_mib
 
     @pytest.mark.parametrize("t_out", [32, 33])
     @pytest.mark.parametrize("bias", [0.0, -0.0])
@@ -181,16 +197,15 @@ class TestConvResponsesAllDims:
         assert not np.signbit(want).any()
         assert not np.signbit(pre).any() and not pre.any()
 
-    def test_row_blocks_match_the_oracle(self):
-        # n * K = 6000 puts several blocks of output rows, the last one
-        # partial, into one call
+    def test_wide_bank_matches_the_oracle(self):
+        # n * K = 6000 responses per output row, negative sums included
         rng = np.random.default_rng(32)
         frames = rng.standard_normal((40, 1500))
         fbs = FilterBankSet(rng.standard_normal((1500, 4, 3)), rng.standard_normal((1500, 4)))
-        responses = np.maximum(conv_responses(frames, fbs), 0.0)
+        pre = conv_responses(frames, fbs)
         for k in (0, 1, 777, 1499):
-            want = conv_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], fbs.stride)
-            assert responses[:, :, k].tobytes() == want.tobytes()
+            want = conv_pre_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], fbs.stride)
+            assert pre[:, :, k].tobytes() == want.tobytes()
 
 
 class TestOacpForward:

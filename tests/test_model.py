@@ -17,7 +17,6 @@ from helpers import (
 
 import oacpool.model
 from oacpool.convpool import (
-    _BLOCK_ELEMENTS,
     FilterBankSet,
     oacp_forward_details,
     param_count_perdim,
@@ -32,6 +31,7 @@ from oacpool.errors import (
 )
 from oacpool.harness import SyntheticSpec, gen_synthetic, prepare_dataset
 from oacpool.model import (
+    _BLOCK_ELEMENTS,
     MAX_MINIMUM_FRAMES,
     MAX_PARAMETERS,
     POOLING_KINDS,
@@ -908,6 +908,30 @@ class TestMagnitudeBounds:
         assert runs[0] == runs[1]
         assert re.match(r"^divergence at epoch 0, instance \d+: logits contain NaN", runs[0][0])
 
+    @pytest.mark.parametrize(
+        "bound, scale, learning_rate, geometry, want",
+        [
+            # hoisted (2M = 0): p_inf = F = 2**1000 = g, z = 2**980, m' = 1 + 2**-20
+            (2.0**-20, 2.0**1000, 2.0**-1000, (8, 1, 0), None),
+            (2.0**-20, 2.0**999, 2.0**-1000, (8, 1, 0), 2.0**-20 + 0.5),
+            # z = 2**500 * (2 * 2**499 + 1) rounds to 2**1000
+            (2.0**500, 2.0**499, 1.0, (8, 2, 0), None),
+            # P * p_inf = 1, so z = m * (1 + 1) = 2**1000
+            (2.0**999, 1.0, 1.0, (8, 1, 0), None),
+            # g = 1 and m' = 2**999 + 2**999 = 2**1000
+            (2.0**999, 0.0, 2.0**999, (8, 1, 0), None),
+            # oacp: p_inf = 2**10 + 2**-20, and the routes term
+            # 2 * 2**10 * max(2**-30, 1) = 2**11 is g, so m' = 2**10 + 1
+            (2.0**10, 2.0**-30, 2.0**-11, (1, 1, 2), 2.0**10 + 1.0),
+        ],
+        ids=["g-at-limit", "g-below", "z-at-limit", "z-plus-one", "m-at-limit", "routes-g"],
+    )
+    def test_step_bound_follows_the_docstring(self, bound, scale, learning_rate, geometry, want):
+        # p_inf = m*(l*F + 1) with banks, else F; z = m*(P*p_inf + 1);
+        # g = max(p_inf, 1, 2M*m*max(F, 1)); m' = m + lr*g, returned only
+        # while g, z and m' are all strictly below 2**1000
+        assert oacpool.model._step_bound(bound, scale, learning_rate, geometry) == want
+
     @pytest.mark.parametrize("kind", POOLING_KINDS)
     def test_a_desk_shape_run_makes_no_finiteness_scan(self, monkeypatch, kind):
         train, _ = gen_synthetic(
@@ -981,9 +1005,8 @@ class TestPaperShapeMemory:
     with the step, so two epochs over two instances peak as one step does;
     a step inlined into the epoch loop keeps the last step's routed
     windows alive and peaks near 7.2 MiB.
-    An evaluated instance needs about 3.6 MiB: the 2.2 MiB conv
-    accumulator, its block buffer and the (M, n, K) maxima; no ReLU'd copy
-    of the responses is built.  The bounds catch a per-step temporary
+    An evaluated instance needs under 4 MiB: the 2.2 MiB conv output and
+    the (M, n, K) maxima; no ReLU'd copy of the responses is built.  The bounds catch a per-step temporary
     coming back.
     """
 

@@ -19,10 +19,12 @@ Trials are short and alternate which tree runs first, so that the two
 sides of a pair see the same speed of a host whose speed drifts.  After
 every trial the SHA-256 of the trained parameters and of every evaluation's
 accuracy and confusion matrix is compared between the trees, so a timing of
-code that computes something else is refused with exit status 1.  The
-script prints one line per measurement with each tree's median, the change
-of the medians and the pairs the new tree won, and with ``--json`` writes
-them to a file.  A shared host drifts between sessions: compare the two
+code that computes something else is refused with exit status 1.  BLAS runs
+one thread, as in ``bench/run.py``: ``process_time`` adds up the CPU time of
+every thread, so a second BLAS thread would read as a slower step.  The
+script prints that cap, then one line per measurement with each tree's
+median, the change of the medians and the pairs the new tree won, and with
+``--json`` writes them to a file.  A shared host drifts between sessions: compare the two
 sides of one run only.  This is a development tool, not part of the test
 suite or the benchmark.
 """
@@ -41,7 +43,11 @@ import sys
 import time
 from pathlib import Path
 
-import numpy as np
+BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+for var in BLAS_THREAD_VARS:  # must precede the first numpy import
+    os.environ[var] = "1"
+
+import numpy as np  # noqa: E402
 
 KINDS = ("average", "max", "pyramid", "oacp")
 # (K, T, classes, instances, epochs); the paper shape trains on fewer
@@ -132,6 +138,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     if args.cpu is not None:
         os.sched_setaffinity(0, {args.cpu})
+    print("BLAS thread cap: " + ", ".join(f"{var}={os.environ[var]}" for var in BLAS_THREAD_VARS))
     trees = (load_tree(args.base, "tree_a"), load_tree(args.new, "tree_b"))
     results = {}
     for shape in SHAPES:
