@@ -42,7 +42,6 @@ from .harness import (
 from .model import (
     ClassifierModel,
     EpochStats,
-    ForwardCache,
     PoolingSpec,
     TrainConfig,
     backward,
@@ -62,12 +61,7 @@ from .pooling import (
     partition_segments,
     temporal_pyramid_pool,
 )
-from .sequences import (
-    FeatureSequence,
-    LabeledSequence,
-    replicate_pad,
-    sample_frames,
-)
+from .sequences import FeatureSequence, LabeledSequence
 
 __version__ = "0.1.0"
 
@@ -77,7 +71,6 @@ __all__ = [
     "EpochStats",
     "FeatureSequence",
     "FilterBankSet",
-    "ForwardCache",
     "LabeledSequence",
     "PoolingSpec",
     "PyramidConfig",
@@ -108,9 +101,7 @@ __all__ = [
     "partition_segments",
     "prepare_dataset",
     "reduce_sequence",
-    "replicate_pad",
     "run_comparison",
-    "sample_frames",
     "save_features",
     "save_manifest",
     "save_model",

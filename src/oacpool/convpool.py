@@ -94,10 +94,16 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
     reduced tap axis in ascending order only while another axis, here K,
     is the innermost loop.  A one-dimension input would leave the tap axis
     innermost and summed in another order, so it is widened to two
-    identical columns and the first column's responses are kept.
+    identical columns and the first column's responses are kept.  Frames
+    whose width is not K raise ShapeMismatchError; finite frames and banks
+    may still overflow, and the inf or NaN responses are returned as they are.
     """
-    num_frames = frames.shape[0]
+    num_frames, width = frames.shape
     interval, stride = banks.interval, banks.stride
+    if width != banks.num_dims:
+        raise ShapeMismatchError(
+            f"sequence has {width} dimensions but the bank set has {banks.num_dims}"
+        )
     if num_frames < interval:
         raise TooShortSequenceError(
             f"sequence has {num_frames} frames but the filters need {interval}"
@@ -184,13 +190,9 @@ def oacp_forward_details(
     segment then takes its first piece's ReLU'd maximum and weight, and
     each later piece of the segment replaces the weight only where its
     ReLU'd maximum is strictly larger, so the first piece wins a tie; the
-    argmax is T_out minus the weight.  A piece or segment with a NaN
-    maximum takes its first NaN row, as np.argmax does.
+    argmax is T_out minus the weight.  A ReLU'd maximum of inf or NaN raises
+    ValueError (an all -inf piece pools to 0); conv_responses alone returns them.
     """
-    if seq.num_features != banks.num_dims:
-        raise ShapeMismatchError(
-            f"sequence has {seq.num_features} dimensions but the bank set has {banks.num_dims}"
-        )
     pre = conv_responses(seq.frames, banks)
     t_out = pre.shape[0]
     plan = _pooling_plan(t_out, banks.num_dims, cfg)
@@ -199,20 +201,17 @@ def oacp_forward_details(
     for q, (a, b) in enumerate(plan.pieces):
         np.maximum.reduce(pre[a:b], axis=0, out=piece_max[q])
     relu = np.maximum(piece_max, 0.0)
-    any_nan = math.isnan(np.maximum.reduce(relu, axis=None))
+    if not math.isfinite(np.maximum.reduce(relu, axis=None)):
+        raise ValueError("pooled responses contain NaN or infinite values")
     floor = np.where(piece_max <= 0.0, -np.inf, piece_max)
     piece_top = np.empty(piece_max.shape, dtype=plan.row_weights.dtype)
     for q, (a, b) in enumerate(plan.pieces):
         hits = pre[a:b] >= floor[q]
-        if any_nan:
-            hits |= np.isnan(pre[a:b])
         np.maximum.reduce(hits.view(np.uint8) * plan.row_weights[a:b], axis=0, out=piece_top[q])
     maxima = relu.take(plan.first_piece, axis=0)
     top = piece_top.take(plan.first_piece, axis=0)
     for m, q in plan.later_pieces:
         wins = relu[q] > maxima[m]
-        if any_nan:  # a NaN piece wins over every piece before it that is not NaN
-            wins |= np.isnan(relu[q]) > np.isnan(maxima[m])
         np.maximum(maxima[m], relu[q], out=maxima[m])
         np.copyto(top[m], piece_top[q], where=wins)
     argmax = np.subtract(t_out, top, dtype=np.intp)

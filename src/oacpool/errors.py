@@ -46,7 +46,10 @@ class SumOverflowError(DataError):
 
 
 class DivergenceError(RuntimeError):
-    """Training or evaluation produced non-finite logits, or training non-finite parameters."""
+    """Training or evaluation produced non-finite pooled responses or logits.
+
+    Training also raises it for non-finite parameters.
+    """
 
 
 class StaleCacheError(RuntimeError):

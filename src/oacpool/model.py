@@ -500,6 +500,7 @@ def _train_step(
     gradient and no re-check.  With check, non-finite logits raise
     ValueError before any parameter changes; without it, which sgd_train
     passes only for a step its bounds prove finite, they are not scanned.
+    Non-finite oacp pooled responses raise ValueError either way.
     The step is a function of its own so that its temporaries, the routed
     windows among them, are freed before the next step's forward.
     """
@@ -606,12 +607,13 @@ def sgd_train(
     time, rounded as the dense update would be, and no dense head gradient
     is built.
 
-    Non-finite logits raise DivergenceError before the step's update, and
-    a non-finite parameter raises DivergenceError once the whole step is
-    applied, as scanning the logits and every updated parameter on every
-    step would find them.  An overflow on the way prints no NumPy warning,
-    since each one ends in that DivergenceError.  The scans run only on
-    steps that might fail.  The run carries one bound m on max|theta|,
+    Non-finite pooled responses (oacp) or logits raise DivergenceError
+    before the step's update, and a non-finite parameter raises
+    DivergenceError once the whole step is applied, as scanning the logits
+    and every updated parameter on every step would find them.  An
+    overflow on the way prints no NumPy warning, since each one ends in
+    that DivergenceError.  The scans run only on steps that might fail.
+    The run carries one bound m on max|theta|,
     taken exactly at its start, and per instance F: max|frame| for oacp,
     max|p| of a hoisted vector.  Before each step, every pooled value is
     at most p_inf = m*(l*F + 1) for oacp (l taps and a bias) or F; every
@@ -656,8 +658,8 @@ def sgd_train(
             for idx in order.tolist():
                 step = _step_bound(bound, scales[idx], learning_rate, geometry)
                 try:
-                    # the instances were checked up front, so the only ValueError
-                    # left is the softmax's: the logits are no longer finite
+                    # the instances were checked up front, so the only ValueErrors
+                    # left say that the pooled responses or the logits are not finite
                     loss, hit = _train_step(
                         model, data[idx], hoisted[idx], learning_rate, term, step is None
                     )
@@ -683,15 +685,15 @@ def evaluate(
     """Accuracy and a (true, predicted) confusion count matrix.
 
     Prediction is argmax of the probabilities; exact ties go to the lowest
-    class index.  Non-finite logits raise DivergenceError naming the
-    instance, with no NumPy warning on the way.
+    class index.  Non-finite pooled responses or logits raise
+    DivergenceError naming the instance, with no NumPy warning on the way.
     """
     _check_instances(model, data, "evaluation")
     confusion = np.zeros((model.num_classes, model.num_classes), dtype=np.int64)
     with np.errstate(over="ignore", invalid="ignore"):
         for i, item in enumerate(data):
             try:
-                # the instances were checked up front: only softmax's can raise
+                # the instances were checked up front: only non-finite values raise
                 probs, _ = forward(model, item.sequence)
             except ValueError as exc:
                 raise DivergenceError(f"evaluation of instance {i}: {exc}") from None

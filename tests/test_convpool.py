@@ -17,7 +17,7 @@ from oacpool.convpool import (
     param_count_perdim,
 )
 from oacpool.errors import DivergenceError, ShapeMismatchError, TooShortSequenceError
-from oacpool.model import ClassifierModel, TrainConfig, sgd_train
+from oacpool.model import ClassifierModel, TrainConfig, evaluate, forward, sgd_train
 from oacpool.pooling import PyramidConfig, average_pool, max_pool
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
@@ -143,6 +143,14 @@ class TestConvResponsesAllDims:
             single = FilterBankSet(fbs.weights[k : k + 1], fbs.biases[k : k + 1], fbs.stride)
             alone = conv_responses(frames[:, k : k + 1], single)
             assert stacked[:, :, k : k + 1].tobytes() == alone.tobytes()
+
+    @pytest.mark.parametrize("width, num_dims", [(1, 4), (3, 4), (2, 1)])
+    def test_rejects_frames_of_another_width(self, width, num_dims):
+        # one column against four dimensions would broadcast to all four
+        fbs = FilterBankSet(np.ones((num_dims, 2, 3)), np.zeros((num_dims, 2)))
+        message = f"sequence has {width} dimensions but the bank set has {num_dims}"
+        with pytest.raises(ShapeMismatchError, match=message):
+            conv_responses(np.ones((6, width)), fbs)
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("t_out", [32, 33])
@@ -275,7 +283,10 @@ class TestOacpForward:
 
 
 class TestSegmentArgmax:
-    """The segment argmax and maxima equal np.argmax's and np.max's, bytewise."""
+    """The segment argmax and maxima equal np.argmax's and np.max's, bytewise.
+
+    A pooled maximum of inf or NaN has no argmax to route: it raises.
+    """
 
     # 255 and 256 rows straddle the uint8 row weights, 65536 the uint16 ones
     @pytest.mark.parametrize("num_frames", [255, 256, 600, 65536])
@@ -297,32 +308,64 @@ class TestSegmentArgmax:
         for buffer in (details.pre_activation, details.segment_argmax):
             assert buffer.flags.c_contiguous
 
-    def test_overflow_to_nan_takes_the_first_nan_as_argmax(self):
+    # (1, 2, 3) over 11 rows cuts pieces that levels 2 and 3 do not share
+    @pytest.mark.parametrize("levels", [(1, 2), (1, 2, 3)], ids=["1-2", "1-2-3"])
+    def test_overflow_raises(self, levels):
         seq, banks = overflowing_conv_case()
-        cfg = PyramidConfig((1, 2))
+        model = ClassifierModel.build("oacp", 3, 2, interval=2, n_filters=2, pyramid=levels)
+        model.filter_banks = banks
+        message = "pooled responses contain NaN or infinite values"
         with np.errstate(over="ignore", invalid="ignore"):
-            details = oacp_forward_details(seq, banks, cfg)
-        responses = np.maximum(details.pre_activation, 0.0)
-        argmax, maxima = numpy_segment_pooling(responses, cfg)
-        assert np.isnan(responses).any() and np.isinf(responses).any()
-        assert details.segment_argmax.tobytes() == argmax.tobytes()
-        assert np.array_equal(
-            details.pooled, maxima.transpose(2, 0, 1).ravel(), equal_nan=True
-        )
-        assert details.segment_argmax[:, 0, 2].tolist() == [2, 2, 9]
+            with pytest.raises(ValueError, match=message):
+                oacp_forward_details(seq, banks, PyramidConfig(levels))
+            with pytest.raises(ValueError, match=message):
+                forward(model, seq)
+        data = [LabeledSequence(FeatureSequence(np.ones((12, 3))), 0), LabeledSequence(seq, 1)]
+        with pytest.raises(DivergenceError, match=f"^evaluation of instance 1: {message}$"):
+            evaluate(model, data)
 
-    def test_overflow_to_nan_under_levels_that_do_not_nest(self):
-        # (1, 2, 3) over 11 rows cuts the pieces [0, 3), [3, 5), [5, 7), [7, 11)
-        seq, banks = overflowing_conv_case()
-        cfg = PyramidConfig((1, 2, 3))
-        with np.errstate(over="ignore", invalid="ignore"):
+    @staticmethod
+    def saturated_case(weight):
+        """Frames of 1e308 under taps of weight, so every response is inf or every one -inf."""
+        frames = np.full((9, 2), 1e308)
+        return FeatureSequence(frames), FilterBankSet(np.full((2, 2, 2), weight), np.zeros((2, 2)))
+
+    def test_infinite_responses_raise(self):
+        seq, banks = self.saturated_case(2.0)
+        with np.errstate(over="ignore"):
+            with pytest.raises(ValueError, match="pooled responses contain NaN or infinite"):
+                oacp_forward_details(seq, banks, PyramidConfig((1, 2)))
+
+    def test_all_negative_infinite_responses_pool_to_zero(self):
+        seq, banks = self.saturated_case(-2.0)
+        cfg = PyramidConfig((1, 2))
+        with np.errstate(over="ignore"):
             details = oacp_forward_details(seq, banks, cfg)
+        assert np.isneginf(details.pre_activation).all()
         argmax, maxima = numpy_segment_pooling(np.maximum(details.pre_activation, 0.0), cfg)
         assert details.segment_argmax.tobytes() == argmax.tobytes()
-        assert np.array_equal(
-            details.pooled, maxima.transpose(2, 0, 1).ravel(), equal_nan=True
-        )
-        assert details.segment_argmax[:, 0, 2].tolist() == [2, 2, 9, 2, 3, 9]
+        assert details.pooled.tobytes() == maxima.transpose(2, 0, 1).ravel().tobytes()
+        assert details.pooled.shape == (12,) and not details.pooled.any()
+        assert (details.segment_argmax == np.array([0, 0, 4])[:, None, None]).all()
+
+    def test_an_overflow_raises_before_the_argmax_pass(self):
+        # the conv's output and two (1, n, K) piece arrays read 1.09 times
+        # the output; the argmax pass would add its row hits, near 1.4
+        rng = np.random.default_rng(62)
+        frames = rng.standard_normal((30, 4096))
+        frames[5, 0] = 1e308
+        weights = rng.standard_normal((4096, 3, 8))
+        weights[0] = 2.0
+        seq, banks = FeatureSequence(frames), FilterBankSet(weights, np.zeros((4096, 3)))
+        output_mib = conv_responses(seq.frames, banks).nbytes / 2**20
+
+        def overflowing_forward():
+            with pytest.raises(ValueError, match="pooled responses"):
+                oacp_forward_details(seq, banks, PyramidConfig((1,)))
+
+        with np.errstate(over="ignore"):
+            overflowing_forward()  # a warm-up call
+            assert traced_peak_mib(overflowing_forward) <= 1.2 * output_mib
 
     def test_overflow_to_nan_is_a_training_divergence(self):
         seq, banks = overflowing_conv_case()
@@ -330,7 +373,7 @@ class TestSegmentArgmax:
         model.filter_banks = banks
         data = [LabeledSequence(seq, 0)]
         cfg = TrainConfig(learning_rate=0.1, epochs=1)
-        with pytest.raises(DivergenceError, match="epoch 0, instance 0"):
+        with pytest.raises(DivergenceError, match="epoch 0, instance 0: pooled responses"):
             sgd_train(model, data, cfg)
 
 

@@ -753,7 +753,10 @@ class TestFusedStepErrors:
 
     @staticmethod
     def logit_overflow_case(kind):
-        """A model and six instances of which instance 4 gives non-finite logits."""
+        """A model and six instances of which instance 4 overflows.
+
+        The oacp instance overflows in its pooled responses, the others in their logits.
+        """
         data = [random_example(s, 12, 3, 2) for s in range(6)]
         if kind == "oacp":
             seq, banks = overflowing_conv_case()
@@ -783,7 +786,9 @@ class TestFusedStepErrors:
             for train in (sgd_train, per_step_sgd)
         ]
         assert runs[0] == runs[1]
-        message = "divergence at epoch 0, instance 4: logits contain NaN or infinite values"
+        # oacp's pooling raises on the overflowed responses before its head runs
+        stage = "pooled responses" if kind == "oacp" else "logits"
+        message = f"divergence at epoch 0, instance 4: {stage} contain NaN or infinite values"
         assert runs[0][0] == message
 
     @pytest.mark.parametrize("kind", POOLING_KINDS)
@@ -900,13 +905,15 @@ class TestMagnitudeBounds:
     def test_a_nan_bound_scans_the_step(self):
         # a zero head over conv responses that overflow: p_inf = m*(l*F + 1)
         # is inf, so the updated bound m + 0 * inf (lr 0) is NaN, and the
-        # step must still find the NaN logits
+        # step must still find the overflowed responses
         runs = [
             self.scaled_run(train, "oacp", 1e300, 0.0, scales=(0.0, 0.0, 1e300, 0.0))
             for train in (sgd_train, per_step_sgd)
         ]
         assert runs[0] == runs[1]
-        assert re.match(r"^divergence at epoch 0, instance \d+: logits contain NaN", runs[0][0])
+        assert re.match(
+            r"^divergence at epoch 0, instance \d+: pooled responses contain NaN", runs[0][0]
+        )
 
     @pytest.mark.parametrize(
         "bound, scale, learning_rate, geometry, want",

@@ -15,7 +15,6 @@ PUBLIC_NAMES = {
         "EpochStats",
         "FeatureSequence",
         "FilterBankSet",
-        "ForwardCache",
         "LabeledSequence",
         "PoolingSpec",
         "PyramidConfig",
@@ -46,9 +45,7 @@ PUBLIC_NAMES = {
         "partition_segments",
         "prepare_dataset",
         "reduce_sequence",
-        "replicate_pad",
         "run_comparison",
-        "sample_frames",
         "save_features",
         "save_manifest",
         "save_model",

@@ -22,7 +22,10 @@ Calls 1, 2 and 4 changed on purpose when the manifest reader began to
 refuse empty class names and repeated headers (1 and 2 exited 0 and now
 exit 2) and ``compare`` began to check the test split's width before
 training (4 still exits 2, with a message that names the test instance);
-call 3 must not change.
+call 3 must not change.  The ``train`` that diverges changed on purpose
+when the oacp pooling began to raise on pooled responses that are not
+finite: it still exits 3 naming the epoch and instance, but its message
+now says that the pooled responses overflowed, where it named the logits.
 For each call it prints the call's name, its exit code and one SHA-256
 over its stdout, its stderr, its exit code and the files it wrote or
 changed, with the temporary directory's path replaced by a placeholder.  Two trees agree
