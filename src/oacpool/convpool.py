@@ -95,9 +95,12 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
     is the innermost loop.  A one-dimension input would leave the tap axis
     innermost and summed in another order, so it is widened to two
     identical columns and the first column's responses are kept.  Frames
-    whose width is not K raise ShapeMismatchError; finite frames and banks
-    may still overflow, and the inf or NaN responses are returned as they are.
+    that are not 2-D or whose width is not K raise ShapeMismatchError; finite
+    frames and banks may still overflow, and the inf or NaN responses are
+    returned as they are.
     """
+    if frames.ndim != 2:
+        raise ShapeMismatchError(f"frames must be 2-D, got shape {frames.shape}")
     num_frames, width = frames.shape
     interval, stride = banks.interval, banks.stride
     if width != banks.num_dims:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -151,6 +153,13 @@ class TestConvResponsesAllDims:
         message = f"sequence has {width} dimensions but the bank set has {num_dims}"
         with pytest.raises(ShapeMismatchError, match=message):
             conv_responses(np.ones((6, width)), fbs)
+
+    @pytest.mark.parametrize("shape", [(6,), (6, 1, 1)])
+    def test_rejects_frames_that_are_not_2d(self, shape):
+        fbs = FilterBankSet(np.ones((1, 2, 3)), np.zeros((1, 2)))
+        message = re.escape(f"frames must be 2-D, got shape {shape}")
+        with pytest.raises(ShapeMismatchError, match=message):
+            conv_responses(np.ones(shape), fbs)
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("t_out", [32, 33])

@@ -1,73 +1,68 @@
-"""Golden digests of the CLI outputs that depend on neither the BLAS nor the SIMD level.
+"""Golden digests of the CLI calls whose bytes depend on neither the BLAS nor the SIMD level.
 
-Each case runs CLI commands in-process on small inputs and hashes, with
-SHA-256, the exit codes, the stdout and stderr (with the scratch directory
-written as ``<dir>``) and every written file, by its path relative to that
-directory.  The digests were committed from a run of these commands; an
-intentional change to these outputs updates them in the same change.
-`train`, `eval`, `compare`, `gradcheck` and the training demos run the
-head's BLAS products, so their digests wait until training bytes no
-longer depend on the BLAS.  The checkpoint of an untrained model depends
-on the seeded draws alone; its digest pins the checkpoint layout,
-whatever layout the model keeps its parameters in.
+The calls, the bad inputs they read and the per-call SHA-256 are those of
+``tools/cli_outputs.py``.  The calls named in GOLDEN run in the tool's
+order in one work directory, each in a child interpreter on this tree's
+``src``, and each digest is its own test case.  `train`, `eval`,
+`compare` and `gradcheck` runs that reach the head's BLAS products are not
+pinned until training bytes no longer depend on the BLAS.  The checkpoint
+of an untrained model depends on the seeded draws alone; its digest pins
+the checkpoint layout, whatever layout the model keeps its parameters in.
+A pinned digest changes only in a change whose CHANGES.md entry says which
+digest changed and why.
 """
 
-import contextlib
 import hashlib
-import io
+import importlib.util
+from pathlib import Path
 
 import pytest
 
-from oacpool.cli import main
-from oacpool.harness import TASK_KINDS
 from oacpool.model import ClassifierModel, PoolingSpec, save_model
 
-SYNTH = ["--t", "12", "--k", "6", "--n-train", "6", "--n-test", "4", "--seed", "3"]
+ROOT = Path(__file__).resolve().parents[1]
+_spec = importlib.util.spec_from_file_location("cli_outputs", ROOT / "tools" / "cli_outputs.py")
+cli_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(cli_outputs)
 
 GOLDEN = {
-    "synth trend-pair": "2c93bb32a0ae2e6cc1d0ed8dddf3bda149afcdfebbb9f5d3b802b03e70f0b63c",
-    "synth permuted-pair": "6666ce6ebbaa2f8c52760501aaceccccc915413caa2d67df61bf4564caa8300b",
-    "synth multiclass-trend": "3bbfa0b287ba648967707160b680ea9a0a6571af4a5a936c51627644cdfd8914",
-    "reduce fit and apply": "9053a8c8fa53912e5f7ee790a3da41240d7d0ef7e106405ae23751cb9a0fb248",
-    "untrained oacp checkpoint": "de5655cb70129f5c4885ecc114a375492a61b966873d497a1be8f15843b2a790",
+    "synth trend-pair": "0ce64b07ac615175fe50ebe2a5b608b725b350f8eb8bf6022e60f7d3e6724f23",
+    "synth permuted-pair": "592a3f9573b7f9880771662daf3b2943c5202ed405ac89d780b169be0ceecfdc",
+    "synth multiclass-trend": "d592744b0b823fd621dfa7f1720192ce6cd36383f1cb1aadc9701ad48bdf53f0",
+    "reduce fit": "541de34bc8fd524d51acaa26575e8d054bd7f2c5104631f8ba4fc0e203e6cfd3",
+    "reduce apply": "f54d537c1dc06e10bd8da6eebcd0cc079dfba32a1188d4c87c0a7c7be5867cc1",
+    "train empty-name": "adaeb1e83a7d0ab88a3d124919dd427522168bf58d27b4c5abfb80729419506b",
+    "train two-class-lines": "7f4f4869770e987d751364f287d367815c178abac88702df8fa150bd5c1fa1b8",
+    "train nan": "365422d5376aa9ee41f4ff5a99331acb8c88e49bd015334597875da6d9011677",
+    "compare wide": "12502554f4ef603aeaa0f3543fe655dd3e09f45157048219f38a32adcb98dfe5",
 }
+UNTRAINED_CHECKPOINT = "de5655cb70129f5c4885ecc114a375492a61b966873d497a1be8f15843b2a790"
 
 
-def run_digest(root, commands) -> str:
-    """SHA-256 over each command's exit code and output, then over every file under root."""
-    digest = hashlib.sha256()
-    for argv in commands:
-        out, err = io.StringIO(), io.StringIO()
-        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-            code = main([str(arg) for arg in argv])
-        for text in (str(code), out.getvalue(), err.getvalue()):
-            digest.update(text.replace(str(root), "<dir>").encode() + b"\0")
-    for path in sorted(p for p in root.rglob("*") if p.is_file()):
-        digest.update(path.relative_to(root).as_posix().encode() + b"\0")
-        digest.update(path.read_bytes() + b"\0")
-    return digest.hexdigest()
+@pytest.fixture(scope="module")
+def digests(tmp_path_factory):
+    work = tmp_path_factory.mktemp("cli").resolve()
+    cli_outputs.write_bad_inputs(work)
+    return {
+        name: cli_outputs.call_digest(ROOT, work, argv)[1]
+        for name, argv in cli_outputs.calls()
+        if name in GOLDEN
+    }
 
 
-@pytest.mark.parametrize("task", TASK_KINDS)
-def test_synth(tmp_path, task):
-    got = run_digest(tmp_path, [["synth", "--task", task, *SYNTH, "--out", tmp_path / "data"]])
-    assert got == GOLDEN[f"synth {task}"]
+def test_golden_names_unique_calls_of_the_tool():
+    names = [name for name, _ in cli_outputs.calls()]
+    assert len(set(names)) == len(names)
+    assert GOLDEN.keys() <= set(names)
 
 
-def test_reduce_fit_and_apply(tmp_path):
-    data, partition = tmp_path / "data", tmp_path / "partition.json"
-    commands = [
-        ["synth", "--task", "multiclass-trend", *SYNTH, "--out", data],
-        ["reduce", "--manifest", data / "train.manifest", "--target-dim", "3",
-         "--seed", "4", "--partition-out", partition],
-        ["reduce", "--manifest", data / "test.manifest", "--apply", partition,
-         "--out-dir", tmp_path / "reduced"],
-    ]
-    assert run_digest(tmp_path, commands) == GOLDEN["reduce fit and apply"]
+@pytest.mark.parametrize("name", GOLDEN, ids=lambda name: name.replace(" ", "-"))
+def test_cli_call(digests, name):
+    assert digests[name] == GOLDEN[name]
 
 
 def test_untrained_oacp_checkpoint(tmp_path):
     spec = PoolingSpec("oacp", interval=3, stride=2, n_filters=2, pyramid=(1, 2, 4), sample_rate=1)
     save_model(ClassifierModel.from_spec(spec, 5, 3, seed=24), tmp_path / "model.bin")
     digest = hashlib.sha256((tmp_path / "model.bin").read_bytes()).hexdigest()
-    assert digest == GOLDEN["untrained oacp checkpoint"]
+    assert digest == UNTRAINED_CHECKPOINT

@@ -18,14 +18,6 @@ four calls on bad inputs that the script writes under ``bad/`` first:
 3. ``train`` on a manifest listing a text feature file that holds ``nan``;
 4. a ``compare`` whose test split has 5 features and training split 6.
 
-Calls 1, 2 and 4 changed on purpose when the manifest reader began to
-refuse empty class names and repeated headers (1 and 2 exited 0 and now
-exit 2) and ``compare`` began to check the test split's width before
-training (4 still exits 2, with a message that names the test instance);
-call 3 must not change.  The ``train`` that diverges changed on purpose
-when the oacp pooling began to raise on pooled responses that are not
-finite: it still exits 3 naming the epoch and instance, but its message
-now says that the pooled responses overflowed, where it named the logits.
 For each call it prints the call's name, its exit code and one SHA-256
 over its stdout, its stderr, its exit code and the files it wrote or
 changed, with the temporary directory's path replaced by a placeholder.  Two trees agree
@@ -33,8 +25,9 @@ when their printed lines are equal, for example::
 
     diff <(python3 tools/cli_outputs.py OLD) <(python3 tools/cli_outputs.py NEW)
 
-The script uses the standard library only.  It is a development tool, not
-part of the test suite or the benchmark.
+The script uses the standard library only.  ``tests/test_golden.py``
+imports its calls, its bad inputs and its digest, and pins the digests of
+the calls whose bytes depend on neither the BLAS nor the SIMD level.
 """
 
 from __future__ import annotations
@@ -113,6 +106,13 @@ def calls() -> list[tuple[str, tuple[str, ...]]]:
     return runs
 
 
+def write_bad_inputs(work: Path) -> None:
+    """Write BAD_INPUTS under the work directory, which the bad-input calls read."""
+    (work / "bad").mkdir()
+    for name, text in BAD_INPUTS.items():
+        (work / name).write_text(text)
+
+
 def file_digests(root: Path) -> dict[str, str]:
     """SHA-256 of every file under root, by path relative to root."""
     return {
@@ -156,9 +156,7 @@ def main(argv=None) -> int:
         parser.error(f"{tree} holds no src/oacpool package")
     with tempfile.TemporaryDirectory() as tmp:
         work = Path(tmp).resolve()
-        (work / "bad").mkdir()
-        for name, text in BAD_INPUTS.items():
-            (work / name).write_text(text)
+        write_bad_inputs(work)
         for name, call in calls():
             code, digest = call_digest(tree, work, call)
             print(f"{name} (exit {code}): {digest}", flush=True)
