@@ -11,21 +11,28 @@ k-means pass are needed -- no covariance, no eigendecomposition.
 
 import numpy as np
 
-from oacpool import FeatureSequence, class_signatures, kmeans_partition, reduce_sequence
+from oacpool import (
+    FeatureSequence,
+    LabeledSequence,
+    class_signatures,
+    kmeans_partition,
+    reduce_sequence,
+)
 from oacpool.dimreduce import reduce as reduce_vector
 
 #%%
-# Synthetic labeled vectors: 12 dimensions built from 3 behavioral groups.
-# Dimensions in one group carry scaled copies of the same class pattern.
+# Synthetic labeled sequences of 12-dimensional frames, built from 3
+# behavioral groups.  Dimensions in one group carry scaled copies of the
+# same class pattern.  Every frame counts toward its sequence's class mean.
 
 rng = np.random.default_rng(3)
 patterns = np.array([[0.0, 5.0, 0.0], [5.0, 0.0, 0.0], [0.0, 0.0, 5.0]])  # per class
 group_of_dim = np.repeat([0, 1, 2], 4)
 data = []
 for label in range(3):
-    for _ in range(50):
-        vector = patterns[:, group_of_dim][label] + 0.3 * rng.standard_normal(12)
-        data.append((vector, label))
+    for _ in range(10):
+        frames = patterns[:, group_of_dim][label] + 0.3 * rng.standard_normal((5, 12))
+        data.append(LabeledSequence(FeatureSequence(frames), label))
 
 signatures = class_signatures(data, num_classes=3)
 print("signatures shape (dims x classes):", signatures.shape)
@@ -42,7 +49,6 @@ print("recovered groups:", partition.assignment.tolist())
 # Reducing a vector sums each group's coordinates; a whole sequence
 # reduces frame by frame, T x 12 -> T x 3.
 
-vector = data[0][0]
-print("reduced vector:", reduce_vector(vector, partition))
-seq = FeatureSequence(np.stack([data[i][0] for i in range(4)]))
+seq = data[0].sequence
+print("reduced vector:", reduce_vector(seq.frames[0], partition))
 print("reduced sequence shape:", reduce_sequence(seq, partition).frames.shape)

@@ -28,7 +28,6 @@ from .harness import (
     SyntheticSpec,
     TASK_KINDS,
     gen_synthetic,
-    labeled_frames,
     load_dataset,
     load_manifest,
     prepare_dataset,
@@ -295,9 +294,7 @@ def _cmd_reduce(args) -> int:
         positive_int(args.target_dim, "target_dim")
     manifest = load_manifest(args.manifest)
     if fit_mode:
-        signatures = class_signatures(
-            labeled_frames(iter_dataset(manifest)), manifest.num_classes
-        )
+        signatures = class_signatures(iter_dataset(manifest), manifest.num_classes)
         partition = kmeans_partition(signatures, args.target_dim, seed=seed)
         save_partition(partition, args.partition_out)
         print(

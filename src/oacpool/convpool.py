@@ -81,7 +81,7 @@ def _windows(frames: np.ndarray, interval: int, stride: int) -> np.ndarray:
     return np.ndarray(shape, frames.dtype, frames, 0, (row_step * stride, dim_step, row_step))
 
 
-def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
+def conv_responses(seq: FeatureSequence, banks: FilterBankSet) -> np.ndarray:
     """Contiguous pre-activation responses (T_out, n_filters, K) for all dimensions.
 
     pre[t][j][k] = sum_i weights[k][j][i] * frames[t*stride + i][k] + biases[k][j],
@@ -94,13 +94,12 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
     reduced tap axis in ascending order only while another axis, here K,
     is the innermost loop.  A one-dimension input would leave the tap axis
     innermost and summed in another order, so it is widened to two
-    identical columns and the first column's responses are kept.  Frames
-    that are not 2-D or whose width is not K raise ShapeMismatchError; finite
-    frames and banks may still overflow, and the inf or NaN responses are
-    returned as they are.
+    identical columns and the first column's responses are kept.  A
+    sequence whose width is not K raises ShapeMismatchError; finite frames
+    and banks may still overflow, and the inf or NaN responses are returned
+    as they are.
     """
-    if frames.ndim != 2:
-        raise ShapeMismatchError(f"frames must be 2-D, got shape {frames.shape}")
+    frames = seq.frames
     num_frames, width = frames.shape
     interval, stride = banks.interval, banks.stride
     if width != banks.num_dims:
@@ -114,10 +113,10 @@ def conv_responses(frames: np.ndarray, banks: FilterBankSet) -> np.ndarray:
     taps = banks._taps
     if banks.num_dims == 1:
         frames, taps = np.repeat(frames, 2, axis=1), np.repeat(taps, 2, axis=2)
-    windows = _windows(np.ascontiguousarray(frames), interval, stride)
+    windows = _windows(frames, interval, stride)
     acc = np.einsum("tki,ijk->tjk", windows, taps)
     if banks.num_dims == 1:
-        acc = np.ascontiguousarray(acc[:, :, :1])
+        acc = acc[:, :, :1].copy()
     acc += banks._bias_rows
     return acc
 
@@ -196,7 +195,7 @@ def oacp_forward_details(
     argmax is T_out minus the weight.  A ReLU'd maximum of inf or NaN raises
     ValueError (an all -inf piece pools to 0); conv_responses alone returns them.
     """
-    pre = conv_responses(seq.frames, banks)
+    pre = conv_responses(seq, banks)
     t_out = pre.shape[0]
     plan = _pooling_plan(t_out, banks.num_dims, cfg)
     windows = _windows(seq.frames, banks.interval, banks.stride)
@@ -223,14 +222,22 @@ def oacp_forward_details(
     return OacpForward(pooled, pre, windows, argmax)
 
 
+def _counts(num_dims, interval, n_filters) -> tuple[int, int, int]:
+    """The three counts of a parameter count, each checked by positive_int."""
+    return (
+        positive_int(num_dims, "num_dims"),
+        positive_int(interval, "interval"),
+        positive_int(n_filters, "n_filters"),
+    )
+
+
 def param_count_joint(num_dims: int, interval: int, n_filters: int) -> int:
     """Parameter count of a single joint convolution over all dimensions: l*K*n + n.
 
     Analysis only; the joint layer is intentionally not implemented because
     it needs a huge n to be useful and the count explodes.
     """
-    if min(num_dims, interval, n_filters) < 1:
-        raise ValueError("all arguments must be >= 1")
+    num_dims, interval, n_filters = _counts(num_dims, interval, n_filters)
     return interval * num_dims * n_filters + n_filters
 
 
@@ -241,6 +248,5 @@ def param_count_perdim(num_dims: int, interval: int, n_filters: int) -> int:
     shapes.  Note the K*n bias term: quoting only the weight count (l*K*n) understates this
     by one bias per filter per dimension.
     """
-    if min(num_dims, interval, n_filters) < 1:
-        raise ValueError("all arguments must be >= 1")
+    num_dims, interval, n_filters = _counts(num_dims, interval, n_filters)
     return interval * num_dims * n_filters + num_dims * n_filters

@@ -69,32 +69,34 @@ class ReductionPartition:
 
 
 def class_signatures(data, num_classes: int) -> np.ndarray:
-    """The (D, c) signatures from (vector, label) pairs: row i holds dimension i's class means.
+    """The (D, c) signatures of LabeledSequences: row i holds dimension i's class means.
 
-    Every class in [0, num_classes) must contribute at least one vector, and
-    every class sum must be finite: the first (class, dimension) whose sum
-    is not raises SumOverflowError.
+    Every frame is a vector of its sequence's class.  data is read once, a
+    sequence at a time, and each frame is added to its class sum in
+    sequence order, then frame order.  Every sequence must have the first
+    one's width, every class in [0, num_classes) must contribute at least
+    one frame, and every class sum must be finite: the first (class,
+    dimension) whose sum is not raises SumOverflowError.
     """
     num_classes = positive_int(num_classes, "num_classes")
     sums = None
     counts = np.zeros(num_classes, dtype=np.int64)
     # a sum that overflows is reported below, naming its class and dimension
     with np.errstate(over="ignore", invalid="ignore"):
-        for vector, label in data:
-            vector = np.asarray(vector, dtype=np.float64)
-            if vector.ndim != 1:
-                raise ValueError(f"expected 1-D vectors, got shape {vector.shape}")
-            label = positive_int(label, "label", minimum=0)
+        for item in data:
+            label, frames = item.label, item.sequence.frames
             if label >= num_classes:
                 raise ValueError(f"label {label} out of range for {num_classes} classes")
             if sums is None:
-                sums = np.zeros((num_classes, vector.shape[0]))
-            elif vector.shape[0] != sums.shape[1]:
+                sums = np.zeros((num_classes, frames.shape[1]))
+            elif frames.shape[1] != sums.shape[1]:
                 raise ShapeMismatchError(
-                    f"vector of length {vector.shape[0]}, expected {sums.shape[1]}"
+                    f"frames of width {frames.shape[1]}, expected {sums.shape[1]}"
                 )
-            sums[label] += vector
-            counts[label] += 1
+            total = sums[label]
+            for frame in frames:
+                total += frame
+            counts[label] += frames.shape[0]
     if sums is None:
         raise ValueError("no data")
     if (counts == 0).any():
@@ -333,7 +335,7 @@ def reduce(x, partition: ReductionPartition) -> np.ndarray:
 
 
 def reduce_sequence(seq: FeatureSequence, partition: ReductionPartition) -> FeatureSequence:
-    """Apply reduce() to every frame; a T x D sequence becomes T x k.
+    """Reduce every frame as reduce() does; a T x D sequence becomes T x k.
 
     Only the k-wide rows are allocated, never a T x D array.  The first
     (frame, group) whose sum is not finite raises SumOverflowError.
@@ -343,7 +345,10 @@ def reduce_sequence(seq: FeatureSequence, partition: ReductionPartition) -> Feat
         raise ShapeMismatchError(
             f"frames of width {num_dims}, partition covers {partition.num_dims} dimensions"
         )
-    reduced = np.stack([reduce(frame, partition) for frame in seq.frames])
+    assignment, k = partition.assignment, partition.k
+    reduced = np.stack(
+        [np.bincount(assignment, weights=frame, minlength=k) for frame in seq.frames]
+    )
     finite = np.isfinite(reduced)
     if not finite.all():
         frame, group = np.unravel_index(int(finite.argmin()), reduced.shape)

@@ -9,7 +9,6 @@ from .experiments import (
 from .featfile import load_features, save_features
 from .manifest import (
     DatasetManifest,
-    labeled_frames,
     load_dataset,
     load_manifest,
     save_manifest,
@@ -23,7 +22,6 @@ __all__ = [
     "SyntheticSpec",
     "TASK_KINDS",
     "gen_synthetic",
-    "labeled_frames",
     "load_dataset",
     "load_features",
     "load_manifest",

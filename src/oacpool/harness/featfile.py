@@ -89,17 +89,8 @@ def _parse_header(path, line: str) -> tuple[int, int]:
     return t, k
 
 
-def _numbered_rows(lines: list[str]) -> list[tuple[int, str]]:
-    """(line number, line) of every non-blank line after the header."""
-    return [
-        (lineno, line)
-        for lineno, line in enumerate(lines[1:], start=2)
-        if line.strip()
-    ]
-
-
 def _parse_rows(path, body, k: int) -> np.ndarray:
-    """Parse one line at a time with float(), failing at the first bad line."""
+    """Parse the (line number, line) rows with float(), failing at the first bad line."""
     rows = []
     for lineno, line in body:
         parts = line.split()
@@ -121,7 +112,7 @@ def _load_text(path, lines: list[str]) -> FeatureSequence:
     if not lines or not lines[0].strip():
         raise ParseError(f"{path}: empty feature file")
     t, k = _parse_header(path, lines[0])
-    body = [line for line in lines[1:] if line.strip()]
+    body = [(lineno, line) for lineno, line in enumerate(lines[1:], start=2) if line.strip()]
     if len(body) != t:
         raise ParseError(
             f"{path}: header declares T={t} but found {len(body)} data rows"
@@ -133,11 +124,11 @@ def _load_text(path, lines: list[str]) -> FeatureSequence:
     # accepts and names the first bad line.  comments=None keeps '#' an
     # ordinary, rejected character.
     try:
-        frames = np.loadtxt(body, dtype=np.float64, comments=None, ndmin=2)
+        frames = np.loadtxt([line for _, line in body], dtype=np.float64, comments=None, ndmin=2)
     except ValueError:
         frames = None
     if frames is None or frames.shape != (t, k) or not np.isfinite(frames).all():
-        return FeatureSequence(_parse_rows(path, _numbered_rows(lines), k))
+        return FeatureSequence(_parse_rows(path, body, k))
     return FeatureSequence(frames)
 
 

@@ -176,7 +176,7 @@ def load_dataset(manifest: DatasetManifest) -> list[LabeledSequence]:
 
 
 def labeled_frames(data: Iterable[LabeledSequence]) -> Iterator[tuple[np.ndarray, int]]:
-    """Lazily flatten sequences into (frame vector, label) pairs for signature building.
+    """Lazily flatten sequences into (frame vector, label) pairs.
 
     Frames come in sequence order, then frame order, and each sequence is
     taken from data only when its first frame is asked for, so an

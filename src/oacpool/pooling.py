@@ -69,8 +69,7 @@ def partition_segments(num_frames: int, m: int) -> list[tuple[int, int]]:
 
     Segment j (1-based) covers [floor((j-1)*T/m), floor(j*T/m)).
     """
-    if m < 1:
-        raise ValueError(f"segment count must be >= 1, got {m}")
+    m = positive_int(m, "segment count")
     if num_frames < m:
         raise TooShortSequenceError(
             f"cannot split {num_frames} frames into {m} segments"

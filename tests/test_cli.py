@@ -27,7 +27,6 @@ from oacpool.dimreduce import (
 )
 from oacpool.errors import DataError, DivergenceError
 from oacpool.harness import (
-    labeled_frames,
     load_dataset,
     load_features,
     load_manifest,
@@ -629,7 +628,7 @@ class TestReduceCommand:
             )
             assert code == 0
             data = load_dataset(load_manifest(manifest))
-            signatures = class_signatures(labeled_frames(data), 3)
+            signatures = class_signatures(data, 3)
             assignment, _, _ = unblocked_lloyd_kmeans(signatures, 12, seed=seed)
             oracle = tmp_path / f"oracle_{seed}.txt"
             save_partition(ReductionPartition(assignment, 12), oracle)

@@ -39,7 +39,7 @@ def conv_cases(draw, values=st.floats(-4.0, 4.0)):
 
 def check_against_oracles(frames, banks, cfg):
     """Conv against the naive oracle, pooled maxima and argmax against NumPy's, bytewise."""
-    responses = np.maximum(conv_responses(frames, banks), 0.0)
+    responses = np.maximum(conv_responses(FeatureSequence(frames), banks), 0.0)
     for k in range(banks.num_dims):
         want = conv_oracle(frames[:, k], banks.weights[k], banks.biases[k], banks.stride)
         assert responses[:, :, k].tobytes() == want.tobytes()

@@ -1,5 +1,3 @@
-import re
-
 import numpy as np
 import pytest
 
@@ -140,10 +138,10 @@ class TestConvResponsesAllDims:
         rng = np.random.default_rng(26)
         frames = rng.standard_normal((9, 4))
         fbs = FilterBankSet(rng.standard_normal((4, 3, 2)), rng.standard_normal((4, 3)), stride=2)
-        stacked = conv_responses(frames, fbs)
+        stacked = conv_responses(FeatureSequence(frames), fbs)
         for k in range(fbs.num_dims):
             single = FilterBankSet(fbs.weights[k : k + 1], fbs.biases[k : k + 1], fbs.stride)
-            alone = conv_responses(frames[:, k : k + 1], single)
+            alone = conv_responses(FeatureSequence(frames[:, k : k + 1]), single)
             assert stacked[:, :, k : k + 1].tobytes() == alone.tobytes()
 
     @pytest.mark.parametrize("width, num_dims", [(1, 4), (3, 4), (2, 1)])
@@ -152,14 +150,7 @@ class TestConvResponsesAllDims:
         fbs = FilterBankSet(np.ones((num_dims, 2, 3)), np.zeros((num_dims, 2)))
         message = f"sequence has {width} dimensions but the bank set has {num_dims}"
         with pytest.raises(ShapeMismatchError, match=message):
-            conv_responses(np.ones((6, width)), fbs)
-
-    @pytest.mark.parametrize("shape", [(6,), (6, 1, 1)])
-    def test_rejects_frames_that_are_not_2d(self, shape):
-        fbs = FilterBankSet(np.ones((1, 2, 3)), np.zeros((1, 2)))
-        message = re.escape(f"frames must be 2-D, got shape {shape}")
-        with pytest.raises(ShapeMismatchError, match=message):
-            conv_responses(np.ones(shape), fbs)
+            conv_responses(FeatureSequence(np.ones((6, width))), fbs)
 
     @pytest.mark.parametrize("stride", [1, 2, 3])
     @pytest.mark.parametrize("t_out", [32, 33])
@@ -168,7 +159,7 @@ class TestConvResponsesAllDims:
         rng = np.random.default_rng(40 + stride)
         frames = rng.standard_normal((8 + (t_out - 1) * stride, 64))
         fbs = FilterBankSet(rng.standard_normal((64, 4, 8)), rng.standard_normal((64, 4)), stride)
-        pre = conv_responses(frames, fbs)
+        pre = conv_responses(FeatureSequence(frames), fbs)
         assert pre.shape == (t_out, 4, 64) and pre.flags.c_contiguous
         for k in range(64):
             want = conv_pre_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], stride)
@@ -185,7 +176,7 @@ class TestConvResponsesAllDims:
                 fbs = FilterBankSet(
                     rng.standard_normal((1, 1, interval)), rng.standard_normal((1, 1)), stride
                 )
-                pre = conv_responses(frames, fbs)
+                pre = conv_responses(FeatureSequence(frames), fbs)
                 want = conv_pre_oracle(frames[:, 0], fbs.weights[0], fbs.biases[0], stride)
                 assert pre.flags.c_contiguous
                 assert pre[:, :, 0].tobytes() == want.tobytes(), (num_frames, stride)
@@ -195,12 +186,12 @@ class TestConvResponsesAllDims:
     )
     def test_allocates_little_beyond_its_output(self, num_frames, num_dims, ratio):
         rng = np.random.default_rng(61)
-        frames = rng.standard_normal((num_frames, num_dims))
+        seq = FeatureSequence(rng.standard_normal((num_frames, num_dims)))
         fbs = FilterBankSet(
             rng.standard_normal((num_dims, 3, 8)), rng.standard_normal((num_dims, 3))
         )
-        output_mib = conv_responses(frames, fbs).nbytes / 2**20  # and a warm-up call
-        assert traced_peak_mib(lambda: conv_responses(frames, fbs)) <= ratio * output_mib
+        output_mib = conv_responses(seq, fbs).nbytes / 2**20  # and a warm-up call
+        assert traced_peak_mib(lambda: conv_responses(seq, fbs)) <= ratio * output_mib
 
     @pytest.mark.parametrize("t_out", [32, 33])
     @pytest.mark.parametrize("bias", [0.0, -0.0])
@@ -209,7 +200,7 @@ class TestConvResponsesAllDims:
         # and +0.0 plus a bias of either sign stays +0.0
         frames = np.full((8 + t_out - 1, 64), -0.0)
         fbs = FilterBankSet(np.ones((64, 4, 8)), np.full((64, 4), bias))
-        pre = conv_responses(frames, fbs)
+        pre = conv_responses(FeatureSequence(frames), fbs)
         want = conv_pre_oracle(frames[:, 0], fbs.weights[0], fbs.biases[0], 1)
         assert not np.signbit(want).any()
         assert not np.signbit(pre).any() and not pre.any()
@@ -219,7 +210,7 @@ class TestConvResponsesAllDims:
         rng = np.random.default_rng(32)
         frames = rng.standard_normal((40, 1500))
         fbs = FilterBankSet(rng.standard_normal((1500, 4, 3)), rng.standard_normal((1500, 4)))
-        pre = conv_responses(frames, fbs)
+        pre = conv_responses(FeatureSequence(frames), fbs)
         for k in (0, 1, 777, 1499):
             want = conv_pre_oracle(frames[:, k], fbs.weights[k], fbs.biases[k], fbs.stride)
             assert pre[:, :, k].tobytes() == want.tobytes()
@@ -366,7 +357,7 @@ class TestSegmentArgmax:
         weights = rng.standard_normal((4096, 3, 8))
         weights[0] = 2.0
         seq, banks = FeatureSequence(frames), FilterBankSet(weights, np.zeros((4096, 3)))
-        output_mib = conv_responses(seq.frames, banks).nbytes / 2**20
+        output_mib = conv_responses(seq, banks).nbytes / 2**20
 
         def overflowing_forward():
             with pytest.raises(ValueError, match="pooled responses"):
@@ -424,3 +415,18 @@ class TestParameterCounts:
             param_count_joint(0, 1, 1)
         with pytest.raises(ValueError):
             param_count_perdim(1, 0, 1)
+
+    @pytest.mark.parametrize("count", [param_count_joint, param_count_perdim])
+    @pytest.mark.parametrize(
+        "args, message",
+        [
+            ((2.5, 8, 3), "num_dims must be an integer, got 2.5"),
+            ((True, 8, 3), "num_dims must be an integer, got True"),
+            ((4, 0, 3), "interval must be >= 1, got 0"),
+            ((4, 8, 3.0), "n_filters must be an integer, got 3.0"),
+        ],
+        ids=["num_dims-2.5", "num_dims-True", "interval-0", "n_filters-3.0"],
+    )
+    def test_checks_each_count_by_name(self, count, args, message):
+        with pytest.raises(ValueError, match=message):
+            count(*args)

@@ -30,7 +30,7 @@ from oacpool.errors import (
     ShapeMismatchError,
     SumOverflowError,
 )
-from oacpool.sequences import FeatureSequence
+from oacpool.sequences import FeatureSequence, LabeledSequence
 
 
 def planted_signatures(rng, dims_per_group, centers, spread):
@@ -45,48 +45,76 @@ def planted_signatures(rng, dims_per_group, centers, spread):
     return np.asarray(points), np.asarray(truth)
 
 
+def labeled(frames, label):
+    return LabeledSequence(FeatureSequence(frames), label)
+
+
 class TestClassSignatures:
     def test_single_vector_per_class(self):
-        data = [([1.0, 2.0], 0), ([3.0, 4.0], 1)]
+        data = [labeled([[1.0, 2.0]], 0), labeled([[3.0, 4.0]], 1)]
         sig = class_signatures(data, 2)
         assert sig.tolist() == [[1.0, 3.0], [2.0, 4.0]]
 
     def test_class_mean_is_midpoint(self):
-        data = [([0.0, 2.0], 0), ([2.0, 0.0], 0), ([5.0, 5.0], 1)]
+        data = [labeled([[0.0, 2.0], [2.0, 0.0]], 0), labeled([[5.0, 5.0]], 1)]
         sig = class_signatures(data, 2)
         assert sig[:, 0].tolist() == [1.0, 1.0]
 
+    def test_class_mean_weighs_every_frame_alike(self):
+        # a mean over frames, not over sequence means
+        data = [labeled([[0.0], [0.0], [0.0]], 0), labeled([[4.0]], 0)]
+        assert class_signatures(data, 1).tolist() == [[1.0]]
+
+    def test_frames_are_added_one_at_a_time_in_sequence_order(self):
+        # a class sum over frames of very different magnitudes rounds one
+        # way frame by frame and another way sequence by sequence
+        rng = np.random.default_rng(90)
+        data = []
+        for c in range(12):
+            frames = rng.standard_normal((int(rng.integers(1, 6)), 5))
+            data.append(labeled(frames * 10.0 ** rng.integers(-8, 9, 5), c % 2))
+        sums, per_sequence, counts = np.zeros((2, 5)), np.zeros((2, 5)), np.zeros((2, 1))
+        for item in data:
+            for frame in item.sequence.frames:
+                sums[item.label] += frame
+            per_sequence[item.label] += item.sequence.frames.sum(axis=0)
+            counts[item.label] += item.sequence.num_frames
+        assert sums.tobytes() != per_sequence.tobytes()
+        sig = class_signatures(iter(data), 2)
+        assert sig.tobytes() == np.ascontiguousarray((sums / counts).T).tobytes()
+
     def test_missing_class_rejected(self):
-        data = [([1.0], 0), ([2.0], 1)]
+        data = [labeled([[1.0]], 0), labeled([[2.0]], 1)]
         with pytest.raises(MissingClassError, match="class 2"):
             class_signatures(data, 3)
 
     def test_inconsistent_vector_lengths(self):
-        with pytest.raises(ShapeMismatchError):
-            class_signatures([([1.0, 2.0], 0), ([1.0], 0)], 1)
+        data = [labeled([[1.0, 2.0]], 0), labeled([[1.0]], 0)]
+        with pytest.raises(ShapeMismatchError, match="frames of width 1, expected 2"):
+            class_signatures(data, 1)
 
     def test_overflowing_class_sum_names_class_and_dimension(self):
-        # finite vectors whose class-1 sum overflows in dimension 2 only
-        data = [([0.0, 1.0, 2.0], 0), ([1.0, 1.0, 1e308], 1), ([2.0, 3.0, 1e308], 1)]
+        # finite frames whose class-1 sum overflows in dimension 2 only
+        data = [labeled([[0.0, 1.0, 2.0]], 0), labeled([[1.0, 1.0, 1e308], [2.0, 3.0, 1e308]], 1)]
         with pytest.raises(SumOverflowError, match="class 1 .*dimension 2"):
             class_signatures(data, 2)
 
     @pytest.mark.parametrize("num_classes", [True, 2.5, 2.0, "2", None])
     def test_rejects_a_class_count_that_is_not_an_integer_by_name(self, num_classes):
         with pytest.raises(ValueError, match="num_classes must be an integer"):
-            class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], 1)], num_classes)
+            class_signatures([labeled([[1.0, 2.0]], 0), labeled([[3.0, 4.0]], 1)], num_classes)
 
     def test_rejects_a_class_count_below_one(self):
         with pytest.raises(ValueError, match="num_classes must be >= 1, got 0"):
-            class_signatures([([1.0], 0)], 0)
+            class_signatures([labeled([[1.0]], 0)], 0)
 
-    @pytest.mark.parametrize("label", [1.7, True, "1"], ids=["1.7", "True", "str"])
-    def test_rejects_a_label_that_is_not_an_integer_by_name(self, label):
-        with pytest.raises(ValueError, match="label must be an integer"):
-            class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], label)], 2)
+    def test_rejects_a_label_out_of_range(self):
+        data = [labeled([[1.0, 2.0]], 0), labeled([[3.0, 4.0]], 2)]
+        with pytest.raises(ValueError, match="label 2 out of range for 2 classes"):
+            class_signatures(data, 2)
 
     def test_signature_columns(self):
-        sig = class_signatures([([1.0, 2.0], 0), ([3.0, 4.0], 1)], 2)
+        sig = class_signatures([labeled([[1.0, 2.0]], 0), labeled([[3.0, 4.0]], 1)], 2)
         assert sig.shape == (2, 2) and sig.flags.c_contiguous
         assert sig.tolist() == [[1.0, 3.0], [2.0, 4.0]]
 

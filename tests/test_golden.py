@@ -29,6 +29,7 @@ GOLDEN = {
     "synth trend-pair": "0ce64b07ac615175fe50ebe2a5b608b725b350f8eb8bf6022e60f7d3e6724f23",
     "synth permuted-pair": "592a3f9573b7f9880771662daf3b2943c5202ed405ac89d780b169be0ceecfdc",
     "synth multiclass-trend": "d592744b0b823fd621dfa7f1720192ce6cd36383f1cb1aadc9701ad48bdf53f0",
+    "synth noisy-trend-pair": "c00bc29f156eb3a568f541b706d0a47d1f4062b13111f6f37fc7d7f7f61ff3fb",
     "reduce fit": "541de34bc8fd524d51acaa26575e8d054bd7f2c5104631f8ba4fc0e203e6cfd3",
     "reduce apply": "f54d537c1dc06e10bd8da6eebcd0cc079dfba32a1188d4c87c0a7c7be5867cc1",
     "train empty-name": "adaeb1e83a7d0ab88a3d124919dd427522168bf58d27b4c5abfb80729419506b",

@@ -13,7 +13,6 @@ from oacpool.harness import (
     DatasetManifest,
     SyntheticSpec,
     gen_synthetic,
-    labeled_frames,
     load_dataset,
     load_features,
     load_manifest,
@@ -23,7 +22,7 @@ from oacpool.harness import (
     save_manifest,
 )
 from oacpool.harness import experiments
-from oacpool.harness.manifest import iter_dataset
+from oacpool.harness.manifest import iter_dataset, labeled_frames
 from oacpool.model import PoolingSpec, TrainConfig
 from oacpool.pooling import average_pool, max_pool
 from oacpool.sequences import FeatureSequence, LabeledSequence
@@ -422,16 +421,16 @@ class TestManifest:
             load_dataset(load_manifest(manifest_path))
 
     def test_entries_are_read_one_at_a_time(self, tmp_path):
-        # the second entry has another width: the first one's frames still
-        # come out, and the mismatch is raised only when the second is read
+        # the second entry has another width: the first one still comes
+        # out, and the mismatch is raised only when the second is read
         save_features(FeatureSequence(np.ones((2, 2))), tmp_path / "a.txt")
         save_features(FeatureSequence(np.ones((2, 3))), tmp_path / "b.txt")
         manifest_path = tmp_path / "data.manifest"
         manifest_path.write_text("classes=x,y\na.txt 0\nb.txt 1\n")
-        pairs = labeled_frames(iter_dataset(load_manifest(manifest_path)))
-        assert [label for _, label in (next(pairs), next(pairs))] == [0, 0]
+        items = iter_dataset(load_manifest(manifest_path))
+        assert next(items).label == 0
         with pytest.raises(ShapeMismatchError, match="b.txt: has 3 features, dataset uses 2"):
-            next(pairs)
+            next(items)
 
     def test_labeled_frames_flattens(self, tmp_path):
         manifest = self._write_dataset(tmp_path)

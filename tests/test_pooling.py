@@ -85,6 +85,20 @@ class TestPartitionSegments:
         with pytest.raises(TooShortSequenceError):
             partition_segments(1, 2)
 
+    @pytest.mark.parametrize(
+        "m, message",
+        [
+            (True, "segment count must be an integer, got True"),
+            (2.5, "segment count must be an integer, got 2.5"),
+            (2.0, "segment count must be an integer, got 2.0"),
+            (0, "segment count must be >= 1, got 0"),
+        ],
+        ids=["True", "2.5", "2.0", "0"],
+    )
+    def test_rejects_a_segment_count_that_is_not_a_positive_integer(self, m, message):
+        with pytest.raises(ValueError, match=message):
+            partition_segments(10, m)
+
     def test_segments_cover_and_are_disjoint(self):
         rng = np.random.default_rng(11)
         for _ in range(100):

@@ -61,7 +61,6 @@ PUBLIC_NAMES = {
         "SyntheticSpec",
         "TASK_KINDS",
         "gen_synthetic",
-        "labeled_frames",
         "load_dataset",
         "load_features",
         "load_manifest",

@@ -7,11 +7,13 @@ Usage, from the repository root::
 TREE is a directory holding ``src/oacpool`` (a checkout of the repository).
 The script runs a fixed list of ``python -m oacpool`` calls one at a time,
 each under ``PYTHONPATH=TREE/src`` in one temporary directory that later
-calls read from: ``synth`` of each task, ``train`` of each pooling kind
-plus an oacp model of stride 2, pyramid 1,2,4 and interval 3, ``eval
---confusion`` of each of those models, a ``train`` that diverges (exit 3),
-a four-method ``compare``, ``gradcheck``, a ``reduce`` fit and apply, and
-four calls on bad inputs that the script writes under ``bad/`` first:
+calls read from: ``synth`` of each task and of a noisier trend-pair split,
+``train`` of each pooling kind plus an oacp model of stride 2, pyramid
+1,2,4 and interval 3, ``eval --confusion`` of each of those models on the
+noisier test split (no two of them print the same confusion matrix), a
+``train`` that diverges (exit 3), a four-method ``compare``,
+``gradcheck``, a ``reduce`` fit and apply, and four calls on bad inputs
+that the script writes under ``bad/`` first:
 
 1. ``train`` on a manifest declaring ``classes=a,,b``;
 2. ``train`` on a manifest with a second ``classes=`` line;
@@ -62,12 +64,14 @@ BAD_INPUTS = {
 def calls() -> list[tuple[str, tuple[str, ...]]]:
     """(name, CLI arguments) of every call, in the order they run."""
     runs = [(f"synth {task}", ("synth", "--task", task, *SYNTH, "--out", task)) for task in TASKS]
+    noisy = ("synth", "--task", "trend-pair", *SYNTH, "--noise", "1", "--out", "noisy-trend-pair")
+    runs.append(("synth noisy-trend-pair", noisy))
     models = [(kind, kind, ()) for kind in KINDS] + [("oacp-strided", "oacp", STRIDED)]
     for name, kind, flags in models:
         model = ("--pooling", kind, *flags, "--model-out", f"{name}.oacm")
         runs.append((f"train {name}", ("train", *TRAIN, *model)))
     for name, _, _ in models:
-        evaluated = ("--manifest", "trend-pair/test.manifest", "--model", f"{name}.oacm")
+        evaluated = ("--manifest", "noisy-trend-pair/test.manifest", "--model", f"{name}.oacm")
         runs.append((f"eval {name}", ("eval", *evaluated, "--confusion")))
     runs += [
         ("train diverging", ("train", *TRAIN, "--lr", "1e308", "--model-out", "diverged.oacm")),
