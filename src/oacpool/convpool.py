@@ -176,6 +176,63 @@ def _pooling_plan(t_out: int, num_dims: int, cfg: PyramidConfig) -> _PoolingPlan
     return plan
 
 
+def _relu_piece_maxima(pre: np.ndarray, plan: _PoolingPlan) -> np.ndarray:
+    """The ReLU'd maximum of each atomic piece of the plan, (Q, n, K).
+
+    Bitwise the maximum of the piece's ReLU'd responses, since the ReLU is
+    monotone and the conv never yields -0.0.  A ReLU'd maximum of inf or
+    NaN raises ValueError; a piece whose responses are all -inf pools to 0.
+    """
+    piece_max = np.empty((len(plan.pieces),) + pre.shape[1:])
+    for q, (a, b) in enumerate(plan.pieces):
+        np.maximum.reduce(pre[a:b], axis=0, out=piece_max[q])
+    np.maximum(piece_max, 0.0, out=piece_max)
+    if not math.isfinite(np.maximum.reduce(piece_max, axis=None)):
+        raise ValueError("pooled responses contain NaN or infinite values")
+    return piece_max
+
+
+def _segment_maxima(
+    relu: np.ndarray, plan: _PoolingPlan, piece_top: np.ndarray | None = None
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """The (M, n, K) segment maxima of the ReLU'd piece maxima, and their pieces' weights.
+
+    A segment takes its first piece's maximum and, given piece_top, its
+    weight; each later piece of the segment replaces the weight only where
+    its maximum is strictly larger, so the first piece wins a tie.  Without
+    piece_top the weights are None.
+    """
+    maxima = relu.take(plan.first_piece, axis=0)
+    top = None if piece_top is None else piece_top.take(plan.first_piece, axis=0)
+    for m, q in plan.later_pieces:
+        if top is not None:
+            np.copyto(top[m], piece_top[q], where=relu[q] > maxima[m])
+        np.maximum(maxima[m], relu[q], out=maxima[m])
+    return maxima, top
+
+
+def _dimension_major(maxima: np.ndarray) -> np.ndarray:
+    """(M, n, K) maxima as the pooled vector: k outermost, then (level, segment), then channel."""
+    return maxima.transpose(2, 0, 1).ravel()
+
+
+def _oacp_pooled(seq: FeatureSequence, banks: FilterBankSet, cfg: PyramidConfig) -> np.ndarray:
+    """The pooled vector of oacp_forward_details alone, byte for byte.
+
+    The forward for a caller that backpropagates nothing: it takes the
+    ReLU'd piece maxima and the segment maxima as oacp_forward_details
+    does, but runs no argmax pass, builds no windows view and frees the
+    (T_out, n_filters, K) conv buffer once the piece maxima are taken.  It
+    raises as oacp_forward_details does.
+    """
+    pre = conv_responses(seq, banks)
+    plan = _pooling_plan(pre.shape[0], banks.num_dims, cfg)
+    relu = _relu_piece_maxima(pre, plan)
+    del pre
+    maxima, _ = _segment_maxima(relu, plan)
+    return _dimension_major(maxima)
+
+
 def oacp_forward_details(
     seq: FeatureSequence, banks: FilterBankSet, cfg: PyramidConfig
 ) -> OacpForward:
@@ -184,42 +241,28 @@ def oacp_forward_details(
     The pooled layout is dimension k outermost, then level, then segment,
     then filter channel; length K * n_filters * M.  Each atomic piece [a, b)
     of the pooling plan (see _PoolingPlan) is read twice.  The first read
-    takes its maximum, which is then ReLU'd: bitwise the maximum of the
-    ReLU'd responses, since the ReLU is monotone and the conv never yields
-    -0.0.  The second finds its argmax, the first row holding its maximal
-    ReLU'd response, as the largest row weight T_out - r over the rows r at
-    or above the maximum, or over all rows if the ReLU zeroes it.  A
-    segment then takes its first piece's ReLU'd maximum and weight, and
-    each later piece of the segment replaces the weight only where its
-    ReLU'd maximum is strictly larger, so the first piece wins a tie; the
+    takes its ReLU'd maximum (see _relu_piece_maxima).  The second finds its
+    argmax, the first row holding its maximal ReLU'd response, as the
+    largest row weight T_out - r over the rows r at or above the maximum,
+    or over all rows if the ReLU zeroes it.  _segment_maxima then combines
+    the pieces of each segment, the first piece winning a tie, and the
     argmax is T_out minus the weight.  A ReLU'd maximum of inf or NaN raises
-    ValueError (an all -inf piece pools to 0); conv_responses alone returns them.
+    ValueError (an all -inf piece pools to 0); conv_responses alone returns
+    them.  _oacp_pooled computes the pooled vector alone.
     """
     pre = conv_responses(seq, banks)
     t_out = pre.shape[0]
     plan = _pooling_plan(t_out, banks.num_dims, cfg)
     windows = _windows(seq.frames, banks.interval, banks.stride)
-    piece_max = np.empty((len(plan.pieces),) + pre.shape[1:])
-    for q, (a, b) in enumerate(plan.pieces):
-        np.maximum.reduce(pre[a:b], axis=0, out=piece_max[q])
-    relu = np.maximum(piece_max, 0.0)
-    if not math.isfinite(np.maximum.reduce(relu, axis=None)):
-        raise ValueError("pooled responses contain NaN or infinite values")
-    floor = np.where(piece_max <= 0.0, -np.inf, piece_max)
-    piece_top = np.empty(piece_max.shape, dtype=plan.row_weights.dtype)
+    relu = _relu_piece_maxima(pre, plan)
+    floor = np.where(relu == 0.0, -np.inf, relu)
+    piece_top = np.empty(relu.shape, dtype=plan.row_weights.dtype)
     for q, (a, b) in enumerate(plan.pieces):
         hits = pre[a:b] >= floor[q]
         np.maximum.reduce(hits.view(np.uint8) * plan.row_weights[a:b], axis=0, out=piece_top[q])
-    maxima = relu.take(plan.first_piece, axis=0)
-    top = piece_top.take(plan.first_piece, axis=0)
-    for m, q in plan.later_pieces:
-        wins = relu[q] > maxima[m]
-        np.maximum(maxima[m], relu[q], out=maxima[m])
-        np.copyto(top[m], piece_top[q], where=wins)
+    maxima, top = _segment_maxima(relu, plan, piece_top)
     argmax = np.subtract(t_out, top, dtype=np.intp)
-    # (M, n, K) -> dimension-major: k outermost, then (level, segment), then channel
-    pooled = maxima.transpose(2, 0, 1).ravel()
-    return OacpForward(pooled, pre, windows, argmax)
+    return OacpForward(_dimension_major(maxima), pre, windows, argmax)
 
 
 def _counts(num_dims, interval, n_filters) -> tuple[int, int, int]:

@@ -8,7 +8,10 @@ pooling (to the first maximal response of each segment) and the ReLU (zero
 at nonpositive pre-activations) into the filter banks.  One private
 _gradient forms that gradient: sgd_train's fused _train_step applies it
 through _apply_update, and backward() returns it densely, in parameters()
-order, for grad_check and any other caller that inspects it.
+order, for grad_check and any other caller that inspects it.  Nothing
+backpropagates from evaluate() or from grad_check's loss evaluations, so
+they pool through the one dispatch _pool without details: an oacp model
+then runs no segment argmax, and they build no ForwardCache.
 """
 
 from __future__ import annotations
@@ -22,7 +25,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convpool import FilterBankSet, _pooling_plan, oacp_forward_details
+from .convpool import FilterBankSet, _oacp_pooled, _pooling_plan, oacp_forward_details
 from .errors import (
     DivergenceError,
     ParseError,
@@ -199,7 +202,7 @@ class ClassifierModel:
         elif banks is not None:
             raise ValueError(f"{spec.kind} pooling takes no filter banks")
         for name, shape in zip(("w_head", "b_head"), shapes):
-            values = np.asarray(getattr(self, name), dtype=np.float64)
+            values = np.asarray(getattr(self, name))
             if values.shape != shape:
                 raise ShapeMismatchError(f"{name} shape {values.shape}, expected {shape}")
             setattr(self, name, np.array(_checked_floats(values, len(shape), name), order="C"))
@@ -316,8 +319,15 @@ def _probabilities(model: ClassifierModel, pooled: np.ndarray, check: bool = Tru
     return _softmax_in_place(logits, check)
 
 
-def _pool(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, Sequence]:
-    """The pooled vector of seq and, for oacp, the forward arrays backward() reads."""
+def _pool(
+    model: ClassifierModel, seq: FeatureSequence, details: bool = True
+) -> tuple[np.ndarray, Sequence]:
+    """The pooled vector of seq and, for oacp with details, the forward arrays backward() reads.
+
+    Without details, for a caller that backpropagates nothing, an oacp model
+    pools through _oacp_pooled: the same bytes, with no argmax pass and no
+    conv buffer kept, and () comes back as for the other kinds.
+    """
     kind, pyramid = model.spec.kind, model.spec.pyramid
     if kind == "average":
         return average_pool(seq), ()
@@ -325,9 +335,11 @@ def _pool(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, Seq
         return max_pool(seq), ()
     if kind == "pyramid":
         return temporal_pyramid_pool(seq, pyramid), ()
+    if not details:
+        return _oacp_pooled(seq, model.filter_banks, pyramid), ()
     # pre_activation, windows, segment_argmax: ForwardCache's last three fields
-    pooled, *details = oacp_forward_details(seq, model.filter_banks, pyramid)
-    return pooled, details
+    pooled, *arrays = oacp_forward_details(seq, model.filter_banks, pyramid)
+    return pooled, arrays
 
 
 def forward(model: ClassifierModel, seq: FeatureSequence) -> tuple[np.ndarray, ForwardCache]:
@@ -684,6 +696,9 @@ def evaluate(
 ) -> tuple[float, np.ndarray]:
     """Accuracy and a (true, predicted) confusion count matrix.
 
+    Each instance is pooled without details (see _pool) and classified by
+    _probabilities, the arithmetic of forward() with no argmax pass and no
+    ForwardCache, so only one instance's arrays are alive at a time.
     Prediction is argmax of the probabilities; exact ties go to the lowest
     class index.  Non-finite pooled responses or logits raise
     DivergenceError naming the instance, with no NumPy warning on the way.
@@ -694,7 +709,7 @@ def evaluate(
         for i, item in enumerate(data):
             try:
                 # the instances were checked up front: only non-finite values raise
-                probs, _ = forward(model, item.sequence)
+                probs = _probabilities(model, _pool(model, item.sequence, details=False)[0])
             except ValueError as exc:
                 raise DivergenceError(f"evaluation of instance {i}: {exc}") from None
             confusion[item.label, probs.argmax()] += 1
@@ -703,8 +718,9 @@ def evaluate(
 
 
 def _loss_at(model: ClassifierModel, example: LabeledSequence) -> float:
-    probs, _ = forward(model, example.sequence)
-    return instance_loss(probs, example.label)
+    """The instance loss of forward()'s probabilities, pooled without details (see _pool)."""
+    pooled, _ = _pool(model, example.sequence, details=False)
+    return instance_loss(_probabilities(model, pooled), example.label)
 
 
 def grad_check(
@@ -717,9 +733,11 @@ def grad_check(
     """Max relative error between analytic and central-difference gradients.
 
     The analytic side is backward()'s list, the gradient a training step
-    applies.  The model's parameters are first nudged by seeded uniform
-    noise in +-GRAD_CHECK_NUDGE; finite differences are meaningless exactly
-    at ReLU and max-pool ties, and the nudge moves the model off them.  The
+    applies, from one forward().  Each of the two loss evaluations per
+    scalar pools without details (see _pool) and builds no ForwardCache.
+    The model's parameters are first nudged by seeded uniform noise in
+    +-GRAD_CHECK_NUDGE; finite differences are meaningless exactly at ReLU
+    and max-pool ties, and the nudge moves the model off them.  The
     original model is not modified.
     """
     if not 1e-7 <= eps <= 1e-3:

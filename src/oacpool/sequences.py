@@ -31,8 +31,16 @@ def positive_int(value, name: str, minimum: int = 1) -> int:
 
 
 def _checked_floats(values, ndim: int, name: str) -> np.ndarray:
-    """values as float64 with ndim axes, nonempty and finite; a view, not a copy, if they are float64."""
-    arr = np.asarray(values, dtype=np.float64)
+    """values as float64 with ndim axes, nonempty and finite; a view, not a copy, if they are float64.
+
+    Only real numbers pass: bool, integer and float values.  Strings,
+    bytes, objects, dates, time spans, complex numbers and records are a
+    ValueError naming the dtype, which is checked before any conversion.
+    """
+    arr = np.asarray(values)
+    if arr.dtype.kind not in "biuf":
+        raise ValueError(f"{name} must hold real numbers, got dtype {arr.dtype}")
+    arr = arr.astype(np.float64, copy=False)
     if arr.ndim != ndim:
         raise ValueError(f"{name} must be {ndim}-D, got shape {arr.shape}")
     if arr.size == 0:
@@ -79,12 +87,19 @@ class FeatureSequence:
 
 @dataclass(frozen=True)
 class LabeledSequence:
-    """A feature sequence together with its class index, an integer >= 0 (see positive_int)."""
+    """A FeatureSequence together with its class index, an integer >= 0 (see positive_int).
+
+    Any other sequence, a raw array included, is a ValueError naming its type.
+    """
 
     sequence: FeatureSequence
     label: int
 
     def __post_init__(self):
+        if not isinstance(self.sequence, FeatureSequence):
+            raise ValueError(
+                f"sequence must be a FeatureSequence, got {type(self.sequence).__name__}"
+            )
         object.__setattr__(self, "label", positive_int(self.label, "label", minimum=0))
 
 

@@ -28,7 +28,7 @@ def test_tracer_counts_a_tiny_oacp_run(monkeypatch):
     )
     # training calls no backward, so one explicit backward feeds the
     # routed-rows counter; its forward runs before the traced window, so
-    # model.forward.calls counts evaluate's alone
+    # model.forward.calls counts the traced calls alone
     _, cache = oacpool.model.forward(model, data[0].sequence)
     tracer = Tracer()
     tracer.install(0)
@@ -45,10 +45,11 @@ def test_tracer_counts_a_tiny_oacp_run(monkeypatch):
     assert metrics["model.backward.calls"][0] == 1
     # every one of the T_out * n * K = 60 responses takes l = 3 taps
     assert metrics["convpool.conv_responses.madds_per_inst"][0] == 180
-    assert metrics["convpool.oacp_forward_details.calls"][0] == 2 * len(data)
+    # one training step per instance; evaluate pools without the details
+    assert metrics["convpool.oacp_forward_details.calls"][0] == len(data)
     assert metrics["model.sgd_train.params_per_step"][0] == model.parameter_total()
-    # training steps without forward(); evaluate calls it once per instance
-    assert metrics["model.forward.calls"][0] == len(data)
+    # training steps without forward(), and evaluate classifies without it
+    assert metrics["model.forward.calls"][0] == 0
 
 
 def test_tracer_sees_average_pooling_once_per_instance(monkeypatch):

@@ -11,7 +11,12 @@ from hypothesis.extra import numpy as hnp
 
 from helpers import conv_oracle, numpy_segment_pooling
 
-from oacpool.convpool import FilterBankSet, conv_responses, oacp_forward_details
+from oacpool.convpool import (
+    FilterBankSet,
+    _oacp_pooled,
+    conv_responses,
+    oacp_forward_details,
+)
 from oacpool.pooling import PyramidConfig, segment_ranges, temporal_pyramid_pool
 from oacpool.sequences import FeatureSequence
 
@@ -22,18 +27,27 @@ TIE_HEAVY = st.sampled_from([-1.0, 0.0, 1.0])
 
 
 @st.composite
-def conv_cases(draw, values=st.floats(-4.0, 4.0)):
-    """Frames, a bank set and a poolable pyramid over small random geometries."""
+def conv_cases(draw, values=st.floats(-4.0, 4.0), bias_values=None, at_minimum=False):
+    """Frames, a bank set and a poolable pyramid over small random geometries.
+
+    bias_values, if given, draws the biases.  With at_minimum the pyramid is
+    drawn first and T is exactly the minimum_frames it needs.
+    """
     num_dims = draw(st.integers(1, 6))
     stride = draw(st.integers(1, 3))
     interval = draw(st.integers(1, 8))
     n_filters = draw(st.integers(1, 4))
-    num_frames = draw(st.integers(interval, 40))
-    t_out = (num_frames - interval) // stride + 1
-    levels = draw(st.lists(st.integers(1, t_out), max_size=2))
+    if at_minimum:
+        levels = draw(st.lists(st.integers(1, 6), max_size=2))
+        num_frames = interval + stride * (max(levels, default=1) - 1)
+    else:
+        num_frames = draw(st.integers(interval, 40))
+        t_out = (num_frames - interval) // stride + 1
+        levels = draw(st.lists(st.integers(1, t_out), max_size=2))
     frames = draw(hnp.arrays(np.float64, (num_frames, num_dims), elements=values))
     weights = draw(hnp.arrays(np.float64, (num_dims, n_filters, interval), elements=values))
-    biases = draw(hnp.arrays(np.float64, (num_dims, n_filters), elements=values))
+    bias_elements = values if bias_values is None else bias_values
+    biases = draw(hnp.arrays(np.float64, (num_dims, n_filters), elements=bias_elements))
     return frames, FilterBankSet(weights, biases, stride), PyramidConfig((1, *levels))
 
 
@@ -77,6 +91,49 @@ class TestConvProperties:
     @given(conv_cases(values=TIE_HEAVY))
     def test_tied_and_all_zero_segments_match_the_oracles(self, case):
         check_against_oracles(*case)
+
+
+def pooled_bytes_agree(frames, banks, cfg):
+    """The pooled-only forward's vector, and oacp_forward_details' pooled, bytewise; the vector."""
+    seq = FeatureSequence(frames)
+    pooled = _oacp_pooled(seq, banks, cfg)
+    want = oacp_forward_details(seq, banks, cfg).pooled
+    assert pooled.dtype == want.dtype and pooled.shape == want.shape
+    assert pooled.tobytes() == want.tobytes()
+    return pooled
+
+
+# Whole numbers: tied responses, and ties across piece boundaries, are frequent.
+WHOLE = st.integers(-3, 3).map(float)
+
+
+class TestPooledOnlyForward:
+    """The forward without an argmax pass pools the bytes the training forward pools."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(conv_cases())
+    @example(one_dimension_eight_taps())
+    def test_random_geometries(self, case):
+        pooled_bytes_agree(*case)
+
+    @settings(derandomize=True, deadline=None)
+    @given(conv_cases(at_minimum=True))
+    def test_sequences_of_exactly_minimum_frames(self, case):
+        frames, banks, cfg = case
+        assert (frames.shape[0] - banks.interval) // banks.stride + 1 == cfg.max_segments
+        pooled_bytes_agree(*case)
+
+    @settings(derandomize=True, deadline=None)
+    @given(conv_cases(values=WHOLE))
+    def test_whole_number_frames_and_banks(self, case):
+        pooled_bytes_agree(*case)
+
+    @settings(derandomize=True, deadline=None)
+    @given(conv_cases(bias_values=st.floats(-1e3, -200.0)))
+    def test_strongly_negative_biases_pool_every_slot_to_zero(self, case):
+        # l <= 8 taps of |w * x| <= 16 stay far above a bias of -200
+        pooled = pooled_bytes_agree(*case)
+        assert pooled.tobytes() == np.zeros_like(pooled).tobytes()
 
 
 # Levels whose boundaries do not nest cut segments into several pieces.

@@ -491,6 +491,13 @@ class TestGradCheck:
         assert not grads[2].any()
         assert grad_check(model, example, 1e-5, seed=2) < 1e-4
 
+    def test_only_the_analytic_side_runs_the_argmax_pass(self, monkeypatch):
+        # one forward for backward(); the two loss evaluations per scalar pool without details
+        calls = counting(monkeypatch, "oacp_forward_details")
+        model = tiny_oacp_model(seed=18)
+        assert grad_check(model, random_example(19, 6, 3, 2), 1e-5, seed=4) < 1e-4
+        assert len(calls) == 1
+
     def test_does_not_modify_the_model(self):
         model = tiny_oacp_model(seed=13)
         before = parameter_bytes(model)
@@ -1012,9 +1019,12 @@ class TestPaperShapeMemory:
     with the step, so two epochs over two instances peak as one step does;
     a step inlined into the epoch loop keeps the last step's routed
     windows alive and peaks near 7.2 MiB.
-    An evaluated instance needs under 4 MiB: the 2.2 MiB conv output and
-    the (M, n, K) maxima; no ReLU'd copy of the responses is built.  The bounds catch a per-step temporary
-    coming back.
+    An evaluated instance peaks near 2.4 MiB: the 2.2 MiB conv output and
+    the ReLU'd piece maxima, with no argmax pass and no ForwardCache.  The
+    conv buffer dies with its instance's pooling, so evaluating two
+    instances peaks as one does; evaluation through forward() kept the last
+    instance's cache alive and read 3.8 MiB for one instance, 6.5 MiB for
+    two.  The bounds catch a per-step temporary coming back.
     """
 
     @pytest.fixture(scope="class")
@@ -1039,7 +1049,13 @@ class TestPaperShapeMemory:
 
     def test_evaluated_instance(self, paper_case):
         model, data = paper_case
-        assert traced_peak_mib(lambda: evaluate(model, data)) < 4
+        assert traced_peak_mib(lambda: evaluate(model, data)) < 3
+
+    def test_evaluation_holds_one_instance(self, paper_case):
+        model, data = paper_case
+        frames = np.random.default_rng(4).standard_normal((30, 4096))
+        data = data + [LabeledSequence(FeatureSequence(frames), 8)]
+        assert traced_peak_mib(lambda: evaluate(model, data)) < 3
 
 
 class TestEvaluate:
@@ -1084,6 +1100,26 @@ class TestEvaluate:
         accuracy, confusion = evaluate(model, data)
         assert accuracy == 1.0
         assert confusion[0, 1] == 0 and confusion[1, 0] == 0
+
+    @pytest.mark.parametrize("kind", POOLING_KINDS)
+    def test_confusion_matches_forward_predictions(self, kind):
+        model = TestPoolingHoist.build(kind, 55)
+        data = [random_example(s, 6 + s % 3, 3, 2) for s in range(16)]
+        want = np.zeros((2, 2), dtype=np.int64)
+        for item in data:
+            want[item.label, forward(model, item.sequence)[0].argmax()] += 1
+        accuracy, confusion = evaluate(model, data)
+        assert confusion.tobytes() == want.tobytes()
+        assert accuracy == np.trace(want) / len(data)
+
+    def test_runs_no_forward_and_no_argmax_pass(self, monkeypatch):
+        calls = {name: counting(monkeypatch, name) for name in ("forward", "oacp_forward_details")}
+        model = tiny_oacp_model(seed=56)
+        evaluate(model, [random_example(s, 6, 3, 2) for s in range(3)])
+        assert {name: len(made) for name, made in calls.items()} == {
+            "forward": 0,
+            "oacp_forward_details": 0,
+        }
 
     def test_prediction_invariant_under_logit_shift(self):
         model = tiny_oacp_model(seed=53)

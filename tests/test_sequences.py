@@ -11,6 +11,7 @@ from oacpool.model import ClassifierModel, PoolingSpec
 from oacpool.sequences import (
     FeatureSequence,
     LabeledSequence,
+    _checked_floats,
     replicate_pad,
     sample_frames,
 )
@@ -63,6 +64,15 @@ class TestLabeledSequence:
         for label in (True, 1.7, 2.0, "1"):
             with pytest.raises(ValueError, match="label must be an integer"):
                 LabeledSequence(seq, label)
+
+    @pytest.mark.parametrize(
+        "sequence, type_name",
+        [([[1.0, 2.0]], "list"), (np.ones((2, 2)), "ndarray"), (None, "NoneType")],
+    )
+    def test_rejects_a_sequence_that_is_not_a_record(self, sequence, type_name):
+        message = f"sequence must be a FeatureSequence, got {type_name}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            LabeledSequence(sequence, 0)
 
 
 class TestSampleFrames:
@@ -179,6 +189,19 @@ BAD_INTAKE = {
 }
 
 
+# Values of a dtype that holds no real numbers, made from the good shape.
+NOT_REAL = {
+    "str": lambda shape: np.full(shape, "1.5"),
+    "str-list": lambda shape: np.full(shape, "2").tolist(),
+    "bytes": lambda shape: np.full(shape, b"1"),
+    "object": lambda shape: np.ones(shape, dtype=object),
+    "datetime": lambda shape: np.full(shape, np.datetime64("2020-01-02", "D")),
+    "timedelta": lambda shape: np.full(shape, np.timedelta64(1, "s")),
+    "complex": lambda shape: np.ones(shape, dtype=complex),
+    "void": lambda shape: np.zeros(shape, dtype="V8"),
+}
+
+
 class TestIntakeRule:
     """Frames, filter banks, head parameters and k-means points share one rule and its texts."""
 
@@ -197,6 +220,24 @@ class TestIntakeRule:
         message = text.format(name=site, ndim=len(shape))
         with pytest.raises(expected, match="^" + re.escape(message)):
             call(make(shape))
+
+    @pytest.mark.parametrize("site", sorted(INTAKE_SITES))
+    @pytest.mark.parametrize("case", list(NOT_REAL))
+    def test_values_that_are_not_real_numbers_name_their_dtype(self, site, case):
+        shape, call = INTAKE_SITES[site]
+        values = NOT_REAL[case](shape)
+        message = f"{site} must hold real numbers, got dtype {np.asarray(values).dtype}"
+        with pytest.raises(ValueError, match="^" + re.escape(message) + "$"):
+            call(values)
+
+    @pytest.mark.parametrize("dtype", [bool, np.int8, np.uint16, np.int64, np.float32])
+    def test_bool_integer_and_float_values_pass(self, dtype):
+        values = np.arange(12).reshape(4, 3).astype(dtype)
+        assert np.array_equal(FeatureSequence(values).frames, values.astype(np.float64))
+
+    def test_float64_values_are_checked_without_a_copy(self):
+        values = np.arange(12.0).reshape(4, 3)
+        assert np.shares_memory(_checked_floats(values, 2, "frames"), values)
 
     def test_a_sequence_keeps_no_reference_to_its_input(self):
         values = np.arange(12.0).reshape(4, 3)

@@ -23,8 +23,10 @@ code that computes something else is refused with exit status 1.  BLAS runs
 one thread, as in ``bench/run.py``: ``process_time`` adds up the CPU time of
 every thread, so a second BLAS thread would read as a slower step.  The
 script prints that cap, then one line per measurement with each tree's
-median, the change of the medians and the pairs the new tree won, and with
-``--json`` writes them to a file.  A shared host drifts between sessions: compare the two
+median, the change of the medians and the pairs the new tree won.  After
+the timed trials, so that tracing does not slow them, it prints each tree's
+``tracemalloc`` peak for one ``evaluate`` of a paper-shape oacp model over
+two instances, and with ``--json`` writes every figure to a file.  A shared host drifts between sessions: compare the two
 sides of one run only.  This is a development tool, not part of the test
 suite or the benchmark.
 """
@@ -41,6 +43,7 @@ import statistics
 import struct
 import sys
 import time
+import tracemalloc
 from pathlib import Path
 
 BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
@@ -116,6 +119,22 @@ def one_trial(pkg, initial, data, shape: str) -> tuple[float, float, str]:
     return train_s, eval_s, outcome_digest(model, evaluations)
 
 
+def evaluate_peak_mib(pkg) -> float:
+    """tracemalloc peak, in MiB, of evaluate over two paper-shape instances of an oacp model."""
+    num_features, _, num_classes, _, _ = SHAPES["paper"]
+    model = pkg.ClassifierModel.build(
+        "oacp", num_features, num_classes, interval=8, n_filters=3, pyramid=(1, 2), seed=7
+    )
+    data = make_data(pkg, "paper")[:2]
+    tracemalloc.start()
+    try:
+        pkg.evaluate(model, data)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    return peak / 2**20
+
+
 def summary(base: list[float], new: list[float]) -> dict:
     """Medians in microseconds, the change of the medians and the pairs the new tree won."""
     base_median, new_median = statistics.median(base), statistics.median(new)
@@ -178,6 +197,9 @@ def main(argv=None) -> int:
                     f"({row['delta_frac']:+.1%}, new wins {row['new_wins']}/{row['pairs']})",
                     flush=True,
                 )
+    base_mib, new_mib = (round(evaluate_peak_mib(pkg), 2) for pkg in trees)
+    results["paper.oacp.evaluate_peak_two_instances"] = {"base_mib": base_mib, "new_mib": new_mib}
+    print(f"paper.oacp.evaluate_peak_two_instances: {base_mib} -> {new_mib} MiB", flush=True)
     if args.json is not None:
         args.json.write_text(json.dumps(results, indent=1) + "\n")
     return 0
