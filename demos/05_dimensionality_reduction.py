@@ -18,7 +18,6 @@ from oacpool import (
     kmeans_partition,
     reduce_sequence,
 )
-from oacpool.dimreduce import reduce as reduce_vector
 
 #%%
 # Synthetic labeled sequences of 12-dimensional frames, built from 3
@@ -46,9 +45,9 @@ print("planted groups  :", group_of_dim.tolist())
 print("recovered groups:", partition.assignment.tolist())
 
 #%%
-# Reducing a vector sums each group's coordinates; a whole sequence
-# reduces frame by frame, T x 12 -> T x 3.
+# Reducing a frame (here a one-frame sequence) sums each group's
+# coordinates; a whole sequence reduces frame by frame, T x 12 -> T x 3.
 
 seq = data[0].sequence
-print("reduced vector:", reduce_vector(seq.frames[0], partition))
+print("reduced vector:", reduce_sequence(FeatureSequence(seq.frames[:1]), partition).frames[0])
 print("reduced sequence shape:", reduce_sequence(seq, partition).frames.shape)

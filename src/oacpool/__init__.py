@@ -52,7 +52,6 @@ from .model import (
     load_model,
     save_model,
     sgd_train,
-    softmax,
 )
 from .pooling import (
     PyramidConfig,
@@ -107,6 +106,5 @@ __all__ = [
     "save_model",
     "save_partition",
     "sgd_train",
-    "softmax",
     "temporal_pyramid_pool",
 ]

@@ -320,22 +320,8 @@ def kmeans_partition(signatures, k: int, seed=0) -> ReductionPartition:
     return ReductionPartition(assignment, k)
 
 
-def reduce(x, partition: ReductionPartition) -> np.ndarray:
-    """Sum each group's coordinates of a D-vector into one value.
-
-    Group sums accumulate in ascending dimension order (fixed summation
-    order).
-    """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1 or x.shape[0] != partition.num_dims:
-        raise ShapeMismatchError(
-            f"vector of shape {x.shape}, partition covers {partition.num_dims} dimensions"
-        )
-    return np.bincount(partition.assignment, weights=x, minlength=partition.k)
-
-
 def reduce_sequence(seq: FeatureSequence, partition: ReductionPartition) -> FeatureSequence:
-    """Reduce every frame as reduce() does; a T x D sequence becomes T x k.
+    """Sum each frame's groups in ascending dimension order; T x D becomes T x k.
 
     Only the k-wide rows are allocated, never a T x D array.  The first
     (frame, group) whose sum is not finite raises SumOverflowError.

@@ -20,8 +20,7 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from ..pooling import positive_int
-from ..sequences import FeatureSequence, LabeledSequence
+from ..sequences import FeatureSequence, LabeledSequence, positive_int, real_number
 
 
 def _ramp_draw(spec: SyntheticSpec, rng: np.random.Generator) -> np.ndarray:
@@ -69,7 +68,7 @@ class SyntheticSpec:
     """Parameters of a synthetic dataset; deterministic given seed (an integer >= 0).
 
     The counts are integers >= 1 (num_frames >= 2, and >= 3 for
-    multiclass-trend); noise_sigma is finite and >= 0.
+    multiclass-trend); noise_sigma is a finite real number >= 0.
     """
 
     task_kind: str
@@ -89,7 +88,7 @@ class SyntheticSpec:
             ("num_features", 1), ("seed", 0),
         ):
             object.__setattr__(self, name, positive_int(getattr(self, name), name, minimum))
-        if not 0 <= self.noise_sigma < math.inf:
+        if not 0 <= real_number(self.noise_sigma, "noise_sigma") < math.inf:
             raise ValueError(f"noise_sigma must be finite and >= 0, got {self.noise_sigma}")
 
     @property

@@ -41,7 +41,7 @@ from .pooling import (
     seed_value,
     temporal_pyramid_pool,
 )
-from .sequences import FeatureSequence, LabeledSequence, _checked_floats
+from .sequences import FeatureSequence, LabeledSequence, _checked_floats, real_number
 
 POOLING_KINDS = ("average", "max", "pyramid", "oacp")
 
@@ -131,9 +131,9 @@ class PoolingSpec:
 class TrainConfig:
     """Hyperparameters of the per-instance SGD loop: theta <- theta - lr * grad.
 
-    learning_rate must be finite; 0 is allowed and performs null updates
-    (useful as a determinism check).  seed, an integer >= 0, fixes the
-    instance order of every epoch.
+    learning_rate must be a finite real number (see real_number) >= 0; 0
+    performs null updates (useful as a determinism check).  seed, an
+    integer >= 0, fixes the instance order of every epoch.
     """
 
     learning_rate: float
@@ -141,7 +141,7 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if not 0 <= self.learning_rate < math.inf:
+        if not 0 <= real_number(self.learning_rate, "learning_rate") < math.inf:
             raise ValueError(
                 f"learning_rate must be finite and >= 0, got {self.learning_rate}"
             )
@@ -307,11 +307,6 @@ def _softmax_in_place(z: np.ndarray, check: bool = True) -> np.ndarray:
     return z
 
 
-def softmax(z) -> np.ndarray:
-    """Max-shifted softmax: strictly positive, sums to 1, overflow-safe."""
-    return _softmax_in_place(np.array(z, dtype=np.float64))
-
-
 def _probabilities(model: ClassifierModel, pooled: np.ndarray, check: bool = True) -> np.ndarray:
     """softmax(w_head @ pooled + b_head) as a new array; see _softmax_in_place for check."""
     logits = model.w_head @ pooled
@@ -360,8 +355,9 @@ def _nll(probs: np.ndarray, label: int) -> float:
 
 def instance_loss(probs, label: int) -> float:
     """Negative log-likelihood of the true class: -log(probs[label] + LOG_EPS)."""
-    probs = np.asarray(probs, dtype=np.float64)
-    if not 0 <= label < probs.shape[0]:
+    probs = _checked_floats(probs, 1, "probs")
+    label = positive_int(label, "label", minimum=0)
+    if label >= probs.shape[0]:
         raise ValueError(f"label {label} out of range for {probs.shape[0]} classes")
     return _nll(probs, label)
 
@@ -437,7 +433,9 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> list[np
         raise StaleCacheError(
             f"cache built at version {cache.version}, model is at {model.version}"
         )
-    if not 0 <= label < model.num_classes:
+    # a bool label would index dlogits as a mask
+    label = positive_int(label, "label", minimum=0)
+    if label >= model.num_classes:
         raise ValueError(f"label {label} out of range for {model.num_classes} classes")
     dlogits = cache.probs.copy()
     routing = () if cache.windows is None else (cache.windows, cache.segment_argmax)
@@ -740,7 +738,7 @@ def grad_check(
     and max-pool ties, and the nudge moves the model off them.  The
     original model is not modified.
     """
-    if not 1e-7 <= eps <= 1e-3:
+    if not 1e-7 <= real_number(eps, "eps") <= 1e-3:
         raise ValueError(f"eps must be in [1e-7, 1e-3], got {eps}")
     rng = np.random.default_rng(seed_value(seed))
     work = copy.deepcopy(model)

@@ -70,6 +70,7 @@ def partition_segments(num_frames: int, m: int) -> list[tuple[int, int]]:
     Segment j (1-based) covers [floor((j-1)*T/m), floor(j*T/m)).
     """
     m = positive_int(m, "segment count")
+    num_frames = positive_int(num_frames, "num_frames", minimum=0)
     if num_frames < m:
         raise TooShortSequenceError(
             f"cannot split {num_frames} frames into {m} segments"

@@ -7,6 +7,7 @@ functions and safe to call concurrently.
 
 from __future__ import annotations
 
+import numbers
 import operator
 from dataclasses import dataclass
 
@@ -27,6 +28,13 @@ def positive_int(value, name: str, minimum: int = 1) -> int:
         raise ValueError(f"{name} must be an integer, got {value!r}") from None
     if value < minimum:
         raise ValueError(f"{name} must be >= {minimum}, got {value}")
+    return value
+
+
+def real_number(value, name: str):
+    """value, unchanged, if it is one bool, int or float (NumPy's included); else a ValueError."""
+    if not isinstance(value, (numbers.Real, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
 
 

@@ -177,6 +177,17 @@ def unblocked_lloyd_kmeans(points, k: int, seed=0):
     return assignment, centroids, np.asarray(objectives)
 
 
+def group_sum_oracle(frames, assignment, k: int) -> np.ndarray:
+    """(T, k) group sums: each frame's coordinates added onto 0.0 in ascending dimension order."""
+    out = np.empty((len(frames), k))
+    for t, frame in enumerate(frames):
+        sums = [0.0] * k
+        for value, group in zip(frame.tolist(), assignment.tolist()):
+            sums[group] += value
+        out[t] = sums
+    return out
+
+
 def float_reference_rows(text: str):
     """Read the body of a feature text file one float() per token.
 

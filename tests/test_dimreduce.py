@@ -8,6 +8,7 @@ from helpers import (
     reference_kmeans_pp_init,
     brute_force_partition_optimum,
     canonical_labels,
+    group_sum_oracle,
     traced_peak_mib,
     unblocked_lloyd_kmeans,
 )
@@ -19,7 +20,6 @@ from oacpool.dimreduce import (
     kmeans_partition,
     lloyd_kmeans,
     load_partition,
-    reduce,
     reduce_sequence,
     save_partition,
 )
@@ -47,6 +47,11 @@ def planted_signatures(rng, dims_per_group, centers, spread):
 
 def labeled(frames, label):
     return LabeledSequence(FeatureSequence(frames), label)
+
+
+def reduced_frame(x, partition):
+    """The one row reduce_sequence gives for the one-frame record of x."""
+    return reduce_sequence(FeatureSequence(x[None, :]), partition).frames[0]
 
 
 class TestClassSignatures:
@@ -398,14 +403,16 @@ class TestReductionPartition:
 
 
 class TestReduce:
+    """A frame reduced as a one-frame record."""
+
     def test_identity_partition_copies_vector(self):
         partition = ReductionPartition(np.arange(4), 4)
         x = np.array([1.5, -2.0, 0.25, 9.0])
-        assert reduce(x, partition).tolist() == x.tolist()
+        assert reduced_frame(x, partition).tolist() == x.tolist()
 
     def test_single_group_sums(self):
         partition = ReductionPartition(np.zeros(4, dtype=int), 1)
-        assert reduce(np.array([1.0, 2.0, 3.0, 4.0]), partition).tolist() == [10.0]
+        assert reduced_frame(np.array([1.0, 2.0, 3.0, 4.0]), partition).tolist() == [10.0]
 
     def test_linearity(self):
         rng = np.random.default_rng(77)
@@ -413,14 +420,9 @@ class TestReduce:
         partition = ReductionPartition(assignment, 3)
         x = rng.standard_normal(10)
         y = rng.standard_normal(10)
-        lhs = reduce(2.5 * x + 0.5 * y, partition)
-        rhs = 2.5 * reduce(x, partition) + 0.5 * reduce(y, partition)
+        lhs = reduced_frame(2.5 * x + 0.5 * y, partition)
+        rhs = 2.5 * reduced_frame(x, partition) + 0.5 * reduced_frame(y, partition)
         np.testing.assert_allclose(lhs, rhs, rtol=1e-12, atol=1e-14)
-
-    def test_length_mismatch(self):
-        partition = ReductionPartition(np.array([0, 1]), 2)
-        with pytest.raises(ShapeMismatchError):
-            reduce(np.zeros(3), partition)
 
 
 class TestReduceSequence:
@@ -439,22 +441,23 @@ class TestReduceSequence:
         partition = ReductionPartition(np.zeros(2, dtype=int), 1)
         assert reduce_sequence(seq, partition).frames.tolist() == [[3.0], [7.0]]
 
-    def test_rows_match_vector_reduce_bit_exactly(self):
+    def test_rows_match_the_oracle_bit_exactly(self):
         rng = np.random.default_rng(79)
         seq = FeatureSequence(rng.standard_normal((6, 8)))
         assignment = np.array([0, 1, 2, 0, 1, 2, 0, 1])
         partition = ReductionPartition(assignment, 3)
         out = reduce_sequence(seq, partition)
+        want = group_sum_oracle(seq.frames, assignment, 3)
         for t in range(6):
-            assert out.frames[t].tobytes() == reduce(seq.frames[t], partition).tobytes()
+            assert out.frames[t].tobytes() == want[t].tobytes()
 
-    def test_equals_stacked_vector_reduce(self):
+    def test_equals_the_oracle(self):
         rng = np.random.default_rng(67)
         for num_frames, num_dims, k in [(1, 1, 1), (3, 50, 7), (30, 4096, 128)]:
             assignment = np.concatenate([np.arange(k), rng.integers(0, k, num_dims - k)])
             partition = ReductionPartition(rng.permutation(assignment), k)
             seq = FeatureSequence(rng.standard_normal((num_frames, num_dims)) * 1e3)
-            want = np.stack([reduce(frame, partition) for frame in seq.frames])
+            want = group_sum_oracle(seq.frames, partition.assignment, k)
             assert reduce_sequence(seq, partition).frames.tobytes() == want.tobytes()
 
     def test_width_mismatch(self):

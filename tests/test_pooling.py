@@ -76,6 +76,7 @@ def test_average_and_max_are_bit_exact_under_permutation():
 class TestPartitionSegments:
     def test_even_split(self):
         assert partition_segments(10, 2) == [(0, 5), (5, 10)]
+        assert partition_segments(np.int64(10), 2) == [(0, 5), (5, 10)]
 
     def test_uneven_split_follows_floor_rule(self):
         # floor(j*7/2) boundaries: 0, 3, 7

@@ -51,7 +51,6 @@ PUBLIC_NAMES = {
         "save_model",
         "save_partition",
         "sgd_train",
-        "softmax",
         "temporal_pyramid_pool",
     ],
     oacpool.harness: [
@@ -88,6 +87,14 @@ def test_all_has_no_duplicates(module):
 def test_every_public_name_resolves(module):
     missing = [name for name in module.__all__ if not hasattr(module, name)]
     assert missing == []
+
+
+@pytest.mark.parametrize(
+    "module, name", [(oacpool.dimreduce, "reduce"), (oacpool.model, "softmax")]
+)
+def test_one_reducer_and_one_softmax(module, name):
+    # reduce_sequence is the one group sum, _softmax_in_place the one softmax
+    assert not hasattr(module, name)
 
 
 def test_classifier_model_fields_are_pinned():

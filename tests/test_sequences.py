@@ -7,7 +7,9 @@ from helpers import traced_peak_mib
 from oacpool.convpool import FilterBankSet
 from oacpool.dimreduce import lloyd_kmeans
 from oacpool.errors import ShapeMismatchError
-from oacpool.model import ClassifierModel, PoolingSpec
+from oacpool.harness import SyntheticSpec
+from oacpool.model import ClassifierModel, PoolingSpec, TrainConfig, grad_check, instance_loss
+from oacpool.pooling import partition_segments
 from oacpool.sequences import (
     FeatureSequence,
     LabeledSequence,
@@ -166,6 +168,7 @@ INTAKE_SITES = {
         lambda v: ClassifierModel(PoolingSpec("average"), 3, 2, w_head=np.ones((2, 3)), b_head=v),
     ),
     "points": ((4, 3), lambda v: lloyd_kmeans(v, 1)),
+    "probs": ((2,), lambda v: instance_loss(v, 0)),
 }
 
 
@@ -203,7 +206,7 @@ NOT_REAL = {
 
 
 class TestIntakeRule:
-    """Frames, filter banks, head parameters and k-means points share one rule and its texts."""
+    """Frames, filter banks, head parameters, k-means points and probabilities share one rule."""
 
     @pytest.mark.parametrize("site", sorted(INTAKE_SITES))
     @pytest.mark.parametrize("case", list(BAD_INTAKE))
@@ -276,3 +279,44 @@ class TestIntakeRule:
         weights, biases = rng.uniform(-1.0, 1.0, (4096, 3, 8)), np.zeros((4096, 3))
         peak = traced_peak_mib(lambda: FilterBankSet(weights, biases))
         assert peak <= 1.3 * weights.nbytes / 2**20
+
+
+def _grad_check_eps(eps):
+    example = LabeledSequence(FeatureSequence(np.arange(6.0).reshape(3, 2)), 1)
+    return grad_check(ClassifierModel.build("average", 2, 2), example, eps)
+
+
+# Each scalar site: (call taking the value, a bad value, the text it raises).
+# The first three take real numbers (see real_number), partition_segments
+# takes a frame count (see positive_int).
+SCALAR_SITES = {
+    "learning_rate": (lambda v: TrainConfig(v, 1), "0.1", "learning_rate must be a real number"),
+    "noise_sigma": (
+        lambda v: SyntheticSpec("trend-pair", noise_sigma=v),
+        "0.1",
+        "noise_sigma must be a real number",
+    ),
+    "eps": (_grad_check_eps, "1e-5", "eps must be a real number"),
+    "num_frames-float": (lambda v: partition_segments(v, 2), 10.5, "num_frames must be an integer"),
+    "num_frames-bool": (lambda v: partition_segments(v, 1), True, "num_frames must be an integer"),
+}
+
+
+class TestScalarSettings:
+    """A scalar setting that is not a number of its kind is a ValueError naming it."""
+
+    @pytest.mark.parametrize("site", list(SCALAR_SITES))
+    def test_bad_scalars_raise_value_errors_naming_the_setting(self, site):
+        call, value, text = SCALAR_SITES[site]
+        with pytest.raises(ValueError, match="^" + re.escape(text)):
+            call(value)
+
+    @pytest.mark.parametrize("value", [None, 1j, b"1", [0.1], np.array([0.1])])
+    def test_other_non_real_values(self, value):
+        with pytest.raises(ValueError, match="^learning_rate must be a real number, got "):
+            TrainConfig(value, 1)
+
+    @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1), np.float64(0.25), 0])
+    def test_numpy_and_python_reals_pass(self, value):
+        assert TrainConfig(value, 1).learning_rate is value
+        assert SyntheticSpec("trend-pair", noise_sigma=value).noise_sigma is value
