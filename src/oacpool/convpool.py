@@ -5,6 +5,10 @@ The bank slides along that dimension's 1D signal, and the ReLU'd responses
 are max-pooled over a temporal pyramid (the monotone ReLU is applied to the
 maxima).  This keeps the parameter count at l*K*n + K*n instead of the
 l*K*n + n of a single joint convolution over all K dimensions with n >> n_filters.
+The layer's backward lives here too: _bank_gradient routes the pooled
+vector's gradient through the ReLU and the segment max into the banks, and
+_update_banks takes their SGD step, so the banks' storage and the pooled
+layout are known to this module alone.
 """
 
 from __future__ import annotations
@@ -16,7 +20,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeMismatchError, TooShortSequenceError
-from .pooling import PyramidConfig, positive_int, segment_ranges
+from .pooling import PyramidConfig, _checked_pyramid, positive_int, segment_ranges
 from .sequences import FeatureSequence, _checked_floats
 
 
@@ -148,12 +152,11 @@ class _PoolingPlan(NamedTuple):
     row_weights: np.ndarray                    # (T_out, 1, 1) weights [T_out, ..., 1]
     first_piece: np.ndarray                    # (M,) each segment's first piece
     later_pieces: tuple[tuple[int, int], ...]  # (segment, piece) for its other pieces
-    dims: np.ndarray                           # arange(K), backward's gather index
 
 
 @functools.lru_cache(maxsize=256)
-def _pooling_plan(t_out: int, num_dims: int, cfg: PyramidConfig) -> _PoolingPlan:
-    """The plan of (t_out, num_dims, cfg), built once; too few rows raise TooShortSequenceError.
+def _pooling_plan(t_out: int, cfg: PyramidConfig) -> _PoolingPlan:
+    """The plan of (t_out, cfg), built once; too few rows raise TooShortSequenceError.
 
     Row weights take the narrowest unsigned type: uint8 up to 255 rows,
     uint16 up to 65535, and so on.
@@ -170,10 +173,9 @@ def _pooling_plan(t_out: int, num_dims: int, cfg: PyramidConfig) -> _PoolingPlan
         for q in range(piece_at[a] + 1, len(pieces))
         if pieces[q][1] <= b
     )
-    plan = _PoolingPlan(pieces, row_weights, first_piece, later_pieces, np.arange(num_dims))
-    for array in (row_weights, first_piece, plan.dims):
+    for array in (row_weights, first_piece):
         array.flags.writeable = False
-    return plan
+    return _PoolingPlan(pieces, row_weights, first_piece, later_pieces)
 
 
 def _relu_piece_maxima(pre: np.ndarray, plan: _PoolingPlan) -> np.ndarray:
@@ -226,7 +228,7 @@ def _oacp_pooled(seq: FeatureSequence, banks: FilterBankSet, cfg: PyramidConfig)
     raises as oacp_forward_details does.
     """
     pre = conv_responses(seq, banks)
-    plan = _pooling_plan(pre.shape[0], banks.num_dims, cfg)
+    plan = _pooling_plan(pre.shape[0], _checked_pyramid(cfg))
     relu = _relu_piece_maxima(pre, plan)
     del pre
     maxima, _ = _segment_maxima(relu, plan)
@@ -252,7 +254,7 @@ def oacp_forward_details(
     """
     pre = conv_responses(seq, banks)
     t_out = pre.shape[0]
-    plan = _pooling_plan(t_out, banks.num_dims, cfg)
+    plan = _pooling_plan(t_out, _checked_pyramid(cfg))
     windows = _windows(seq.frames, banks.interval, banks.stride)
     relu = _relu_piece_maxima(pre, plan)
     floor = np.where(relu == 0.0, -np.inf, relu)
@@ -263,6 +265,47 @@ def oacp_forward_details(
     maxima, top = _segment_maxima(relu, plan, piece_top)
     argmax = np.subtract(t_out, top, dtype=np.intp)
     return OacpForward(_dimension_major(maxima), pre, windows, argmax)
+
+
+def _bank_gradient(
+    d_pooled: np.ndarray, pooled: np.ndarray, windows: np.ndarray, segment_argmax: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """The banks' weight and bias gradients, given d_pooled, the gradient of the pooled vector.
+
+    The ReLU zeroes d_pooled, in place, where the pooled maximum is not
+    positive.  Each slot routes to its segment_argmax row, and a (dimension,
+    filter) sums its M slots in (level, segment) order, each its gradient
+    times that row's input window.  The gradients have the storage's axes,
+    (l, n, K) and (n, K).  NumPy lays the (l, M, n, K) gather out as
+    (M, n, K, l); a C-contiguous gather was slower at the desk shape, where
+    the calls, not the bytes, set the cost.
+    """
+    # pooled holds each slot's ReLU'd maximum in d_pooled's (K, M, n) layout,
+    # so it is positive exactly where the routed row's pre-activation is
+    d_pooled *= pooled > 0
+    segments, _, num_dims = segment_argmax.shape
+    coef = d_pooled.reshape(num_dims, segments, -1).transpose(1, 2, 0).copy()
+    # gather with the tap axis first, windows.transpose(2, 0, 1)[i, t, k] =
+    # frames[t*stride + i, k], then scale and sum over the M segments in order
+    routed = windows.transpose(2, 0, 1)[:, segment_argmax, np.arange(num_dims)]  # (l, M, n, K)
+    routed *= coef
+    g_w, g_b = routed[:, 0], coef[0]
+    for m in range(1, segments):
+        g_w += routed[:, m]
+        g_b += coef[m]
+    return g_w, g_b
+
+
+def _update_banks(
+    banks: FilterBankSet, learning_rate: float, g_w: np.ndarray, g_b: np.ndarray
+) -> None:
+    """_taps -= learning_rate * g_w and _bias_rows -= learning_rate * g_b, each scaled in place.
+
+    Subtracting through the transposed weights and biases views is slower.
+    """
+    for param, grad in ((banks._taps, g_w), (banks._bias_rows, g_b)):
+        grad *= learning_rate
+        param -= grad
 
 
 def _counts(num_dims, interval, n_filters) -> tuple[int, int, int]:

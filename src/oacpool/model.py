@@ -5,8 +5,9 @@ four pooling kinds), computes probs = softmax(W p + b), and trains all
 parameters with per-instance SGD on the negative log-likelihood.  For the
 convolutional pooling kind the gradient flows through the segment max
 pooling (to the first maximal response of each segment) and the ReLU (zero
-at nonpositive pre-activations) into the filter banks.  One private
-_gradient forms that gradient: sgd_train's fused _train_step applies it
+at nonpositive pre-activations) into the filter banks; convpool's
+_bank_gradient and _update_banks own that part.  One private _gradient
+forms the whole gradient: sgd_train's fused _train_step applies it
 through _apply_update, and backward() returns it densely, in parameters()
 order, for grad_check and any other caller that inspects it.  Nothing
 backpropagates from evaluate() or from grad_check's loss evaluations, so
@@ -25,7 +26,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .convpool import FilterBankSet, _oacp_pooled, _pooling_plan, oacp_forward_details
+from .convpool import (
+    FilterBankSet,
+    _bank_gradient,
+    _oacp_pooled,
+    _update_banks,
+    oacp_forward_details,
+)
 from .errors import (
     DivergenceError,
     ParseError,
@@ -362,42 +369,6 @@ def instance_loss(probs, label: int) -> float:
     return _nll(probs, label)
 
 
-def _bank_gradient(
-    model: ClassifierModel,
-    dlogits: np.ndarray,
-    pooled: np.ndarray,
-    windows: np.ndarray,
-    segment_argmax: np.ndarray,
-) -> tuple[np.ndarray, np.ndarray]:
-    """The bank weight and bias gradients of an oacp forward, given the logit gradient.
-
-    See backward() for the routing.  The gradients come with the axes of
-    the banks' storage, (l, n, K) and (n, K), so the update subtracts them
-    from the storage with no transpose.  The weight gradient is the sums
-    held in the first segment of the routed windows, whose (l, M, n, K)
-    gather NumPy lays out as (M, n, K, l), taps innermost; a C-contiguous
-    gather (a copy of it, or a take from flat offsets) was slower at the
-    desk shape, where the calls, not the bytes, set the cost.
-    """
-    # pooled holds each slot's ReLU'd maximum in d_pooled's (K, M, n) layout,
-    # so it is positive exactly where the routed row's pre-activation is
-    d_pooled = model.w_head.T @ dlogits
-    d_pooled *= pooled > 0
-    segments = segment_argmax.shape[0]
-    coef = d_pooled.reshape(model.num_features, segments, -1).transpose(1, 2, 0).copy()
-    # gather with the tap axis first, windows.transpose(2, 0, 1)[i, t, k] =
-    # frames[t*stride + i, k], then scale and sum over the M segments in order
-    plan = _pooling_plan(windows.shape[0], model.num_features, model.spec.pyramid)
-    routed = windows.transpose(2, 0, 1)[:, segment_argmax, plan.dims]  # (l, M, n, K)
-    routed *= coef
-    g_bank_w = routed[:, 0]
-    g_bank_b = coef[0]
-    for m in range(1, segments):
-        g_bank_w += routed[:, m]
-        g_bank_b += coef[m]
-    return g_bank_w, g_bank_b
-
-
 def _gradient(
     model: ClassifierModel, dlogits: np.ndarray, label: int, pooled: np.ndarray, routing: Sequence
 ) -> tuple[np.ndarray, np.ndarray] | tuple[()]:
@@ -406,12 +377,12 @@ def _gradient(
     dlogits, the instance's probabilities, becomes probs - onehot(label) in
     place: the head bias gradient, and with pooled the factors of the head
     weight gradient outer(dlogits, pooled).  For routing, an oacp forward's
-    (windows, segment_argmax), the bank gradients follow as _bank_gradient
-    returns them; the other kinds pass and get ().
+    (windows, segment_argmax), _bank_gradient turns the pooled vector's
+    gradient w_head.T @ dlogits into the bank gradients; others get ().
     """
     dlogits[label] -= 1.0
     if routing:
-        return _bank_gradient(model, dlogits, pooled, *routing)
+        return _bank_gradient(model.w_head.T @ dlogits, pooled, *routing)
     return ()
 
 
@@ -421,13 +392,8 @@ def backward(model: ClassifierModel, cache: ForwardCache, label: int) -> list[np
     That is outer(probs - onehot(label), pooled), probs - onehot(label),
     then for oacp the bank weight and bias gradients in the banks' (K, n, l)
     and (K, n) shapes: what a training step on the instance subtracts,
-    before its learning-rate scaling.  The segment max routes each pooled
-    slot's gradient to its first maximal response row; ReLU passes gradient
-    only where the pre-activation is strictly positive.  The bank gradient
-    is therefore summed over the M routed rows of each (dimension, filter)
-    only, in (level, segment) order: each routed slot adds its gradient
-    times that row's input window, and a row routed by two segments adds
-    twice.
+    before its learning-rate scaling.  convpool._bank_gradient routes the
+    bank gradients through the segment max and the ReLU.
     """
     if cache.version != model.version:
         raise StaleCacheError(
@@ -470,9 +436,8 @@ def _apply_update(
     a time: each block's slice of outer(dlogits, pooled) is formed in
     term, scaled and subtracted while the block is in cache.  Every
     element is rounded as np.outer, then *= learning_rate, then -= would
-    round it.  dlogits is the head bias gradient too; it and the bank
-    gradients, (l, n, K) taps and (n, K) bias rows in the banks' storage
-    layout, are then scaled in place and subtracted.
+    round it.  dlogits, the head bias gradient too, is then scaled in
+    place and subtracted, and convpool._update_banks takes the bank step.
     """
     w_head = model.w_head
     rows = term.shape[0]
@@ -482,14 +447,10 @@ def _apply_update(
         np.multiply(dlogits[start : start + rows, None], pooled, out=block_term)
         block_term *= learning_rate
         block -= block_term
-    # b_head, then the bank pair, which only oacp models have
-    rest = ((model.b_head, dlogits),)
+    dlogits *= learning_rate
+    model.b_head -= dlogits
     if bank:
-        banks = model.filter_banks
-        rest += tuple(zip((banks._taps, banks._bias_rows), bank))
-    for param, grad in rest:
-        grad *= learning_rate
-        param -= grad
+        _update_banks(model.filter_banks, learning_rate, *bank)
 
 
 def _train_step(

@@ -49,6 +49,13 @@ class PyramidConfig:
         return max(self.segments_per_level)
 
 
+def _checked_pyramid(cfg) -> PyramidConfig:
+    """cfg if it is a PyramidConfig; else a ValueError naming its type."""
+    if not isinstance(cfg, PyramidConfig):
+        raise ValueError(f"cfg must be a PyramidConfig, got {type(cfg).__name__}")
+    return cfg
+
+
 def average_pool(seq: FeatureSequence) -> np.ndarray:
     """Per-dimension arithmetic mean over frames.
 
@@ -82,7 +89,7 @@ def partition_segments(num_frames: int, m: int) -> list[tuple[int, int]]:
 def segment_ranges(num_frames: int, cfg: PyramidConfig) -> list[tuple[int, int]]:
     """All pyramid segment ranges in (level, segment) order; M ranges total."""
     ranges = []
-    for m in cfg.segments_per_level:
+    for m in _checked_pyramid(cfg).segments_per_level:
         ranges.extend(partition_segments(num_frames, m))
     return ranges
 

@@ -32,8 +32,13 @@ def positive_int(value, name: str, minimum: int = 1) -> int:
 
 
 def real_number(value, name: str):
-    """value, unchanged, if it is one bool, int or float (NumPy's included); else a ValueError."""
-    if not isinstance(value, (numbers.Real, np.bool_)):
+    """value, unchanged, if it is one int or float (NumPy's included); else a ValueError.
+
+    Booleans, Python's and NumPy's, are not numbers here.
+    """
+    if isinstance(value, (bool, np.bool_)):
+        raise ValueError(f"{name} must be a real number, got {value}")
+    if not isinstance(value, numbers.Real):
         raise ValueError(f"{name} must be a real number, got {value!r}")
     return value
 

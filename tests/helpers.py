@@ -66,6 +66,46 @@ def numpy_segment_pooling(responses, cfg):
     return argmax, maxima
 
 
+def routed_bank_gradient(frames, banks, cfg, d_pooled):
+    """The bank gradients of an oacp forward, by plain loops, as (l, n, K) and (n, K) arrays.
+
+    The responses come from conv_oracle and the routing from
+    numpy_segment_pooling.  Slot (k, m, j) of the dimension-major pooled
+    vector, d_pooled[(k * M + m) * n + j], is masked to d * 0.0 unless its
+    maximum is positive.  Each (dimension, filter) starts from its first
+    segment's terms and adds the others in (level, segment) order; a term
+    is the masked slot times the routed row's input frame, tap by tap.
+    """
+    frames = np.asarray(frames, dtype=np.float64)
+    num_dims, n_filters, interval = banks.weights.shape
+    responses = np.stack(
+        [
+            conv_oracle(frames[:, k], banks.weights[k], banks.biases[k], banks.stride)
+            for k in range(num_dims)
+        ],
+        axis=2,
+    )
+    argmax, maxima = numpy_segment_pooling(responses, cfg)
+    segments = argmax.shape[0]
+    g_w = np.empty((interval, n_filters, num_dims))
+    g_b = np.empty((n_filters, num_dims))
+    for k in range(num_dims):
+        for j in range(n_filters):
+            for m in range(segments):
+                d = float(d_pooled[(k * segments + m) * n_filters + j])
+                coef = d * (1.0 if maxima[m, j, k] > 0.0 else 0.0)
+                start = int(argmax[m, j, k]) * banks.stride
+                terms = [float(frames[start + i, k]) * coef for i in range(interval)]
+                if m == 0:
+                    taps, bias = terms, coef
+                else:
+                    taps = [acc + term for acc, term in zip(taps, terms)]
+                    bias += coef
+            g_w[:, j, k] = taps
+            g_b[j, k] = bias
+    return g_w, g_b
+
+
 def dense_reference_gradients(model, cache, label: int):
     """Gradients (w_head, b_head, bank weights, bank biases) by dense backprop.
 

@@ -1,4 +1,4 @@
-"""Property tests of the conv and pooled maxima; skipped when hypothesis is missing."""
+"""Property tests of the conv, pooled maxima and bank gradient; skipped without hypothesis."""
 
 import numpy as np
 import pytest
@@ -9,10 +9,11 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
-from helpers import conv_oracle, numpy_segment_pooling
+from helpers import conv_oracle, numpy_segment_pooling, routed_bank_gradient
 
 from oacpool.convpool import (
     FilterBankSet,
+    _bank_gradient,
     _oacp_pooled,
     conv_responses,
     oacp_forward_details,
@@ -134,6 +135,39 @@ class TestPooledOnlyForward:
         # l <= 8 taps of |w * x| <= 16 stay far above a bias of -200
         pooled = pooled_bytes_agree(*case)
         assert pooled.tobytes() == np.zeros_like(pooled).tobytes()
+
+
+def bank_gradient_matches_reference(case, data):
+    """_bank_gradient on a drawn d_pooled, bytewise against routed_bank_gradient."""
+    frames, banks, cfg = case
+    details = oacp_forward_details(FeatureSequence(frames), banks, cfg)
+    d_pooled = data.draw(
+        hnp.arrays(np.float64, details.pooled.shape, elements=st.floats(-4.0, 4.0))
+    )
+    want = routed_bank_gradient(frames, banks, cfg, d_pooled)
+    got = _bank_gradient(d_pooled.copy(), details.pooled, details.windows, details.segment_argmax)
+    for g, w in zip(got, want):
+        assert g.shape == w.shape and g.dtype == w.dtype
+        assert g.tobytes() == w.tobytes()
+
+
+class TestBankGradient:
+    """The routed bank gradient equals plain loops over the oracle's responses and routing."""
+
+    @settings(derandomize=True, deadline=None)
+    @given(conv_cases(), st.data())
+    def test_random_geometries(self, case, data):
+        bank_gradient_matches_reference(case, data)
+
+    @settings(derandomize=True, deadline=None)
+    @given(conv_cases(values=TIE_HEAVY), st.data())
+    def test_tied_and_all_zero_segments(self, case, data):
+        bank_gradient_matches_reference(case, data)
+
+    @settings(derandomize=True, deadline=None)
+    @given(conv_cases(at_minimum=True), st.data())
+    def test_sequences_of_exactly_minimum_frames(self, case, data):
+        bank_gradient_matches_reference(case, data)
 
 
 # Levels whose boundaries do not nest cut segments into several pieces.

@@ -11,6 +11,7 @@ from helpers import (
 
 from oacpool.convpool import (
     FilterBankSet,
+    _oacp_pooled,
     conv_responses,
     oacp_forward_details,
     param_count_joint,
@@ -18,7 +19,13 @@ from oacpool.convpool import (
 )
 from oacpool.errors import DivergenceError, ShapeMismatchError, TooShortSequenceError
 from oacpool.model import ClassifierModel, TrainConfig, evaluate, forward, sgd_train
-from oacpool.pooling import PyramidConfig, average_pool, max_pool
+from oacpool.pooling import (
+    PyramidConfig,
+    average_pool,
+    max_pool,
+    segment_ranges,
+    temporal_pyramid_pool,
+)
 from oacpool.sequences import FeatureSequence, LabeledSequence
 
 RISING_DETECTOR = FilterBankSet([[[-1.0, 1.0]]], [[0.0]])
@@ -280,6 +287,30 @@ class TestOacpForward:
         with pytest.raises(TooShortSequenceError):
             # T_out = 1 cannot be split into 2 segments
             oacp_forward_details(seq, fbs, PyramidConfig((1, 2)))
+
+
+# Each site that reads a pyramid, called with a (10, 3) sequence, two filters of two taps.
+PYRAMID_SITES = {
+    "segment_ranges": lambda seq, banks, cfg: segment_ranges(seq.num_frames, cfg),
+    "temporal_pyramid_pool": lambda seq, banks, cfg: temporal_pyramid_pool(seq, cfg),
+    "oacp_forward_details": oacp_forward_details,
+    "_oacp_pooled": _oacp_pooled,
+}
+
+
+class TestPyramidType:
+    """A pyramid that is not a PyramidConfig is a ValueError naming its type."""
+
+    @pytest.mark.parametrize("site", list(PYRAMID_SITES))
+    @pytest.mark.parametrize("levels", [(1, 2), [1, 2]], ids=["tuple", "list"])
+    def test_bare_levels_are_refused(self, site, levels):
+        seq = FeatureSequence(np.ones((10, 3)))
+        banks = FilterBankSet(np.ones((3, 2, 2)), np.zeros((3, 2)))
+        call = PYRAMID_SITES[site]
+        call(seq, banks, PyramidConfig(tuple(levels)))  # the same levels as a config pass
+        message = f"cfg must be a PyramidConfig, got {type(levels).__name__}"
+        with pytest.raises(ValueError, match="^" + message + "$"):
+            call(seq, banks, levels)
 
 
 class TestSegmentArgmax:

@@ -36,6 +36,7 @@ GOLDEN = {
     "train two-class-lines": "7f4f4869770e987d751364f287d367815c178abac88702df8fa150bd5c1fa1b8",
     "train nan": "365422d5376aa9ee41f4ff5a99331acb8c88e49bd015334597875da6d9011677",
     "compare wide": "12502554f4ef603aeaa0f3543fe655dd3e09f45157048219f38a32adcb98dfe5",
+    "train epochs-ten": "29de41366d7553107502c39b8fac3aa9a231bdbfe03457d439c99c7c7eb4c7ea",
 }
 UNTRAINED_CHECKPOINT = "de5655cb70129f5c4885ecc114a375492a61b966873d497a1be8f15843b2a790"
 

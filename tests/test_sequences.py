@@ -316,6 +316,13 @@ class TestScalarSettings:
         with pytest.raises(ValueError, match="^learning_rate must be a real number, got "):
             TrainConfig(value, 1)
 
+    @pytest.mark.parametrize("site", ["learning_rate", "noise_sigma", "eps"])
+    @pytest.mark.parametrize("value", [True, False, np.True_], ids=["True", "False", "np.True_"])
+    def test_booleans_are_not_real_numbers(self, site, value):
+        call, _, text = SCALAR_SITES[site]
+        with pytest.raises(ValueError, match="^" + re.escape(f"{text}, got {value}") + "$"):
+            call(value)
+
     @pytest.mark.parametrize("value", [np.float32(0.5), np.int64(1), np.float64(0.25), 0])
     def test_numpy_and_python_reals_pass(self, value):
         assert TrainConfig(value, 1).learning_rate is value

@@ -12,13 +12,14 @@ calls read from: ``synth`` of each task and of a noisier trend-pair split,
 1,2,4 and interval 3, ``eval --confusion`` of each of those models on the
 noisier test split (no two of them print the same confusion matrix), a
 ``train`` that diverges (exit 3), a four-method ``compare``,
-``gradcheck``, a ``reduce`` fit and apply, and four calls on bad inputs
-that the script writes under ``bad/`` first:
+``gradcheck``, a ``reduce`` fit and apply, four calls on bad inputs that
+the script writes under ``bad/`` first, and a usage error:
 
 1. ``train`` on a manifest declaring ``classes=a,,b``;
 2. ``train`` on a manifest with a second ``classes=`` line;
 3. ``train`` on a manifest listing a text feature file that holds ``nan``;
-4. a ``compare`` whose test split has 5 features and training split 6.
+4. a ``compare`` whose test split has 5 features and training split 6;
+5. a ``train`` given ``--epochs ten``, which argparse refuses (exit 1).
 
 For each call it prints the call's name, its exit code and one SHA-256
 over its stdout, its stderr, its exit code and the files it wrote or
@@ -107,6 +108,8 @@ def calls() -> list[tuple[str, tuple[str, ...]]]:
         "--test-manifest", "bad/wide.manifest", "--methods", "oacp,average", "--epochs", "1",
     )
     runs.append(("compare wide", wide))
+    epochs = ("train", *TRAIN, "--epochs", "ten", "--model-out", "epochs-ten.oacm")
+    runs.append(("train epochs-ten", epochs))
     return runs
 
 
@@ -128,7 +131,8 @@ def file_digests(root: Path) -> dict[str, str]:
 
 def call_digest(tree: Path, work: Path, argv: tuple[str, ...]) -> tuple[int, str]:
     """One call's exit code and the SHA-256 of its stdout, stderr, exit code and written files."""
-    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0")
+    # argparse wraps a usage message to the width COLUMNS names
+    env = dict(os.environ, PYTHONPATH=str(tree / "src"), PYTHONHASHSEED="0", COLUMNS="80")
     before = file_digests(work)
     done = subprocess.run(
         [sys.executable, "-m", "oacpool", *argv], cwd=work, env=env, capture_output=True
